@@ -3,14 +3,13 @@
 //!
 //! The instance mirrors `tests/fixtures/intra_many_components.json` at
 //! bench scale: disjoint fully-overlapping clusters of equal size, so the
-//! schedule phase decomposes into balanced fat components and the
-//! fork–join layer (component dispatch, parallel sorts, chunked bound
-//! sweeps) has real work to spread. The `1w` context is inert by
-//! contract — its cost over `seq` is the overhead of consulting the
-//! thread-local context, which must stay within budget noise. On
-//! multi-core hosts `4w` is the tentpole: the same solve, ≥1.5× faster.
-//! Determinism is asserted outside the timing loops: every width must
-//! render the byte-identical report.
+//! schedule phase decomposes into balanced fat components and component
+//! dispatch, the only place one instance forks, has real work to spread.
+//! The `1w` context is inert by contract — its cost over `seq` is the
+//! overhead of consulting the thread-local context, which must stay
+//! within budget noise. On multi-core hosts the wider contexts solve the
+//! same instance faster. Determinism is asserted outside the timing loops:
+//! every width must render the byte-identical report.
 
 use std::hint::black_box;
 
@@ -87,30 +86,6 @@ fn bench(c: &mut Criterion) {
             |b, inst| {
                 let _ctx = intra::enter(&exec, width);
                 b.iter(|| timeless_json(black_box(inst)))
-            },
-        );
-    }
-
-    // the sort kernel in isolation: the substrate every forked phase
-    // (canonical hashing, family scan, profile construction) leans on
-    let pairs: Vec<(i64, i64)> = {
-        let jobs = clustered(4, 50_000);
-        jobs.jobs().iter().map(|iv| (iv.start, iv.end)).collect()
-    };
-    let mut sorted = pairs.clone();
-    sorted.sort_unstable();
-    for width in [1usize, 4] {
-        let exec = Executor::new(width);
-        group.bench_with_input(
-            BenchmarkId::new("sort-pairs", format!("{width}w-200k")),
-            &pairs,
-            |b, pairs| {
-                b.iter(|| {
-                    let mut data = pairs.clone();
-                    exec.par_sort_unstable(width, &mut data, intra::MIN_CHUNK);
-                    assert_eq!(data.len(), sorted.len());
-                    data
-                })
             },
         );
     }

@@ -62,33 +62,10 @@ pub fn component_lower_bound(inst: &Instance) -> i64 {
 }
 
 /// `max(⌈len/g⌉, span)` over one component's sorted `(start, end)` slice.
-///
-/// On a huge component inside a live intra-parallelism context the sweep
-/// is chunked over the executor and reduced associatively — integer sums
-/// and maxes are exact, so the result is bit-identical to the sequential
-/// pass.
 fn pair_lower_bound(comp: &[(i64, i64)], g: i64) -> i64 {
-    use crate::pool::intra;
-    let (len, reach) = match intra::active() {
-        Some((exec, width)) if comp.len() >= intra::MIN_CHUNK * 2 => exec
-            .par_reduce(
-                width,
-                comp,
-                intra::MIN_CHUNK,
-                |chunk| {
-                    let len: i64 = chunk.iter().map(|&(s, e)| e - s).sum();
-                    let reach = chunk.iter().map(|&(_, e)| e).max().unwrap_or(0);
-                    (len, reach)
-                },
-                |(len_a, reach_a), (len_b, reach_b)| (len_a + len_b, reach_a.max(reach_b)),
-            )
-            .unwrap_or((0, 0)),
-        _ => (
-            comp.iter().map(|&(s, e)| e - s).sum(),
-            comp.iter().map(|&(_, e)| e).max().unwrap_or(0),
-        ),
-    };
+    let len: i64 = comp.iter().map(|&(s, e)| e - s).sum();
     // one connected component: its span is reach − leftmost start
+    let reach = comp.iter().map(|&(_, e)| e).max().unwrap_or(0);
     let span = comp.first().map_or(0, |&(s, _)| reach - s);
     let parallelism = len.div_euclid(g) + i64::from(len.rem_euclid(g) != 0);
     parallelism.max(span)
@@ -114,10 +91,8 @@ pub fn clique_delta_bound(inst: &Instance) -> Option<i64> {
         let deltas = &mut arena.keys;
         deltas.clear();
         deltas.extend(inst.jobs().iter().map(|iv| (t - iv.start).max(iv.end - t)));
-        // ascending sort walked backwards ≡ the descending sort the proof
-        // states; ascending lets the intra context's parallel sort serve it
-        crate::pool::intra::sort_unstable(deltas);
-        deltas.iter().rev().step_by(inst.g() as usize).sum()
+        deltas.sort_unstable_by_key(|&d| std::cmp::Reverse(d));
+        deltas.iter().step_by(inst.g() as usize).sum()
     }))
 }
 
@@ -134,8 +109,8 @@ fn pair_delta_bound(comp: &[(i64, i64)], g: u32) -> Option<i64> {
         let deltas = &mut arena.keys;
         deltas.clear();
         deltas.extend(comp.iter().map(|&(s, e)| (t - s).max(e - t)));
-        crate::pool::intra::sort_unstable(deltas);
-        deltas.iter().rev().step_by(g as usize).sum()
+        deltas.sort_unstable_by_key(|&d| std::cmp::Reverse(d));
+        deltas.iter().step_by(g as usize).sum()
     }))
 }
 

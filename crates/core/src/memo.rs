@@ -130,15 +130,14 @@ impl CanonicalInstance {
     pub fn of(inst: &Instance) -> Self {
         // (start, end, original id) triples with distinct ascending ids:
         // an unstable sort of the triples reproduces the stable order
-        // exactly, as a plain `Ord + Copy` sort the intra context's
-        // parallel sort can serve on large instances
+        // exactly
         let mut keyed: Vec<(i64, i64, usize)> = inst
             .jobs()
             .iter()
             .enumerate()
             .map(|(i, iv)| (iv.start, iv.end, i))
             .collect();
-        crate::pool::intra::sort_unstable(&mut keyed);
+        keyed.sort_unstable();
         let perm: Vec<usize> = keyed.iter().map(|&(_, _, i)| i).collect();
         let jobs: Vec<Interval> = perm.iter().map(|&i| inst.job(i)).collect();
         let hash = hash_content(&jobs, inst.g());
@@ -213,7 +212,7 @@ pub fn canonical_hash(inst: &Instance) -> u64 {
         let pairs = &mut arena.pairs;
         pairs.clear();
         pairs.extend(inst.jobs().iter().map(|iv| (iv.start, iv.end)));
-        crate::pool::intra::sort_unstable(pairs);
+        pairs.sort_unstable();
         let mut h = Fnv::new();
         h.write_u64(pairs.len() as u64);
         h.write_u64(u64::from(inst.g()));

@@ -15,8 +15,7 @@
 //! [`Executor::configure_global`] lets a CLI size it from `--workers`
 //! before first use. Constructed instances ([`Executor::new`]) carry their
 //! own threads and shut them down on drop — tests use those to pin exact
-//! budgets. The module-level [`par_map`] family forwards to the global
-//! executor and keeps the historical calling convention.
+//! budgets.
 //!
 //! Batches preserve the scoped-thread contract they replaced: work is
 //! distributed over a shared atomic cursor (balancing heavily skewed item
@@ -44,49 +43,35 @@
 //!
 //! # Fork–join over one instance
 //!
-//! [`Executor::par_chunks`] / [`Executor::par_reduce`] split *one* slice
-//! into consecutive chunks and fan the chunks over the same worker budget
-//! — the data-parallel layer large single instances run on (parallel
-//! decomposition, parallel sorts, chunked bound sweeps). The contract:
+//! One instance forks at exactly one place: `Decomposed` solving its
+//! connected components concurrently. The paper's w.l.o.g. preprocessing
+//! (Section 1.4) splits an instance into components whose optima add up,
+//! so they are independent work. The components go out through
+//! [`Executor::par_map_with`] and inherit the batch contract:
 //!
-//! * **Determinism** — chunk results come back in chunk order and
-//!   [`Executor::par_reduce`] folds them strictly left-to-right, so any
-//!   associative reduction (sums, maxes, merges of sorted runs) is
-//!   bit-identical to the sequential computation. Chunk boundaries depend
-//!   only on the slice length, the requested width and `min_chunk`, never
-//!   on scheduling.
-//! * **Nesting** — a fork–join call from one of the pool's own workers
-//!   runs inline on that worker (the `WORKER_OF` path), so solvers that
-//!   already run *on* the pool (a saturated batch) degrade to sequential
-//!   instead of deadlocking or thrashing the budget.
-//! * **Sequential-below-threshold** — fewer than two chunks of `min_chunk`
-//!   items never touch the queue: the closure runs on the calling thread
-//!   and small instances pay nothing for the capability.
-//! * **Cancellation** — [`Executor::par_chunks_under`] hands every chunk a
-//!   fresh child of the caller's [`CancelToken`]: cancelling the parent
-//!   cuts every chunk at its next cooperative check, while one chunk
-//!   cancelling (or poisoning) its own token never affects siblings.
-//! * **Panic containment** — a panic in any chunk is caught by the batch
-//!   protocol and re-raised as a single `"worker panicked"` panic on the
-//!   submitting thread once the whole fork has settled; pool threads never
-//!   die.
+//! * **Determinism** — results come back in component order, so the merged
+//!   schedule is the sequential one at every width.
+//! * **Nesting** — a fork from one of the pool's own workers runs inline on
+//!   that worker, so a solve already running *on* the pool (a saturated
+//!   batch) stays sequential instead of deadlocking or thrashing the
+//!   budget.
+//! * **Panic containment** — a panic in any component re-raises once as
+//!   `"worker panicked"` on the submitting thread after the fork settles.
 //!
-//! The [`intra`] module carries the per-solve activation: a thread-local
-//! `(executor, width)` context the solve pipeline enters when a request's
-//! parallel policy resolves to on, consulted by the sort/bound/decompose
-//! kernels (and, through installed [`busytime_interval::parsort`] hooks,
-//! by the interval substrate below this crate).
+//! Kernels below the component level (sorts, sweeps, bound passes) never
+//! fork. The [`intra`] module carries the per-solve activation: a
+//! thread-local `(executor, width)` context the solve pipeline enters when
+//! a request's parallel policy resolves to on.
 //!
-//! [`Executor::par_map_deadline_with`] is the deadline-enforcing variant
-//! the batch server uses: each item gets a per-item [`CancelToken`] armed
-//! when a worker picks the item up (so queue time never counts against a
-//! record's budget), and the pool stamps every completion with its elapsed
-//! time and an `over_deadline` verdict. The verdict is the pool's *own*
-//! clock comparison, independent of the item's cooperation — a solver that
-//! misses (or lacks) its cooperative check is still reported as
-//! over-deadline, so batch summaries never undercount pinned workers.
-//! [`Executor::par_map_deadline_under`] additionally parents every
-//! per-item token to a caller-owned [`CancelToken`], which is how a
+//! [`Executor::par_map_deadline_under`] is the deadline-enforcing variant
+//! the batch server uses: each item gets a per-item [`CancelToken`], a
+//! child of a caller-owned parent, armed when a worker picks the item up
+//! (so queue time never counts against a record's budget), and the pool
+//! stamps every completion with its elapsed time and an `over_deadline`
+//! verdict. The verdict is the pool's *own* clock comparison, independent
+//! of the item's cooperation — a solver that misses (or lacks) its
+//! cooperative check is still reported as over-deadline, so batch
+//! summaries never undercount pinned workers. Parenting is how a
 //! long-lived listener drains on shutdown: cancelling the parent poisons
 //! the tokens of queued, not-yet-picked-up items, so they cut at pickup
 //! instead of waiting out their budgets.
@@ -385,33 +370,16 @@ impl Executor {
         self.run_batch(width, items.len(), |i| f(&items[i]))
     }
 
-    /// Deadline-enforcing [`Executor::par_map_with`]: `budget_of` names
-    /// each item's time budget (`None` = unbounded), a fresh
-    /// [`CancelToken`] armed with that budget is handed to `f` when a
-    /// worker picks the item up, and every completion is stamped with its
-    /// elapsed time and the pool's `over_deadline` verdict. Results are
-    /// returned in input order; the panic contract matches
-    /// [`Executor::par_map_with`].
-    pub fn par_map_deadline_with<T, R, B, F>(
-        &self,
-        width: usize,
-        items: &[T],
-        budget_of: B,
-        f: F,
-    ) -> Vec<DeadlineOutcome<R>>
-    where
-        T: Sync,
-        R: Send,
-        B: Fn(&T) -> Option<Duration> + Sync,
-        F: Fn(&T, &CancelToken) -> R + Sync,
-    {
-        self.par_map_deadline_under(width, &CancelToken::never(), items, budget_of, f)
-    }
-
-    /// [`Executor::par_map_deadline_with`] under a caller-owned `parent`
-    /// token: every per-item token is a child of `parent`, so cancelling
-    /// `parent` (a listener draining on SIGINT, a session torn down
-    /// mid-batch) cuts every in-flight solve at its next cooperative
+    /// Deadline-enforcing [`Executor::par_map_with`] under a caller-owned
+    /// `parent` token. `budget_of` names each item's time budget (`None` =
+    /// unbounded); a fresh child of `parent` armed with that budget is
+    /// handed to `f` when a worker picks the item up, and every completion
+    /// is stamped with its elapsed time and the pool's `over_deadline`
+    /// verdict. Results are returned in input order; the panic contract
+    /// matches [`Executor::par_map_with`].
+    ///
+    /// Cancelling `parent` (a listener draining on SIGINT, a session torn
+    /// down mid-batch) cuts every in-flight solve at its next cooperative
     /// checkpoint — and every *queued* item at pickup — while each item's
     /// own budget still expires independently. The `over_deadline` verdict
     /// stays a pure budget comparison — a parent cancellation does not
@@ -446,143 +414,6 @@ impl Executor {
                 over_deadline: budget.is_some_and(|b| elapsed > b),
             }
         })
-    }
-
-    /// Fork–join over one slice: splits `items` into consecutive chunks
-    /// (a few per worker, never smaller than `min_chunk`) and runs `f` on
-    /// each chunk over at most `width` workers (`0` = the full budget).
-    /// Per-chunk results come back in chunk order.
-    ///
-    /// Chunk boundaries are a pure function of `items.len()`, the clamped
-    /// width and `min_chunk` — never of scheduling — so for a given width
-    /// the output is deterministic. When the slice is too small for two
-    /// chunks, `f` runs once over the whole slice on the *calling* thread:
-    /// small inputs never touch the queue. A call from one of this pool's
-    /// own workers runs every chunk inline on that worker (see
-    /// [`Executor::par_map`]'s nesting contract). Panics in `f` follow the
-    /// pool-wide containment contract: re-raised once as `worker panicked`
-    /// after the fork settles.
-    pub fn par_chunks<T, R, F>(&self, width: usize, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        self.par_chunks_under(
-            width,
-            &CancelToken::never(),
-            items,
-            min_chunk,
-            |chunk, _| f(chunk),
-        )
-    }
-
-    /// [`Executor::par_chunks`] under a caller-owned `parent` token: every
-    /// chunk's closure receives a fresh *child* of `parent`, so cancelling
-    /// the parent cuts every chunk at its next cooperative check while one
-    /// chunk cancelling its own token never affects its siblings.
-    pub fn par_chunks_under<T, R, F>(
-        &self,
-        width: usize,
-        parent: &CancelToken,
-        items: &[T],
-        min_chunk: usize,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T], &CancelToken) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let ranges = chunk_ranges(items.len(), self.effective_width(width), min_chunk);
-        if ranges.len() <= 1 {
-            return vec![f(items, &parent.child())];
-        }
-        self.run_batch(width, ranges.len(), |i| {
-            let (lo, hi) = ranges[i];
-            f(&items[lo..hi], &parent.child())
-        })
-    }
-
-    /// Chunked map-reduce: maps each chunk with `map` (in parallel, as
-    /// [`Executor::par_chunks`]) and folds the per-chunk results strictly
-    /// left-to-right with `fold` on the calling thread. `None` iff `items`
-    /// is empty. When `fold` is associative with the sequential
-    /// computation's operator (integer sums, maxes, merges), the result is
-    /// bit-identical to the sequential pass at every width.
-    pub fn par_reduce<T, R, M, F>(
-        &self,
-        width: usize,
-        items: &[T],
-        min_chunk: usize,
-        map: M,
-        fold: F,
-    ) -> Option<R>
-    where
-        T: Sync,
-        R: Send,
-        M: Fn(&[T]) -> R + Sync,
-        F: FnMut(R, R) -> R,
-    {
-        let mut parts = self.par_chunks(width, items, min_chunk, map).into_iter();
-        let first = parts.next()?;
-        Some(parts.fold(first, fold))
-    }
-
-    /// Parallel unstable sort: sorts chunks in parallel, then merges the
-    /// sorted runs pairwise (also in parallel) back into `data`. Requires
-    /// `Copy` so runs can be staged out-of-place, and the combination of
-    /// `Ord + Copy` makes equal elements indistinguishable — the sorted
-    /// result is bit-identical to [`slice::sort_unstable`] at every width.
-    /// Below two `min_chunk`-sized chunks (or on a nested call from one of
-    /// this pool's workers) it is exactly `sort_unstable`.
-    pub fn par_sort_unstable<T>(&self, width: usize, data: &mut [T], min_chunk: usize)
-    where
-        T: Ord + Copy + Send + Sync,
-    {
-        if self.effective_width(width) <= 1
-            || data.len() < min_chunk.max(1).saturating_mul(2)
-            || WORKER_OF.get() == Arc::as_ptr(&self.inner) as usize
-        {
-            data.sort_unstable();
-            return;
-        }
-        let mut runs: Vec<Vec<T>> = self.par_chunks(width, data, min_chunk, |chunk| {
-            let mut run = chunk.to_vec();
-            run.sort_unstable();
-            run
-        });
-        while runs.len() > 1 {
-            let mut pairs: Vec<(Vec<T>, Vec<T>)> = Vec::with_capacity(runs.len() / 2);
-            let mut carry: Option<Vec<T>> = None;
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => pairs.push((a, b)),
-                    None => carry = Some(a),
-                }
-            }
-            runs = self.par_map_with(width, &pairs, |(a, b)| merge_sorted(a, b));
-            if let Some(run) = carry {
-                runs.push(run);
-            }
-        }
-        data.copy_from_slice(&runs[0]);
-    }
-
-    /// `width` clamped the way the batch engine will clamp it (`0` = full
-    /// budget, never more than the pool has, at least one).
-    fn effective_width(&self, width: usize) -> usize {
-        if width == 0 {
-            self.inner.workers
-        } else {
-            width
-        }
-        .min(self.inner.workers)
-        .max(1)
     }
 
     /// The batch engine: `job(i)` for every `i < n`, at most `width`
@@ -676,43 +507,6 @@ pub struct PoolStats {
     pub busy: usize,
     /// Jobs queued but not yet picked up by a worker.
     pub queued: usize,
-}
-
-/// Target chunks per worker for [`Executor::par_chunks`]: a few chunks per
-/// lane so uneven per-chunk costs still balance without condvar churn.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Deterministic chunk boundaries: a pure function of `(n, width,
-/// min_chunk)`. Chunks are consecutive, cover `0..n`, and all but the last
-/// have the same size (at least `min_chunk`).
-fn chunk_ranges(n: usize, width: usize, min_chunk: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = n
-        .div_ceil(width.max(1) * CHUNKS_PER_WORKER)
-        .max(min_chunk.max(1));
-    (0..n.div_ceil(chunk))
-        .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-        .collect()
-}
-
-/// Two-pointer merge of sorted runs, left-biased on ties.
-fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if b[j] < a[i] {
-            out.push(b[j]);
-            j += 1;
-        } else {
-            out.push(a[i]);
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// One batch's shared state, allocated on the submitting thread's stack
@@ -828,29 +622,7 @@ fn finish_task(completion: &Completion, panicked: bool) {
     }
 }
 
-/// Applies `f` to every item on the [global](Executor::global) executor;
-/// results are returned in input order. Deterministic as long as `f` is.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Executor::global().par_map(items, f)
-}
-
-/// [`par_map`] with a width cap of `workers` (`0` = the global executor's
-/// full budget); see [`Executor::par_map_with`] for the contract.
-pub fn par_map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Executor::global().par_map_with(workers, items, f)
-}
-
-/// One completed item of [`Executor::par_map_deadline_with`]: the result
+/// One completed item of [`Executor::par_map_deadline_under`]: the result
 /// plus the pool's own timing verdict.
 #[derive(Clone, Debug)]
 pub struct DeadlineOutcome<R> {
@@ -863,39 +635,6 @@ pub struct DeadlineOutcome<R> {
     pub over_deadline: bool,
 }
 
-/// [`Executor::par_map_deadline_with`] on the global executor.
-pub fn par_map_deadline_with<T, R, B, F>(
-    workers: usize,
-    items: &[T],
-    budget_of: B,
-    f: F,
-) -> Vec<DeadlineOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    B: Fn(&T) -> Option<Duration> + Sync,
-    F: Fn(&T, &CancelToken) -> R + Sync,
-{
-    Executor::global().par_map_deadline_with(workers, items, budget_of, f)
-}
-
-/// [`Executor::par_map_deadline_under`] on the global executor.
-pub fn par_map_deadline_under<T, R, B, F>(
-    workers: usize,
-    parent: &CancelToken,
-    items: &[T],
-    budget_of: B,
-    f: F,
-) -> Vec<DeadlineOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    B: Fn(&T) -> Option<Duration> + Sync,
-    F: Fn(&T, &CancelToken) -> R + Sync,
-{
-    Executor::global().par_map_deadline_under(workers, parent, items, budget_of, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -903,23 +642,25 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..500).collect();
-        let out = par_map(&items, |&x| x * x);
+        let out = Executor::new(2).par_map(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single() {
+        let executor = Executor::new(2);
         let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[7], |&x| x + 1), vec![8]);
+        assert!(executor.par_map(&empty, |&x| x).is_empty());
+        assert_eq!(executor.par_map(&[7], |&x| x + 1), vec![8]);
     }
 
     #[test]
     fn fixed_width_caps_agree() {
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x + 1).collect();
+        let executor = Executor::new(4);
         for workers in [0, 1, 2, 4, 8, 200] {
-            assert_eq!(par_map_with(workers, &items, |&x| x + 1), expect);
+            assert_eq!(executor.par_map_with(workers, &items, |&x| x + 1), expect);
         }
     }
 
@@ -927,7 +668,7 @@ mod tests {
     fn uneven_work_is_balanced() {
         // items with wildly different costs still all complete
         let items: Vec<usize> = (0..64).collect();
-        let out = par_map_with(4, &items, |&i| {
+        let out = Executor::new(4).par_map_with(4, &items, |&i| {
             let mut acc = 0u64;
             for k in 0..(i * 1000) as u64 {
                 acc = acc.wrapping_add(k.wrapping_mul(2654435761));
@@ -1126,8 +867,9 @@ mod tests {
     #[test]
     fn deadline_outcomes_keep_order_and_stamp_budgets() {
         let items: Vec<u64> = (0..40).collect();
-        let out = par_map_deadline_with(
+        let out = Executor::new(4).par_map_deadline_under(
             4,
+            &CancelToken::never(),
             &items,
             |&x| (x % 2 == 0).then_some(Duration::from_secs(3600)),
             |&x, token| {
@@ -1146,8 +888,9 @@ mod tests {
         // the closure ignores its token entirely and sleeps past the
         // budget: the pool's own clock must catch it
         let items = vec![0u32, 1];
-        let out = par_map_deadline_with(
+        let out = Executor::new(2).par_map_deadline_under(
             2,
+            &CancelToken::never(),
             &items,
             |&x| (x == 1).then_some(Duration::from_millis(1)),
             |&x, _token| {
@@ -1171,7 +914,7 @@ mod tests {
         let parent = CancelToken::never();
         parent.cancel();
         let items = vec![0u32, 1];
-        let out = par_map_deadline_under(
+        let out = Executor::new(2).par_map_deadline_under(
             2,
             &parent,
             &items,
@@ -1185,8 +928,9 @@ mod tests {
     #[test]
     fn zero_budget_token_arrives_expired() {
         let items = vec![()];
-        let out = par_map_deadline_with(
+        let out = Executor::new(1).par_map_deadline_under(
             1,
+            &CancelToken::never(),
             &items,
             |_| Some(Duration::ZERO),
             |_, token| token.is_cancelled(),
@@ -1199,7 +943,7 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn propagates_panics() {
         let items = vec![1u32, 2, 3, 4];
-        let _ = par_map(&items, |&x| {
+        let _ = Executor::new(2).par_map(&items, |&x| {
             if x == 3 {
                 panic!("boom");
             }
@@ -1211,7 +955,7 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn propagates_panics_single_width() {
         let items = vec![1u32, 2, 3];
-        let _ = par_map_with(1, &items, |&x| {
+        let _ = Executor::new(2).par_map_with(1, &items, |&x| {
             if x == 2 {
                 panic!("boom");
             }
@@ -1219,140 +963,44 @@ mod tests {
         });
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[test]
-    fn par_chunks_concatenates_to_the_sequential_map() {
-        let executor = Executor::new(4);
-        let items: Vec<u64> = (0..10_000).collect();
-        for width in [1, 2, 4] {
-            let sums: Vec<Vec<u64>> = executor.par_chunks(width, &items, 16, |chunk| {
-                chunk.iter().map(|&x| x * 2).collect()
-            });
-            let flat: Vec<u64> = sums.into_iter().flatten().collect();
-            assert_eq!(flat, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_chunks_small_input_runs_on_the_calling_thread() {
-        let executor = Executor::new(4);
-        let caller = std::thread::current().id();
-        let items: Vec<u32> = (0..10).collect();
-        // far below two chunks of min_chunk=1000: must not touch the queue
-        let ran_on = executor.par_chunks(4, &items, 1000, |_| std::thread::current().id());
-        assert_eq!(ran_on, vec![caller]);
-        let empty: Vec<u32> = Vec::new();
-        assert!(executor.par_chunks(4, &empty, 1000, |_| 0u8).is_empty());
-    }
-
-    #[test]
-    fn par_reduce_is_bit_identical_to_sequential_fold() {
-        let executor = Executor::new(4);
-        let mut state = 7u64;
-        let items: Vec<i64> = (0..50_000)
-            .map(|_| (splitmix(&mut state) % 1000) as i64 - 500)
-            .collect();
-        let expect: i64 = items.iter().sum();
-        for width in [1, 2, 4] {
-            let got = executor
-                .par_reduce(
-                    width,
-                    &items,
-                    64,
-                    |chunk| chunk.iter().sum::<i64>(),
-                    |a, b| a + b,
-                )
-                .unwrap();
-            assert_eq!(got, expect, "width {width}");
-        }
-        let empty: Vec<i64> = Vec::new();
-        assert_eq!(
-            executor.par_reduce(4, &empty, 64, |c| c.len(), |a, b| a + b),
-            None
+    fn deadline_item_cancel_does_not_poison_parent_or_siblings() {
+        let parent = CancelToken::never();
+        let items: Vec<u32> = (0..8).collect();
+        let out = Executor::new(2).par_map_deadline_under(
+            2,
+            &parent,
+            &items,
+            |_| None,
+            |&x, token| {
+                if x == 0 {
+                    token.cancel(); // the first item poisons only itself
+                }
+                token.is_cancelled()
+            },
         );
-    }
-
-    #[test]
-    fn par_chunks_under_cancelled_parent_reaches_every_chunk() {
-        let executor = Executor::new(4);
-        let parent = CancelToken::never();
-        parent.cancel();
-        let items: Vec<u32> = (0..4096).collect();
-        let seen =
-            executor.par_chunks_under(4, &parent, &items, 64, |_, token| token.is_cancelled());
-        assert!(seen.len() > 1, "want a real fork for this test");
-        assert!(seen.iter().all(|&cancelled| cancelled));
-    }
-
-    #[test]
-    fn par_chunks_under_chunk_cancel_does_not_poison_parent_or_siblings() {
-        let executor = Executor::new(4);
-        let parent = CancelToken::never();
-        let items: Vec<u32> = (0..4096).collect();
-        let seen = executor.par_chunks_under(4, &parent, &items, 64, |chunk, token| {
-            if chunk[0] == 0 {
-                token.cancel(); // first chunk poisons only itself
-            }
-            (chunk[0], token.is_cancelled())
-        });
-        assert!(seen.len() > 1);
         assert!(!parent.is_cancelled());
-        for &(first, cancelled) in &seen {
-            assert_eq!(cancelled, first == 0, "chunk starting at {first}");
-        }
-    }
-
-    #[test]
-    fn par_sort_is_bit_identical_to_sort_unstable() {
-        let executor = Executor::new(4);
-        let mut state = 42u64;
-        for n in [0usize, 1, 100, 4095, 4096, 30_000] {
-            let data: Vec<i64> = (0..n).map(|_| (splitmix(&mut state) % 97) as i64).collect();
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            for width in [1, 2, 4] {
-                let mut got = data.clone();
-                executor.par_sort_unstable(width, &mut got, 64);
-                assert_eq!(got, expect, "n={n} width={width}");
-            }
+        for (i, o) in out.iter().enumerate() {
+            assert_eq!(o.result, i == 0, "item {i}");
         }
     }
 
     #[test]
     fn nested_fork_join_on_a_worker_runs_inline() {
-        // a solve running *on* the pool (saturated batch) that forks again
-        // must degrade to sequential, not deadlock the single worker
-        let executor = Executor::new(1);
-        let out = executor.par_map(&[()], |_| {
-            let items: Vec<u64> = (0..5000).collect();
-            executor
-                .par_reduce(0, &items, 64, |c| c.iter().sum::<u64>(), |a, b| a + b)
-                .unwrap()
+        // a solve running *on* the pool (saturated batch) that enters a
+        // context and forks its components must stay on its own worker,
+        // not queue behind the saturated pool
+        let executor = Executor::new(2);
+        let out = executor.par_map(&[0u64, 1], |&x| {
+            let _ctx = intra::enter(&executor, 2);
+            let (exec, width) = intra::active().expect("a 2-lane context is live");
+            let worker = std::thread::current().id();
+            let forked =
+                exec.par_map_with(width, &[x, x + 10], |&y| (y, std::thread::current().id()));
+            assert!(forked.iter().all(|&(_, ran_on)| ran_on == worker));
+            forked.iter().map(|&(y, _)| y).sum::<u64>()
         });
-        assert_eq!(out, vec![(0..5000u64).sum()]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_and_respect_the_floor() {
-        for (n, width, min_chunk) in [(1usize, 4, 64), (4096, 4, 64), (100_000, 3, 4096)] {
-            let ranges = chunk_ranges(n, width, min_chunk);
-            assert_eq!(ranges.first().unwrap().0, 0);
-            assert_eq!(ranges.last().unwrap().1, n);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must be consecutive");
-            }
-            for &(lo, hi) in &ranges[..ranges.len() - 1] {
-                assert!(hi - lo >= min_chunk, "chunk below floor");
-            }
-        }
-        assert!(chunk_ranges(0, 4, 64).is_empty());
+        assert_eq!(out, vec![10, 12]);
     }
 
     #[test]
@@ -1378,69 +1026,25 @@ mod tests {
 
     #[test]
     fn intra_context_stacks_and_restores() {
-        assert_eq!(intra::width(), 1);
-        assert!(intra::active().is_none());
+        let width = || intra::active().map_or(1, |(_, width)| width);
+        assert_eq!(width(), 1);
         let outer = Executor::new(4);
         {
             let _outer_guard = intra::enter(&outer, 4);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), 4);
             {
                 let _inner_guard = intra::enter(&outer, 2);
-                assert_eq!(intra::width(), 2);
+                assert_eq!(width(), 2);
             }
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), 4);
             // width below 2 (or clamped below 2) is inert
             let _inert = intra::enter(&outer, 1);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), 4);
             let one = Executor::new(1);
             let _clamped = intra::enter(&one, 8);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), 4);
         }
-        assert_eq!(intra::width(), 1);
-    }
-
-    #[test]
-    fn intra_sort_matches_sequential_inside_and_outside_a_context() {
-        let executor = Executor::new(4);
-        let mut state = 3u64;
-        let data: Vec<(i64, i64)> = (0..20_000)
-            .map(|_| {
-                (
-                    (splitmix(&mut state) % 512) as i64,
-                    (splitmix(&mut state) % 512) as i64,
-                )
-            })
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let mut outside = data.clone();
-        intra::sort_unstable(&mut outside);
-        assert_eq!(outside, expect);
-        let _guard = intra::enter(&executor, 4);
-        let mut inside = data.clone();
-        intra::sort_unstable(&mut inside);
-        assert_eq!(inside, expect);
-    }
-
-    #[test]
-    fn intra_context_accelerates_interval_crate_sorts() {
-        // entering a context installs the parsort hooks; a sort routed
-        // through the interval crate's seam must stay correct under it
-        let executor = Executor::new(4);
-        let _guard = intra::enter(&executor, 4);
-        let mut state = 11u64;
-        let mut pairs: Vec<(i64, i64)> = (0..20_000)
-            .map(|_| {
-                (
-                    (splitmix(&mut state) % 256) as i64,
-                    (splitmix(&mut state) % 256) as i64,
-                )
-            })
-            .collect();
-        let mut expect = pairs.clone();
-        expect.sort_unstable();
-        busytime_interval::parsort::sort_pairs(&mut pairs);
-        assert_eq!(pairs, expect);
+        assert_eq!(width(), 1);
     }
 }
 
@@ -1448,32 +1052,24 @@ pub mod intra {
     //! Per-solve activation of intra-instance parallelism.
     //!
     //! The solve pipeline [`enter`]s a thread-local `(executor, width)`
-    //! context when a request's parallel policy resolves to on; the sort,
-    //! bound and decomposition kernels consult [`active`] and fork over
-    //! that executor when the context is live and the data is large
-    //! enough. Entering also installs the
-    //! [`busytime_interval::parsort`] hooks (once per process), so the
-    //! interval substrate's scratch-buffer sorts accelerate without that
-    //! crate depending on this one.
+    //! context when a request's parallel policy resolves to on.
+    //! `Decomposed` consults [`active`] and, when a context is live and the
+    //! instance has at least two connected components, solves them
+    //! concurrently over that executor. Nothing else forks.
     //!
     //! The context is a per-thread stack: nested [`enter`]s shadow the
     //! outer context, the [`IntraGuard`] restores it on drop (including
     //! during unwinding), and worker threads of the pool itself never see
-    //! the submitter's context — a forked kernel that re-enters another
-    //! kernel therefore degrades to sequential instead of over-forking.
+    //! the submitter's context — a component solve that decomposes again
+    //! therefore stays sequential instead of over-forking.
 
     use std::cell::RefCell;
-    use std::sync::Once;
 
     use super::Executor;
 
     /// Instances below this job count never trigger the `auto` parallel
     /// policy — fork–join overhead would dominate.
     pub const JOB_THRESHOLD: usize = 8192;
-
-    /// Kernels leave buffers shorter than twice this to sequential code;
-    /// also the chunk floor handed to [`Executor::par_chunks`].
-    pub const MIN_CHUNK: usize = 4096;
 
     struct Ctx {
         exec: Executor,
@@ -1502,14 +1098,14 @@ pub mod intra {
 
     /// Enters a `width`-lane intra-parallelism context on `exec` for the
     /// current thread. A width below 2 (after clamping to the pool's
-    /// worker budget) yields an inert guard and kernels stay sequential,
-    /// so callers can pass their resolved policy width unconditionally.
+    /// worker budget) yields an inert guard and the solve stays
+    /// sequential, so callers can pass their resolved policy width
+    /// unconditionally.
     pub fn enter(exec: &Executor, width: usize) -> IntraGuard {
         let width = width.min(exec.workers());
         if width < 2 {
             return IntraGuard { pushed: false };
         }
-        install_hooks();
         CTX.with(|ctx| {
             ctx.borrow_mut().push(Ctx {
                 exec: exec.clone(),
@@ -1523,51 +1119,6 @@ pub mod intra {
     /// `width ≥ 2`.
     pub fn active() -> Option<(Executor, usize)> {
         CTX.with(|ctx| ctx.borrow().last().map(|c| (c.exec.clone(), c.width)))
-    }
-
-    /// The innermost context's width, or 1 when no context is live.
-    pub fn width() -> usize {
-        CTX.with(|ctx| ctx.borrow().last().map_or(1, |c| c.width))
-    }
-
-    /// Context-aware unstable sort: forks over the live context when the
-    /// buffer is long enough, plain [`slice::sort_unstable`] otherwise.
-    /// `Ord + Copy` makes equal elements indistinguishable, so the result
-    /// is bit-identical either way.
-    pub fn sort_unstable<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
-        match active() {
-            Some((exec, width)) if data.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, data, MIN_CHUNK);
-            }
-            _ => data.sort_unstable(),
-        }
-    }
-
-    fn sort_pairs_hook(buf: &mut [(i64, i64)]) -> bool {
-        match active() {
-            Some((exec, width)) if buf.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, buf, MIN_CHUNK);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn sort_keys_hook(buf: &mut [i64]) -> bool {
-        match active() {
-            Some((exec, width)) if buf.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, buf, MIN_CHUNK);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn install_hooks() {
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            busytime_interval::parsort::install(sort_pairs_hook, sort_keys_hook);
-        });
     }
 }
 

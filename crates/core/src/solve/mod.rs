@@ -77,13 +77,15 @@ enum SolverChoice {
     Custom(Box<dyn Scheduler + Send + Sync>),
 }
 
-/// When a solve forks one instance's work across the global executor
-/// (parallel component decomposition, parallel sort/bound kernels).
+/// When a solve forks one instance's work across the global executor.
 ///
-/// Whatever the policy, results are identical: the fork–join layer is
-/// deterministic (see [`crate::pool`]'s fork–join contract), so the policy
-/// trades wall-clock time only. The pipeline records the resolved width in
-/// the schedule phase's detail when a fork was active.
+/// The only fork is component dispatch: under a live context
+/// [`Decomposed`] solves the instance's connected components concurrently.
+/// Every other phase runs sequentially whatever the policy. Results are
+/// identical either way, because components come back in component order
+/// (see [`crate::pool`]'s fork–join contract), so the policy trades
+/// wall-clock time only. The pipeline records the resolved width in the
+/// schedule phase's detail when a fork was active.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Fork iff the instance has at least
@@ -98,7 +100,7 @@ pub enum ParallelPolicy {
     /// width (still inert on a single-worker executor, and nested
     /// submissions from pool workers always degrade to inline execution).
     On,
-    /// Never fork; every kernel runs sequentially.
+    /// Never fork; components are solved one after another.
     Off,
 }
 
@@ -728,9 +730,9 @@ impl<'a> SolveRequest<'a> {
         }
 
         // intra-instance parallelism: resolve the policy to a fork width
-        // and hold the context open for the whole pipeline, so canonical
-        // hashing, feature detection, scheduling and bounds all fork. Off
-        // never touches the global executor (it may not exist yet).
+        // and hold the context open for the whole pipeline, so the
+        // schedule phase's component dispatch can fork. Off never touches
+        // the global executor (it may not exist yet).
         let intra_width = match options.parallel {
             ParallelPolicy::Off => 1,
             ParallelPolicy::On => crate::pool::Executor::global().workers(),

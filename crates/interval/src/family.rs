@@ -110,10 +110,10 @@ impl FamilyScan {
             bufs.pairs.clear();
             bufs.pairs
                 .extend(intervals.iter().map(|iv| (iv.start, iv.end)));
-            crate::parsort::sort_pairs(&mut bufs.pairs);
+            bufs.pairs.sort_unstable();
             bufs.ends.clear();
             bufs.ends.extend(intervals.iter().map(Interval::dkey_hi));
-            crate::parsort::sort_keys(&mut bufs.ends);
+            bufs.ends.sort_unstable();
 
             // Proper: sorted by (start, end), distinct neighbours must be
             // strictly increasing in both coordinates.
@@ -185,7 +185,7 @@ pub fn for_each_component(intervals: &[Interval], mut f: impl FnMut(&[(i64, i64)
         bufs.pairs.clear();
         bufs.pairs
             .extend(intervals.iter().map(|iv| (iv.start, iv.end)));
-        crate::parsort::sort_pairs(&mut bufs.pairs);
+        bufs.pairs.sort_unstable();
         let mut from = 0usize;
         let mut reach = bufs.pairs[0].1;
         for i in 1..bufs.pairs.len() {

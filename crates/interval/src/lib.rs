@@ -32,13 +32,9 @@
 //!   counts with range-max queries; the feasibility oracle for FirstFit.
 //! * [`relations`] — instance-class predicates: proper / clique / laminar /
 //!   connected families.
-//! * [`parsort`] — installable sorter hooks, the seam through which the
-//!   core crate's fork–join executor accelerates this crate's sorts on
-//!   large instances without inverting the dependency order.
 
 pub mod family;
 pub mod interval;
-pub mod parsort;
 pub mod profile;
 pub mod relations;
 pub mod set;

@@ -47,41 +47,6 @@ impl OverlapProfile {
         Self::default()
     }
 
-    /// Bulk construction: the profile of a whole family in one event sort
-    /// plus one linear pass, instead of `n` incremental [`OverlapProfile::add`]
-    /// splices (each `O(steps)`). Produces exactly the steps the incremental
-    /// route would hold — compacted, final entry zero — and the event sort
-    /// goes through [`crate::parsort`], so on large families it runs on the
-    /// installed parallel sorter.
-    pub fn from_intervals(intervals: &[Interval]) -> OverlapProfile {
-        let mut events: Vec<(i64, i64)> = Vec::with_capacity(intervals.len() * 2);
-        for iv in intervals {
-            events.push((iv.dkey_lo(), 1));
-            events.push((iv.dkey_hi(), -1));
-        }
-        crate::parsort::sort_pairs(&mut events);
-        let mut steps: Vec<(i64, u32)> = Vec::new();
-        let mut count = 0i64;
-        let mut i = 0;
-        while i < events.len() {
-            let key = events[i].0;
-            let mut delta = 0i64;
-            while i < events.len() && events[i].0 == key {
-                delta += events[i].1;
-                i += 1;
-            }
-            if delta != 0 {
-                count += delta;
-                debug_assert!(count >= 0);
-                steps.push((key, count as u32));
-            }
-        }
-        OverlapProfile {
-            steps,
-            len: intervals.len(),
-        }
-    }
-
     /// Number of intervals added minus removed.
     pub fn interval_count(&self) -> usize {
         self.len
@@ -421,39 +386,6 @@ mod tests {
                 .map(|(_, &c)| c)
                 .fold(entry, u32::max)
         }
-    }
-
-    #[test]
-    fn bulk_construction_matches_incremental_adds() {
-        let mut state = 11u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for round in 0..50 {
-            let n = (next() % 60) as usize;
-            let family: Vec<Interval> = (0..n)
-                .map(|_| {
-                    let s = (next() % 50) as i64 - 25;
-                    iv(s, s + (next() % 12) as i64)
-                })
-                .collect();
-            let bulk = OverlapProfile::from_intervals(&family);
-            let mut incremental = OverlapProfile::new();
-            for j in &family {
-                incremental.add(j);
-            }
-            assert_eq!(bulk.steps, incremental.steps, "round {round}: {family:?}");
-            assert_eq!(bulk.interval_count(), incremental.interval_count());
-            assert_eq!(bulk.busy_measure(), incremental.busy_measure());
-        }
-        // empty family
-        let empty = OverlapProfile::from_intervals(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.step_count(), 0);
     }
 
     #[test]

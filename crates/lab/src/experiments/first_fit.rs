@@ -8,7 +8,7 @@ use busytime_instances::random::{uniform, LengthDist};
 
 use crate::solve::solve_cell;
 use crate::table::fmt_ratio;
-use busytime_core::pool::par_map;
+use busytime_core::pool::Executor;
 
 use crate::{RatioStats, Scale, Table};
 
@@ -33,18 +33,19 @@ pub fn e1_first_fit_vs_opt(scale: Scale) -> Table {
     // small instances: exact OPT by branch-and-bound; both costs come out
     // of the unified pipeline as SolveReports
     for &(n, g) in &[(8usize, 2u32), (10, 2), (12, 3), (14, 3), (16, 5)] {
-        let cells: Vec<(i64, i64)> = par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
-            let inst = uniform(
-                n,
-                3 * n as i64,
-                LengthDist::Uniform(2, 2 * n as i64),
-                g,
-                seed,
-            );
-            let ff = solve_cell(&inst, "first-fit").cost;
-            let opt = solve_cell(&inst, "exact-bb").cost;
-            (ff, opt)
-        });
+        let cells: Vec<(i64, i64)> =
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                let inst = uniform(
+                    n,
+                    3 * n as i64,
+                    LengthDist::Uniform(2, 2 * n as i64),
+                    g,
+                    seed,
+                );
+                let ff = solve_cell(&inst, "first-fit").cost;
+                let opt = solve_cell(&inst, "exact-bb").cost;
+                (ff, opt)
+            });
         let mut stats = RatioStats::new();
         for (ff, opt) in cells {
             assert!(ff <= 4 * opt, "Theorem 2.1 violated: FF={ff} OPT={opt}");
@@ -65,17 +66,18 @@ pub fn e1_first_fit_vs_opt(scale: Scale) -> Table {
     // the true ratio); one SolveReport carries both cost and certified LB
     let big_n = scale.pick(2_000usize, 20_000);
     for &g in &[2u32, 4, 16] {
-        let cells: Vec<(i64, i64)> = par_map(&(0..seeds.min(10)).collect::<Vec<u64>>(), |&seed| {
-            let inst = uniform(
-                big_n,
-                big_n as i64 / 4,
-                LengthDist::Uniform(4, 200),
-                g,
-                seed,
-            );
-            let report = solve_cell(&inst, "first-fit");
-            (report.cost, report.lower_bound)
-        });
+        let cells: Vec<(i64, i64)> =
+            Executor::global().par_map(&(0..seeds.min(10)).collect::<Vec<u64>>(), |&seed| {
+                let inst = uniform(
+                    big_n,
+                    big_n as i64 / 4,
+                    LengthDist::Uniform(4, 200),
+                    g,
+                    seed,
+                );
+                let report = solve_cell(&inst, "first-fit");
+                (report.cost, report.lower_bound)
+            });
         let mut stats = RatioStats::new();
         for (ff, lb) in cells {
             assert!(ff <= 4 * lb, "FF exceeded 4×LB: FF={ff} LB={lb}");
@@ -117,7 +119,7 @@ pub fn e2_fig4_sweep(scale: Scale) -> Table {
             "limit 3-2eps'",
         ],
     );
-    let rows: Vec<(u32, usize, i64, i64, i64)> = par_map(&gs, |&g| {
+    let rows: Vec<(u32, usize, i64, i64, i64)> = Executor::global().par_map(&gs, |&g| {
         let fam = fig4(g, unit, eps);
         let sched = FirstFit::paper().schedule(&fam.instance).unwrap();
         sched.validate(&fam.instance).unwrap();
@@ -223,11 +225,12 @@ pub fn e11_sort_ablation(scale: Scale) -> Table {
         ],
     );
     for (label, ff) in variants {
-        let cells: Vec<f64> = par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
-            let inst = uniform(n, n as i64 / 3, LengthDist::Uniform(4, 120), 3, seed);
-            let cost = ff.schedule(&inst).unwrap().cost(&inst);
-            cost as f64 / bounds::component_lower_bound(&inst) as f64
-        });
+        let cells: Vec<f64> =
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                let inst = uniform(n, n as i64 / 3, LengthDist::Uniform(4, 120), 3, seed);
+                let cost = ff.schedule(&inst).unwrap().cost(&inst);
+                cost as f64 / bounds::component_lower_bound(&inst) as f64
+            });
         let stats = RatioStats::from_iter(cells);
         let fam = fig4(8, 1_000, 10);
         let fig_cost = ff.schedule(&fam.instance).unwrap().cost(&fam.instance);

@@ -9,7 +9,7 @@ use busytime_optical::solvers::{regenerator_lower_bound, GroomingSolver};
 use busytime_optical::PathNetwork;
 
 use crate::table::fmt_ratio;
-use busytime_core::pool::par_map;
+use busytime_core::pool::Executor;
 
 use crate::{RatioStats, Scale, Table};
 
@@ -40,7 +40,7 @@ pub fn e9_grooming(scale: Scale) -> Table {
     for &(label, hotspot) in &[("uniform", false), ("hotspot", true)] {
         for &g in &[1u32, 2, 4, 8, 16] {
             let cells: Vec<(f64, f64, usize, usize, bool)> =
-                par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
                     let net = PathNetwork::new(nodes);
                     let paths = if hotspot {
                         hotspot_lightpaths(&net, n_paths, nodes / 2, 0.6, 16, seed)
@@ -112,7 +112,7 @@ pub fn e14_ring(scale: Scale) -> Table {
     );
     for &g in &[1u32, 2, 4, 8] {
         let cells: Vec<(usize, usize, usize)> =
-            par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
                 let net = RingNetwork::new(nodes);
                 // deterministic arcs: mixed hop lengths, some wrapping
                 let mut state = seed;

@@ -16,7 +16,7 @@ use busytime_instances::random::{uniform, LengthDist};
 
 use crate::solve::{solve_cell, solve_cell_with_deadline};
 use crate::table::fmt_ratio;
-use busytime_core::pool::par_map;
+use busytime_core::pool::Executor;
 use busytime_core::verify;
 
 use crate::{RatioStats, Scale, Table};
@@ -66,7 +66,7 @@ pub fn e15_portfolio(scale: Scale) -> Table {
     );
     for name in ["proper", "clique", "bounded d=3", "uniform wide"] {
         let cells: Vec<(AutoChoice, f64, f64, bool, bool)> =
-            par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
                 let inst = family(name, n, seed);
                 let auto = solve_cell(&inst, "auto");
                 let ff = solve_cell(&inst, "first-fit");

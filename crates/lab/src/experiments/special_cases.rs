@@ -11,7 +11,7 @@ use busytime_instances::clique::random_clique;
 use busytime_instances::proper::random_proper;
 
 use crate::table::fmt_ratio;
-use busytime_core::pool::par_map;
+use busytime_core::pool::Executor;
 
 use crate::{RatioStats, Scale, Table};
 
@@ -35,7 +35,7 @@ pub fn e4_greedy_proper(scale: Scale) -> Table {
     );
     for &(n, g) in &[(8usize, 2u32), (10, 2), (12, 3), (14, 4)] {
         let cells: Vec<(i64, i64, i64, bool)> =
-            par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
                 let inst = random_proper(n, 3, 8, 5, g, seed);
                 let sched = NextFitProper::strict().schedule(&inst).unwrap();
                 let alg = sched.cost(&inst);
@@ -74,7 +74,7 @@ pub fn e5_ranked_shift(scale: Scale) -> Table {
         "E5 (§3.1 remark): ranked-shift proper family — FirstFit vs Greedy",
         &["g", "OPT", "FirstFit", "FF ratio", "Greedy", "Greedy ratio"],
     );
-    let rows: Vec<(u32, i64, i64, i64)> = par_map(&gs, |&g| {
+    let rows: Vec<(u32, i64, i64, i64)> = Executor::global().par_map(&gs, |&g| {
         let eps = i64::from(g * (g - 1)) + 8;
         let unit = 50 * eps;
         let fam = ranked_shift(g, unit, eps);
@@ -125,29 +125,30 @@ pub fn e6_bounded_length(scale: Scale) -> Table {
         ],
     );
     for &(n, d, g) in &[(8usize, 2i64, 2u32), (10, 3, 2), (12, 3, 3), (14, 4, 3)] {
-        let cells: Vec<(i64, i64, bool)> = par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
-            let inst = random_bounded(n, (2 * n) as i64, d, g, seed);
-            let segmented = BoundedLength::with_solver(ExactBB::new())
-                .with_width(d)
-                .schedule(&inst)
-                .unwrap();
-            segmented.validate(&inst).unwrap();
-            let opt = ExactBB::new().opt_value(&inst).unwrap();
-            // cross-validate the literal guess+b-matching solver on the
-            // smallest segments
-            let gm_agrees = if n <= 10 {
-                let gm = BoundedLength::with_solver(GuessMatch::new())
+        let cells: Vec<(i64, i64, bool)> =
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                let inst = random_bounded(n, (2 * n) as i64, d, g, seed);
+                let segmented = BoundedLength::with_solver(ExactBB::new())
                     .with_width(d)
-                    .schedule(&inst);
-                match gm {
-                    Ok(s) => s.cost(&inst) == segmented.cost(&inst),
-                    Err(_) => true, // segment too large for the guard
-                }
-            } else {
-                true
-            };
-            (segmented.cost(&inst), opt, gm_agrees)
-        });
+                    .schedule(&inst)
+                    .unwrap();
+                segmented.validate(&inst).unwrap();
+                let opt = ExactBB::new().opt_value(&inst).unwrap();
+                // cross-validate the literal guess+b-matching solver on the
+                // smallest segments
+                let gm_agrees = if n <= 10 {
+                    let gm = BoundedLength::with_solver(GuessMatch::new())
+                        .with_width(d)
+                        .schedule(&inst);
+                    match gm {
+                        Ok(s) => s.cost(&inst) == segmented.cost(&inst),
+                        Err(_) => true, // segment too large for the guard
+                    }
+                } else {
+                    true
+                };
+                (segmented.cost(&inst), opt, gm_agrees)
+            });
         let mut stats = RatioStats::new();
         let mut gm_all = true;
         for (seg, opt, gm) in cells {
@@ -178,12 +179,13 @@ pub fn e7_clique(scale: Scale) -> Table {
         &["family", "n", "g", "ratio mean", "ratio max", "cap"],
     );
     for &(n, g) in &[(8usize, 2u32), (10, 3), (12, 4)] {
-        let cells: Vec<(i64, i64)> = par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
-            let inst = random_clique(n, 100, 40, g, seed);
-            let alg = CliqueScheduler::new().schedule(&inst).unwrap().cost(&inst);
-            let opt = ExactBB::new().opt_value(&inst).unwrap();
-            (alg, opt)
-        });
+        let cells: Vec<(i64, i64)> =
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                let inst = random_clique(n, 100, 40, g, seed);
+                let alg = CliqueScheduler::new().schedule(&inst).unwrap().cost(&inst);
+                let opt = ExactBB::new().opt_value(&inst).unwrap();
+                (alg, opt)
+            });
         let mut stats = RatioStats::new();
         for (alg, opt) in cells {
             assert!(alg <= 2 * opt, "Theorem A.1 violated: ALG={alg} OPT={opt}");

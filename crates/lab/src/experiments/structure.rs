@@ -11,7 +11,7 @@ use busytime_instances::random::{uniform, LengthDist};
 use busytime_instances::workload::{on_demand, shifts};
 
 use crate::table::fmt_ratio;
-use busytime_core::pool::par_map;
+use busytime_core::pool::Executor;
 
 use crate::{RatioStats, Scale, Table};
 
@@ -49,20 +49,21 @@ pub fn e8_lower_bounds(scale: Scale) -> Table {
     );
     let family_count = generator_zoo(0, scale).len();
     for idx in 0..family_count {
-        let cells: Vec<(bool, f64, bool)> = par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
-            let (_, inst) = generator_zoo(seed, scale).swap_remove(idx);
-            let lb = bounds::component_lower_bound(&inst);
-            let cost = FirstFit::paper().schedule(&inst).unwrap().cost(&inst);
-            let sound = lb <= cost;
-            // exact check on a truncated prefix instance
-            let small = inst.restrict(&(0..inst.len().min(12)).collect::<Vec<_>>());
-            let small_lb = bounds::component_lower_bound(&small);
-            let opt_ok = match ExactBB::new().opt_value(&small) {
-                Ok(opt) => small_lb <= opt,
-                Err(_) => true,
-            };
-            (sound, cost as f64 / lb.max(1) as f64, opt_ok)
-        });
+        let cells: Vec<(bool, f64, bool)> =
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+                let (_, inst) = generator_zoo(seed, scale).swap_remove(idx);
+                let lb = bounds::component_lower_bound(&inst);
+                let cost = FirstFit::paper().schedule(&inst).unwrap().cost(&inst);
+                let sound = lb <= cost;
+                // exact check on a truncated prefix instance
+                let small = inst.restrict(&(0..inst.len().min(12)).collect::<Vec<_>>());
+                let small_lb = bounds::component_lower_bound(&small);
+                let opt_ok = match ExactBB::new().opt_value(&small) {
+                    Ok(opt) => small_lb <= opt,
+                    Err(_) => true,
+                };
+                (sound, cost as f64 / lb.max(1) as f64, opt_ok)
+            });
         let name = generator_zoo(0, scale)[idx].0;
         let mut stats = RatioStats::new();
         let mut sound_all = true;
@@ -105,7 +106,7 @@ pub fn e13_machine_count(scale: Scale) -> Table {
     );
     for &g in &[2u32, 4, 8] {
         let cells: Vec<(bool, f64, f64, usize)> =
-            par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
+            Executor::global().par_map(&(0..seeds).collect::<Vec<u64>>(), |&seed| {
                 let inst = uniform(n, n as i64 / 2, LengthDist::Uniform(4, 60), g, seed);
                 let lb = bounds::component_lower_bound(&inst).max(1);
                 let mm = MinMachines.schedule(&inst).unwrap();

@@ -17,9 +17,9 @@
 //! * [`table`] — markdown/CSV tables experiments emit.
 //! * [`busytime_core::pool`] — the persistent process-wide executor every
 //!   parameter sweep submits to (shared atomic cursor balances skewed
-//!   cell costs; results land in input order); re-exported here as
-//!   [`par_map`]/[`par_map_with`], with [`Executor`] available for
-//!   harnesses that want their own pinned worker budget.
+//!   cell costs; results land in input order); experiments call
+//!   `Executor::global().par_map(..)`, and harnesses that want their own
+//!   pinned worker budget build an [`Executor`].
 //! * [`ratio`] — streaming min/mean/max ratio statistics.
 //! * [`experiments`] — one module per experiment.
 
@@ -28,7 +28,7 @@ pub mod ratio;
 pub mod solve;
 pub mod table;
 
-pub use busytime_core::pool::{par_map, par_map_with, Executor};
+pub use busytime_core::pool::Executor;
 pub use ratio::RatioStats;
 pub use solve::{registry, solve_cell};
 pub use table::Table;

@@ -173,12 +173,25 @@ impl Client {
 /// Sends `ids` as one batch and returns all response lines (trailer
 /// included, as the last line).
 fn run_batch(addr: SocketAddr, ids: &[String]) -> Vec<String> {
+    run_batch_of(addr, ids, record)
+}
+
+/// [`run_batch`] over records built by `make`.
+fn run_batch_of(addr: SocketAddr, ids: &[String], make: fn(&str) -> String) -> Vec<String> {
     let mut client = Client::connect(addr);
     for id in ids {
-        client.send(&record(id));
+        client.send(&make(id));
     }
     client.finish();
     client.read_to_end()
+}
+
+/// A [`record`] that bypasses the solution cache, so every copy of the
+/// one instance really solves.
+fn uncached_record(id: &str) -> String {
+    format!(
+        r#"{{"id": "{id}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}, "solver": "nap", "cache": "off"}}"#
+    )
 }
 
 /// Asserts the first `n` lines are in-order responses answering lines
@@ -293,7 +306,9 @@ fn merged_trailer_sums_solution_cache_counts_across_shards() {
 fn two_one_worker_shards_beat_one_through_the_router() {
     // the additive-capacity claim: 8 records of ~40ms on one 1-worker
     // shard cost >= 320ms serialized; the same batch through a router
-    // over TWO 1-worker shards must be strictly faster
+    // over TWO 1-worker shards must be strictly faster. The records are
+    // copies of one instance, so they bypass the solution cache — else
+    // the solo leg answers most of them from cache
     let nap = Duration::from_millis(40);
     let ids: Vec<String> = (0..8).map(|i| format!("p-{i}")).collect();
 
@@ -301,7 +316,7 @@ fn two_one_worker_shards_beat_one_through_the_router() {
     let started = Instant::now();
     let shards = vec![ShardState::new(0, solo.addr.to_string())];
     let front = start_router(shards, quiet_route_config());
-    let lines = run_batch(front.addr, &ids);
+    let lines = run_batch_of(front.addr, &ids, uncached_record);
     let solo_elapsed = started.elapsed();
     assert_ordered_batch(&lines, &ids);
     front.stop();
@@ -315,7 +330,7 @@ fn two_one_worker_shards_beat_one_through_the_router() {
         ShardState::new(1, b.addr.to_string()),
     ];
     let front = start_router(shards, quiet_route_config());
-    let lines = run_batch(front.addr, &ids);
+    let lines = run_batch_of(front.addr, &ids, uncached_record);
     let dual_elapsed = started.elapsed();
     assert_ordered_batch(&lines, &ids);
     front.stop();

@@ -24,8 +24,9 @@
 //!   hits, deadline hits) once the batch drains.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
-//!   `GET /healthz` mode, one [`engine::BatchSession`] per connection, all
-//!   of them multiplexed onto the *one* process-wide executor (so
+//!   `GET /healthz` mode, one resumable `SessionMachine` per connection
+//!   on readiness-loop I/O threads, all of them multiplexed onto the *one*
+//!   process-wide executor (so
 //!   `--workers` bounds total solver parallelism no matter how many
 //!   connections are live), the feature cache shared across connections,
 //!   per-connection summary trailer lines, and graceful drain on

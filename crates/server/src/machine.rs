@@ -22,8 +22,23 @@
 //! behavior (a record repeated after a completed wave is a lookup hit) and
 //! its per-wave feature-cache accounting (duplicates within a wave count
 //! one miss plus hits).
+//!
+//! Lines are consumed by advancing a cursor over the input buffer; the
+//! consumed prefix is compacted away once per wave, so a batch that
+//! arrives in one piece costs time linear in its size.
+//!
+//! # Drain contract
+//!
+//! When the shutdown token fires, the machine still parses and answers
+//! every newline-terminated line it has been fed — including lines that
+//! arrived while an earlier wave was in flight. Their records run under
+//! children of the cancelled token, so they come back cut, and every one
+//! of them is counted in the summary trailer. Only a trailing partial
+//! line (no newline yet) is dropped. Bytes fed after
+//! [`SessionMachine::finish_input`] are ignored, so a drain always ends.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -50,9 +65,10 @@ pub(crate) struct SessionContext {
     pub(crate) cache: SharedFeatureCache,
     pub(crate) solutions: SolutionCache,
     pub(crate) executor: Executor,
-    /// The listener's shutdown token: parsing stops once it fires, and
-    /// every record token is armed as a child of it so a drain cuts
-    /// in-flight solves cooperatively.
+    /// The listener's shutdown token: once it fires the machine answers
+    /// its buffered complete lines and finishes (see the
+    /// [module docs](self)), and every record token is armed as a child of
+    /// it so a drain cuts in-flight and later solves cooperatively.
     pub(crate) cancel: CancelToken,
 }
 
@@ -99,9 +115,11 @@ pub(crate) struct SessionMachine {
     /// Called by workers after posting a completion — the listener's hook
     /// to wake the poll loop that owns this machine.
     notify: Arc<dyn Fn() + Send + Sync>,
-    /// Unconsumed input bytes (complete lines are drained off the front).
+    /// Input bytes; `inbuf[consumed..]` is still unparsed.
     inbuf: Vec<u8>,
-    /// Where the newline scan over `inbuf` resumes.
+    /// The consume cursor: end of the last line taken off `inbuf`.
+    consumed: usize,
+    /// Where the newline scan over `inbuf` resumes (`≥ consumed`).
     scanned: usize,
     line_no: usize,
     /// `finish_input` was called: the client's end of batch.
@@ -136,6 +154,7 @@ impl SessionMachine {
             inbox: Arc::new(Mutex::new(Vec::new())),
             notify,
             inbuf: Vec::new(),
+            consumed: 0,
             scanned: 0,
             line_no: 0,
             eof: false,
@@ -154,14 +173,17 @@ impl SessionMachine {
     }
 
     /// Buffers freshly-read socket bytes. Call `pump` afterwards to parse
-    /// and dispatch them.
+    /// and dispatch them. Ignored after [`SessionMachine::finish_input`].
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
-        self.inbuf.extend_from_slice(bytes);
+        if !self.eof {
+            self.inbuf.extend_from_slice(bytes);
+        }
     }
 
     /// Marks the client's end of batch (half-close, idle cut, or the
     /// listener's shutdown drain). Buffered complete lines — and a final
-    /// unterminated one — are still parsed and answered.
+    /// unterminated one, unless the shutdown token fired — are still
+    /// parsed and answered.
     pub(crate) fn finish_input(&mut self) {
         self.eof = true;
     }
@@ -290,37 +312,43 @@ impl SessionMachine {
     /// the window in which the blocking engine would be between chunks.
     /// (Completed means answered by the workers, not yet drained to the
     /// client: write-backs have happened, so parse-time lookups stay
-    /// equivalent.) Parsing also stops at the shutdown token, exactly
-    /// like the blocking read loop.
+    /// equivalent.) A fired shutdown token does not stop parsing: the
+    /// drain answers every buffered complete line.
     fn can_parse(&self) -> bool {
         self.failed.is_none()
             && self.summary.is_none()
             && self.inflight == 0
             && self.queue.is_empty()
-            && !self.ctx.cancel.is_cancelled()
     }
 
-    /// Takes the next complete line off `inbuf` (or the final
-    /// unterminated line at EOF), like the blocking engine's `next_line`.
-    fn take_line(&mut self) -> Option<Vec<u8>> {
+    /// The end (one past the newline) of the next complete line in
+    /// `inbuf`, resuming the newline scan where it last stopped.
+    fn complete_line_end(&mut self) -> Option<usize> {
         match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(at) => {
-                let end = self.scanned + at + 1;
-                let line = self.inbuf[..end].to_vec();
-                self.inbuf.drain(..end);
-                self.scanned = 0;
-                Some(line)
-            }
+            Some(at) => Some(self.scanned + at + 1),
             None => {
                 self.scanned = self.inbuf.len();
-                if self.eof && !self.inbuf.is_empty() {
-                    self.scanned = 0;
-                    Some(std::mem::take(&mut self.inbuf))
-                } else {
-                    None
-                }
+                None
             }
         }
+    }
+
+    /// Takes the next line off `inbuf` by advancing the consume cursor: a
+    /// complete line, or the final unterminated line at EOF (dropped
+    /// instead once the shutdown token fired), like the blocking engine's
+    /// `next_line`.
+    fn take_line(&mut self) -> Option<Range<usize>> {
+        let start = self.consumed;
+        let end = match self.complete_line_end() {
+            Some(end) => end,
+            None if self.eof && start < self.inbuf.len() && !self.ctx.cancel.is_cancelled() => {
+                self.inbuf.len()
+            }
+            None => return None,
+        };
+        self.consumed = end;
+        self.scanned = end;
+        Some(start..end)
     }
 
     /// Parses up to one chunk of buffered records into new slots: bad
@@ -330,9 +358,9 @@ impl SessionMachine {
     fn parse_wave(&mut self) -> bool {
         let mut wave: Vec<usize> = Vec::new();
         while wave.len() < self.chunk_size {
-            let Some(buf) = self.take_line() else { break };
+            let Some(range) = self.take_line() else { break };
             self.line_no += 1;
-            let parsed = std::str::from_utf8(&buf)
+            let parsed = std::str::from_utf8(&self.inbuf[range])
                 .map_err(|e| format!("line is not valid UTF-8: {e}"))
                 .and_then(|line| {
                     let trimmed = line.trim();
@@ -374,6 +402,10 @@ impl SessionMachine {
                 }
             }
         }
+        // compact the consumed prefix once per wave, not once per line
+        self.inbuf.drain(..self.consumed);
+        self.scanned -= self.consumed;
+        self.consumed = 0;
         if wave.is_empty() {
             return false;
         }
@@ -486,13 +518,18 @@ impl SessionMachine {
         any
     }
 
-    /// Emits the summary line once the input has ended (or the shutdown
-    /// token fired) and every slot has drained.
+    /// Emits the summary line once the input has ended (or, after the
+    /// shutdown token fired, no complete line is left) and every slot has
+    /// drained.
     fn maybe_summarize(&mut self, out: &mut Vec<u8>) {
         if self.summary.is_some() || self.failed.is_some() {
             return;
         }
-        let input_done = (self.eof && self.inbuf.is_empty()) || self.ctx.cancel.is_cancelled();
+        let input_done = if self.ctx.cancel.is_cancelled() {
+            self.complete_line_end().is_none()
+        } else {
+            self.eof && self.consumed == self.inbuf.len()
+        };
         if !input_done || !self.slots.is_empty() || !self.queue.is_empty() || self.inflight > 0 {
             return;
         }
@@ -500,5 +537,140 @@ impl SessionMachine {
         out.extend_from_slice(summary.to_json_line().as_bytes());
         out.push(b'\n');
         self.summary = Some(summary);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+    use std::time::Duration;
+
+    use busytime_core::algo::{FirstFit, Scheduler, SchedulerError};
+    use busytime_core::{Instance, Schedule};
+
+    use super::*;
+    use crate::protocol::{parse_output_line, OutputLine};
+
+    /// Holds its worker until its token is cut (at most 10 s), so a wave
+    /// stays in flight until the test cancels the session.
+    struct Hold;
+
+    impl Scheduler for Hold {
+        fn name(&self) -> Cow<'static, str> {
+            Cow::Borrowed("Hold")
+        }
+
+        fn schedule_with(
+            &self,
+            inst: &Instance,
+            cancel: &CancelToken,
+        ) -> Result<Schedule, SchedulerError> {
+            let started = Instant::now();
+            while !cancel.is_cancelled() && started.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            FirstFit::paper().schedule_with(inst, &CancelToken::never())
+        }
+    }
+
+    fn machine(cancel: &CancelToken) -> SessionMachine {
+        let mut registry = SolverRegistry::with_defaults();
+        registry.register(
+            "hold",
+            "holds a worker until cut (test stub)",
+            None,
+            Box::new(|_| Box::new(Hold)),
+        );
+        let config = ServeConfig::default();
+        let ctx = SessionContext {
+            registry: Arc::new(registry),
+            solutions: SolutionCache::new(config.solution_cache),
+            config,
+            cache: SharedFeatureCache::new(),
+            executor: Executor::new(1),
+            cancel: cancel.clone(),
+        };
+        SessionMachine::new(Arc::new(ctx), Arc::new(|| {}))
+    }
+
+    fn record(id: &str, solver: &str) -> String {
+        format!(
+            r#"{{"id": "{id}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}, "solver": "{solver}"}}"#
+        )
+    }
+
+    /// Pumps until the machine finishes (completions land from the
+    /// executor asynchronously) and returns everything it emitted.
+    fn pump_to_done(machine: &mut SessionMachine, mut out: Vec<u8>) -> Vec<String> {
+        let started = Instant::now();
+        while !machine.is_done() {
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "never finished"
+            );
+            machine.pump(&mut out, true);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let text = String::from_utf8(out).unwrap();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    fn report_id(line: &str) -> Option<String> {
+        match parse_output_line(line).unwrap() {
+            OutputLine::Report { id, .. } => id,
+            other => panic!("expected a report line, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn drain_answers_every_buffered_line_and_drops_a_trailing_partial() {
+        let cancel = CancelToken::never();
+        let mut m = machine(&cancel);
+        let mut out = Vec::new();
+        m.feed(format!("{}\n", record("a", "hold")).as_bytes());
+        m.pump(&mut out, true);
+        assert!(m.has_inflight(), "the first wave is on the executor");
+        // lines arriving while that wave is in flight stay buffered
+        let late = format!(
+            "{}\n{}\n{{\"id\": \"partial\"",
+            record("b", "hold"),
+            record("c", "first-fit")
+        );
+        m.feed(late.as_bytes());
+        m.pump(&mut out, true);
+        assert!(out.is_empty());
+
+        cancel.cancel();
+        let lines = pump_to_done(&mut m, out);
+        assert_eq!(lines.len(), 4, "three answers plus the trailer: {lines:?}");
+        for (line, id) in lines.iter().zip(["a", "b", "c"]) {
+            assert_eq!(report_id(line).as_deref(), Some(id), "{line}");
+            assert!(line.contains("\"deadline_hit\": true"), "{line}");
+        }
+        assert!(lines[3].contains("\"records\": 3"), "{}", lines[3]);
+    }
+
+    #[test]
+    fn split_lines_and_a_final_unterminated_line_are_answered() {
+        let mut m = machine(&CancelToken::never());
+        let mut out = Vec::new();
+        let a = format!("{}\n", record("a", "first-fit"));
+        let (head, tail) = a.as_bytes().split_at(20);
+        m.feed(head);
+        m.pump(&mut out, true);
+        assert!(
+            out.is_empty() && !m.has_inflight(),
+            "half a line is no record"
+        );
+        m.feed(tail);
+        m.feed(record("b", "first-fit").as_bytes()); // no trailing newline
+        m.finish_input();
+        // input after the end of batch is not part of it
+        m.feed(format!("{}\n", record("late", "first-fit")).as_bytes());
+        let lines = pump_to_done(&mut m, out);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(report_id(&lines[0]).as_deref(), Some("a"));
+        assert_eq!(report_id(&lines[1]).as_deref(), Some("b"));
+        assert!(lines[2].contains("\"records\": 2"), "{}", lines[2]);
     }
 }
