@@ -23,9 +23,11 @@
 //! pre-allocated slots so output order matches input order, and a panic in
 //! any item re-raises as a `"worker panicked"` panic on the submitting
 //! thread once the batch has settled. Between items a batch task yields
-//! its worker whenever other submissions are queued, so concurrent batches
+//! its worker whenever another submission's job is queued — more jobs wait
+//! in the pool than the batch's own queued tasks — so concurrent batches
 //! (coflow-style arrivals on different connections) share the budget at
-//! item granularity instead of head-of-line blocking. A batch submitted
+//! item granularity instead of head-of-line blocking, while a lone batch
+//! never requeues itself behind its own sibling task. A batch submitted
 //! *from* one of the same pool's workers (nested parallelism) runs inline
 //! on that worker — the thread is already part of the budget, and queuing
 //! would deadlock a saturated pool; submitting to a *different* pool
@@ -136,6 +138,9 @@ struct ExecInner {
     /// atomic so batch tasks can poll it without taking the queue lock).
     pending: AtomicUsize,
     shutdown: AtomicBool,
+    /// Continuations batch tasks have requeued (the yield rule's test probe).
+    #[cfg(test)]
+    continuations: AtomicUsize,
 }
 
 impl ExecInner {
@@ -236,6 +241,8 @@ impl Executor {
             busy: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            #[cfg(test)]
+            continuations: AtomicUsize::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -446,6 +453,7 @@ impl Executor {
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let state = BatchState {
             cursor: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
             n,
             job,
             slots: &slots,
@@ -462,6 +470,7 @@ impl Executor {
             // task (and every continuation it spawned) has finished, so
             // `state` and `slots` outlive all uses of the erased pointer.
             let task = unsafe { make_task(&self.inner, &state, &completion) };
+            state.queued.fetch_add(1, Ordering::Relaxed);
             self.inner.push(task);
         }
         let panicked = {
@@ -513,6 +522,9 @@ pub struct PoolStats {
 /// and reached from tasks through a lifetime-erased pointer.
 struct BatchState<'a, R, F> {
     cursor: AtomicUsize,
+    /// This batch's tasks pushed but not yet started — the part of the
+    /// pool's queue depth a task must not yield to.
+    queued: AtomicUsize,
     n: usize,
     job: F,
     slots: &'a [Mutex<Option<R>>],
@@ -582,6 +594,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    state.queued.fetch_sub(1, Ordering::Relaxed);
     loop {
         let i = state.cursor.fetch_add(1, Ordering::Relaxed);
         if i >= state.n {
@@ -594,17 +607,23 @@ where
             // submitter re-raises "worker panicked" once the batch settles
             Err(_) => return finish_task(completion, true),
         }
-        // cooperative yield: when other submissions are waiting and this
-        // batch still has items, requeue a continuation at the back of the
-        // line so concurrent batches share the budget at item granularity
-        // the depth read is heuristic — Relaxed keeps it free on the hot path
+        // cooperative yield: when another submission's job is waiting
+        // (the queue holds more than this batch's own queued tasks) and
+        // this batch still has items, requeue a continuation at the back
+        // of the line so concurrent batches share the budget at item
+        // granularity. The counts are a heuristic that publishes no data,
+        // so Relaxed keeps the reads free on the hot path; a stale read
+        // costs at most one early or late yield.
         if state.cursor.load(Ordering::Relaxed) < state.n
-            && exec.pending.load(Ordering::Relaxed) > 0
+            && exec.pending.load(Ordering::Relaxed) > state.queued.load(Ordering::Relaxed)
         {
             // SAFETY: same protocol as `make_task` — `live_tasks` is not
             // decremented on this path, so the submitter keeps waiting
             // while the continuation holds the pointer.
             let continuation = unsafe { make_task(exec, state, completion) };
+            state.queued.fetch_add(1, Ordering::Relaxed);
+            #[cfg(test)]
+            exec.continuations.fetch_add(1, Ordering::Relaxed);
             exec.push(continuation);
             return;
         }
@@ -787,6 +806,55 @@ mod tests {
             "2-worker pool ran {} jobs at once",
             peak.load(Ordering::SeqCst)
         );
+    }
+
+    #[test]
+    fn batches_yield_only_to_other_submissions() {
+        // a lone batch: the second worker parks on a gate, so the batch's
+        // second task stays queued while the first runs every item — it
+        // must not trade places with its own sibling after each item
+        let executor = Executor::new(2);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (parked, is_parked) = std::sync::mpsc::channel::<()>();
+        let worker_gate = Arc::clone(&gate);
+        executor.spawn(move || {
+            let _ = parked.send(());
+            let (open, opened) = &*worker_gate;
+            let mut open = lock(open);
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+        });
+        is_parked.recv_timeout(Duration::from_secs(5)).unwrap();
+        let items: Vec<u32> = (0..64).collect();
+        let done = AtomicUsize::new(0);
+        let out = executor.par_map_with(2, &items, |&x| {
+            if done.fetch_add(1, Ordering::SeqCst) + 1 == items.len() {
+                let (open, opened) = &*gate;
+                *lock(open) = true;
+                opened.notify_all();
+            }
+            x
+        });
+        assert_eq!(out, items);
+        assert_eq!(executor.inner.continuations.load(Ordering::SeqCst), 0);
+
+        // another submission's job does make a running batch yield
+        let executor = Executor::new(1);
+        let (ran, has_run) = std::sync::mpsc::channel::<()>();
+        let spawner = executor.clone();
+        let out = executor.par_map(&items, |&x| {
+            if x == 0 {
+                let ran = ran.clone();
+                spawner.spawn(move || {
+                    let _ = ran.send(());
+                });
+            }
+            x
+        });
+        assert_eq!(out, items);
+        has_run.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(executor.inner.continuations.load(Ordering::SeqCst), 1);
     }
 
     #[test]

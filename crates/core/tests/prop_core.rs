@@ -5,8 +5,8 @@ use busytime_core::algo::{
     BestFit, BoundedLength, CliqueScheduler, Decomposed, FirstFit, MinMachines, NextFitArrival,
     NextFitProper, RandomFit, Scheduler,
 };
-use busytime_core::{bounds, verify, Instance};
-use busytime_interval::Interval;
+use busytime_core::{bounds, verify, Instance, Schedule};
+use busytime_interval::{Interval, OverlapProfile};
 use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -40,6 +40,26 @@ fn arb_clique_instance(max_n: usize) -> impl Strategy<Value = Instance> {
                 g,
             )
         })
+}
+
+/// FirstFit as Section 2.1 states it, gating every machine with a direct
+/// range-max (`max_in(J) < g`) instead of [`OverlapProfile::can_add`].
+fn first_fit_by_max_in(inst: &Instance) -> Schedule {
+    let mut machines: Vec<OverlapProfile> = Vec::new();
+    let mut raw = vec![0usize; inst.len()];
+    for id in FirstFit::paper().job_order(inst) {
+        let iv = inst.job(id);
+        let slot = match machines.iter().position(|m| m.max_in(&iv) < inst.g()) {
+            Some(slot) => slot,
+            None => {
+                machines.push(OverlapProfile::new());
+                machines.len() - 1
+            }
+        };
+        machines[slot].add(&iv);
+        raw[id] = slot;
+    }
+    Schedule::from_assignment(raw)
 }
 
 fn arb_proper_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -96,6 +116,23 @@ proptest! {
     fn first_fit_within_4x(inst in arb_instance(50)) {
         let sched = FirstFit::paper().schedule(&inst).unwrap();
         prop_assert!(sched.cost(&inst) <= 4 * bounds::component_lower_bound(&inst).max(1));
+    }
+
+    /// FirstFit's O(1) peak and saturated-run answers change no
+    /// assignment: it places every job exactly where gating each machine
+    /// with `max_in` does, on general and on clique instances.
+    #[test]
+    fn first_fit_matches_max_in_gating(
+        general in arb_instance(40),
+        clique in arb_clique_instance(40),
+    ) {
+        for jobs in [general.jobs(), clique.jobs()] {
+            for g in 1..=4 {
+                let inst = Instance::new(jobs.to_vec(), g);
+                let sched = FirstFit::paper().schedule(&inst).unwrap();
+                prop_assert_eq!(sched, first_fit_by_max_in(&inst));
+            }
+        }
     }
 
     /// Observation 2.2 and Lemma 2.3 hold on every FirstFit run.

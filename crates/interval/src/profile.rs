@@ -6,7 +6,9 @@
 //! *"would adding job `J` push the count above `g` anywhere on `J`?"* —
 //! a range-max query over the machine's current count profile, followed by a
 //! range-increment when the job is placed. This type supports both in
-//! `O(log n + k)` where `k` is the number of profile steps inside the range.
+//! `O(log n + k)` where `k` is the number of profile steps inside the range,
+//! and answers the feasibility question in `O(1)` whenever the machine is
+//! clearly below `g` everywhere or provably saturated where `J` lies.
 
 use crate::interval::Interval;
 
@@ -21,6 +23,25 @@ use crate::interval::Interval;
 /// contiguous scan, and mutation is an in-place splice — no per-node
 /// allocation under add/remove churn, unlike the `BTreeMap` representation
 /// this replaced (kept verbatim as the comparator in `bench_interval`).
+///
+/// Two summaries, each kept up to date in `O(1)` per update, let
+/// [`OverlapProfile::can_add`] and [`OverlapProfile::can_add_weighted`]
+/// answer before the range scan:
+///
+/// * **peak** — an upper bound on the count anywhere. Adds keep it exact
+///   (the maximum of the old peak and the highest count the add creates);
+///   removes leave it as a bound. When `peak + w ≤ g` the job fits.
+/// * **saturated-run witness** `(lo, hi, v)` — a doubled-coordinate range
+///   `[lo, hi)` on which every count is at least `v`. An add whose highest
+///   run reaches `v` makes that run the witness; a remove that overlaps
+///   `[lo, hi)` lowers `v` by one. When `v + w > g` and the job meets
+///   `[lo, hi)`, it does not fit.
+///
+/// Every other query falls through to [`OverlapProfile::max_in`], so the
+/// answers are exactly those of gating with `max_in(iv) + w ≤ g`. On a
+/// saturated machine (FirstFit on a clique, where every earlier machine is
+/// full at the common point) the test costs two compares instead of two
+/// binary searches and a scan.
 ///
 /// ```
 /// use busytime_interval::{Interval, OverlapProfile};
@@ -39,6 +60,10 @@ pub struct OverlapProfile {
     steps: Vec<(i64, u32)>,
     /// Number of intervals currently contributing to the profile.
     len: usize,
+    /// Upper bound on every count (exact until the first remove).
+    peak: u32,
+    /// `(lo, hi, v)`: every count on the doubled range `[lo, hi)` is ≥ `v`.
+    witness: (i64, i64, u32),
 }
 
 impl OverlapProfile {
@@ -80,27 +105,30 @@ impl OverlapProfile {
         self.value_at(2 * t)
     }
 
-    /// Maximum count over the closed interval `iv`.
+    /// Maximum count over the closed interval `iv`: one binary search for
+    /// the entry step, then a scan that stops at the first step at or past
+    /// the interval's end (scheduler ranges cover a few steps, where that
+    /// scan is cheaper than a second binary search for the end).
     pub fn max_in(&self, iv: &Interval) -> u32 {
-        let lo = iv.dkey_lo();
         let hi = iv.dkey_hi();
-        let from = self.upper_bound(lo);
+        let from = self.upper_bound(iv.dkey_lo());
         let entry = match from {
             0 => 0,
             idx => self.steps[idx - 1].1,
         };
-        let to = self.steps.partition_point(|&(k, _)| k < hi);
-        self.steps[from..to]
+        self.steps[from..]
             .iter()
+            .take_while(|&&(k, _)| k < hi)
             .map(|&(_, c)| c)
             .fold(entry, u32::max)
     }
 
     /// True iff after adding `iv` every point of `iv` would have count ≤ `g`;
     /// i.e. the current max over `iv` is at most `g − 1`.
+    #[inline]
     pub fn can_add(&self, iv: &Interval, g: u32) -> bool {
         debug_assert!(g >= 1);
-        self.max_in(iv) < g
+        self.can_add_weighted(iv, 1, g)
     }
 
     /// Ensures a step boundary exists exactly at `dkey`; returns its index.
@@ -125,16 +153,41 @@ impl OverlapProfile {
     pub fn add_weighted(&mut self, iv: &Interval, w: u32) {
         let lo_idx = self.ensure_boundary(iv.dkey_lo());
         let hi_idx = self.ensure_boundary(iv.dkey_hi());
-        for step in &mut self.steps[lo_idx..hi_idx] {
-            step.1 += w;
+        // the highest run this add creates: its count and the step indices
+        // (relative to `lo_idx`) of its first maximal occurrence
+        let (mut top, mut run_lo, mut run_hi) = (0, 0, 0);
+        for (i, step) in self.steps[lo_idx..hi_idx].iter_mut().enumerate() {
+            step.1 = step.1.saturating_add(w);
+            if step.1 > top {
+                (top, run_lo, run_hi) = (step.1, i, i + 1);
+            } else if step.1 == top && run_hi == i {
+                run_hi = i + 1;
+            }
+        }
+        self.peak = self.peak.max(top);
+        if top >= self.witness.2 {
+            self.witness = (
+                self.steps[lo_idx + run_lo].0,
+                self.steps[lo_idx + run_hi].0,
+                top,
+            );
         }
         self.len += 1;
     }
 
     /// True iff adding `iv` with weight `w` keeps the count ≤ `g` everywhere
-    /// on `iv`.
+    /// on `iv` — exactly `max_in(iv) + w ≤ g`, answered from the peak bound
+    /// or the saturated-run witness whenever either decides it.
+    #[inline]
     pub fn can_add_weighted(&self, iv: &Interval, w: u32, g: u32) -> bool {
-        self.max_in(iv) + w <= g
+        if self.peak.saturating_add(w) <= g {
+            return true;
+        }
+        let (lo, hi, v) = self.witness;
+        if v.saturating_add(w) > g && iv.dkey_lo() < hi && lo < iv.dkey_hi() {
+            return false;
+        }
+        self.max_in(iv).saturating_add(w) <= g
     }
 
     /// Removes a previously added interval: count −= 1 on `iv`.
@@ -151,6 +204,10 @@ impl OverlapProfile {
             step.1 = step.1.saturating_sub(1);
         }
         self.len = self.len.saturating_sub(1);
+        let (lo, hi, v) = &mut self.witness;
+        if iv.dkey_lo() < *hi && *lo < iv.dkey_hi() {
+            *v = v.saturating_sub(1);
+        }
         self.compact(lo_idx, hi_idx);
     }
 
@@ -388,6 +445,20 @@ mod tests {
         }
     }
 
+    /// Both capacity gates answer exactly as gating on `max_in` does, for
+    /// `g` in 1..=4 and around the probe's and the profile's maxima (the
+    /// peak bound goes stale after removes; the witness is lowered by them).
+    fn assert_gates_match_max_in(p: &OverlapProfile, probe: &Interval) {
+        let m = p.max_in(probe);
+        let peak = p.max_in(&iv(-1_000, 1_000));
+        for g in [1, 2, 3, 4, m.max(1), m + 1, peak.max(1), peak + 1] {
+            assert_eq!(p.can_add(probe, g), m < g, "g = {g}, probe {probe:?}");
+            for w in 1..=g {
+                assert_eq!(p.can_add_weighted(probe, w, g), m + w <= g);
+            }
+        }
+    }
+
     #[test]
     fn vec_profile_matches_btreemap_reference_under_churn() {
         let mut state = 7u64;
@@ -414,6 +485,7 @@ mod tests {
                 live.push(probe);
             }
             assert_eq!(vec_p.max_in(&probe), map_p.max_in(&probe));
+            assert_gates_match_max_in(&vec_p, &probe);
             assert_eq!(vec_p.count_at(s), map_p.value_at(2 * s));
             assert_eq!(vec_p.interval_count(), live.len());
         }

@@ -12,6 +12,21 @@ fn arb_family(max_n: usize) -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec(arb_interval(), 0..max_n)
 }
 
+/// The capacity gates answer exactly as gating on `max_in` directly, for
+/// every probe in `probes`, `g` in 1..=4 and `w` in 1..=g.
+fn gates_match_max_in(profile: &OverlapProfile, probes: &[Interval]) -> TestCaseResult {
+    for probe in probes {
+        let m = profile.max_in(probe);
+        for g in 1..=4 {
+            prop_assert_eq!(profile.can_add(probe, g), m < g);
+            for w in 1..=g {
+                prop_assert_eq!(profile.can_add_weighted(probe, w, g), m + w <= g);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Definition 1.2: span(I) ≤ len(I) always.
     #[test]
@@ -89,15 +104,18 @@ proptest! {
         prop_assert_eq!(profile.busy_measure(), span(&family));
     }
 
-    /// Adding then removing every interval restores the empty profile.
+    /// Adding then removing every interval restores the empty profile, and
+    /// the capacity gates agree with `max_in` after every step.
     #[test]
     fn profile_add_remove_roundtrip(family in arb_family(30)) {
         let mut profile = OverlapProfile::new();
         for ivl in &family {
             profile.add(ivl);
+            gates_match_max_in(&profile, &family)?;
         }
         for ivl in &family {
             profile.remove(ivl);
+            gates_match_max_in(&profile, &family)?;
         }
         prop_assert!(profile.is_empty());
         prop_assert_eq!(profile.busy_measure(), 0);

@@ -6,7 +6,8 @@ Opens N keep-alive connections (default 500) against a running
 
   1. confirms via `/healthz` that the listener really holds them all
      open (`open_connections`) on a handful of reactor threads
-     (`io_threads`),
+     (`io_threads`) — polling for up to 10 s, since the reactors
+     register accepted sockets asynchronously,
   2. asserts the *process* thread count stays O(--io-threads), not
      O(connections), by reading `Threads:` from /proc/<pid>/status —
      the whole point of the event-driven front-end,
@@ -20,6 +21,7 @@ Usage: idle_conn_smoke.py HOST:PORT PID [CONNS] [THREAD_CAP]
 import json
 import socket
 import sys
+import time
 
 
 def healthz(host, port):
@@ -42,6 +44,26 @@ def healthz(host, port):
         return json.loads(body[:length])
 
 
+def healthz_until_open(host, port, conns, timeout_s=10.0):
+    """Polls /healthz until `open_connections` reaches `conns`.
+
+    The client's connect() returns once the kernel has queued the socket,
+    before a reactor has accepted and registered it, so the gauge can lag
+    the fleet for a moment. Fails with the last snapshot at the deadline.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        snap = healthz(host, port)
+        if snap["open_connections"] >= conns:
+            return snap
+        if time.monotonic() >= deadline:
+            raise AssertionError(
+                f"open_connections stayed below {conns} for {timeout_s:.0f} s; "
+                f"last /healthz: {snap}"
+            )
+        time.sleep(0.05)
+
+
 def process_threads(pid):
     with open(f"/proc/{pid}/status") as fh:
         return int(next(l for l in fh if l.startswith("Threads:")).split()[1])
@@ -61,8 +83,7 @@ def main():
         fleet.append(sock)
     print(f"opened {len(fleet)} keep-alive connections")
 
-    snap = healthz(host, port)
-    assert snap["open_connections"] >= conns, snap
+    snap = healthz_until_open(host, port, conns)
     assert snap["io_threads"] >= 1, snap
     print(
         f"healthz: open_connections={snap['open_connections']} "

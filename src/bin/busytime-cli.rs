@@ -87,7 +87,6 @@ commands:
            [--seed S] [--no-decompose] [--validation skip|basic|strict]
            [--deadline-ms MS]   hard solve deadline; cut solves return the
            solver's incumbent flagged `deadline_hit`
-           [--solution-cache N | --no-cache]
            [--parallel auto|on|off]  fork one solve across idle workers
            (deterministic: same report either way; default auto)
            NAME: any registry entry (see `solvers`); default `auto`
@@ -269,12 +268,6 @@ fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
         .parallel(parallel_policy(opts)?);
     if let Some(ms) = opt_num::<u64>(opts, "deadline-ms")? {
         request = request.deadline(std::time::Duration::from_millis(ms));
-    }
-    // one-shot solves see no repeats, but the flag keeps `solve` honest
-    // with the serving commands (and embedders can pass a warm cache)
-    let cache_cap = solution_cache_capacity(opts)?;
-    if cache_cap > 0 {
-        request = request.solution_cache(busytime::core::SolutionCache::new(cache_cap));
     }
     let report = request.solve_with(&registry).map_err(|e| e.to_string())?;
     if opts.contains_key("json") {
