@@ -35,13 +35,13 @@
 //!
 //! Not every caller can park a thread on a batch. [`Executor::spawn`] is
 //! the nonblocking submission path: it queues one fire-and-forget job and
-//! returns immediately, which is how the readiness-loop socket front-end
-//! stays event-driven — a reactor thread hands each parsed record's solve
-//! to the pool and goes straight back to `epoll_wait`, and the job's last
-//! act is to post its completion to the owning reactor's wakeable queue.
-//! Spawned jobs draw on the same `W`-thread budget and fairness queue as
-//! batch items, so a connection flood cannot out-schedule the batch
-//! paths.
+//! returns immediately. The serving layer's session engine submits all of
+//! its solves this way: a session queues a wave's records and spawns up to
+//! its width of runner jobs, each of which solves records one at a time,
+//! posts every completion to the session's inbox, and requeues itself
+//! behind other submissions' jobs (the same yield rule as batch tasks), so
+//! a reactor thread goes straight back to `epoll_wait` and a connection
+//! flood cannot out-schedule the batch paths.
 //!
 //! # Fork–join over one instance
 //!
@@ -66,17 +66,18 @@
 //! a request's parallel policy resolves to on.
 //!
 //! [`Executor::par_map_deadline_under`] is the deadline-enforcing variant
-//! the batch server uses: each item gets a per-item [`CancelToken`], a
+//! for a caller that parks on a batch of budgeted items. The serving layer
+//! does not call it (its session runners arm the same per-record tokens
+//! themselves); the benchmark tracer's queue-wait probe
+//! (`perfbench/harness`) does. Each item gets a per-item [`CancelToken`], a
 //! child of a caller-owned parent, armed when a worker picks the item up
 //! (so queue time never counts against a record's budget), and the pool
 //! stamps every completion with its elapsed time and an `over_deadline`
 //! verdict. The verdict is the pool's *own* clock comparison, independent
 //! of the item's cooperation — a solver that misses (or lacks) its
-//! cooperative check is still reported as over-deadline, so batch
-//! summaries never undercount pinned workers. Parenting is how a
-//! long-lived listener drains on shutdown: cancelling the parent poisons
-//! the tokens of queued, not-yet-picked-up items, so they cut at pickup
-//! instead of waiting out their budgets.
+//! cooperative check is still reported as over-deadline. Cancelling the
+//! parent poisons the tokens of queued, not-yet-picked-up items, so they
+//! cut at pickup instead of waiting out their budgets.
 //!
 //! ```
 //! use busytime_core::pool::Executor;
@@ -332,10 +333,10 @@ impl Executor {
     /// Queues one fire-and-forget job and returns immediately.
     ///
     /// This is the submission path for callers that must never block —
-    /// the event-driven listener's I/O threads hand each record's solve
-    /// to the pool this way and learn of completion through their own
-    /// wakeable queues, unlike the [`Executor::par_map`] family, which
-    /// parks the submitting thread until the whole batch settles. The
+    /// the serving layer's session runners go to the pool this way and
+    /// their drivers learn of completion through the session's inbox,
+    /// unlike the [`Executor::par_map`] family, which parks the
+    /// submitting thread until the whole batch settles. The
     /// job shares the same worker budget, fairness queue, and stats
     /// counters as batch items; a panic inside it is caught by the
     /// worker (the pool never shrinks) but is otherwise unobservable,

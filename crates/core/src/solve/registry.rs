@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::algo::{
     BestFit, BoundedLength, CliqueScheduler, FirstFit, GuessMatch, MinMachines, NextFitArrival,
@@ -24,12 +25,13 @@ pub type SolverFactory =
     Box<dyn Fn(&SolveOptions) -> Box<dyn Scheduler + Send + Sync> + Send + Sync>;
 
 /// One registered solver: key, human description, guarantee note and
-/// factory.
+/// factory. Clones share the factory.
+#[derive(Clone)]
 pub struct SolverEntry {
     key: String,
     summary: &'static str,
     guarantee: Option<&'static str>,
-    factory: SolverFactory,
+    factory: Arc<SolverFactory>,
 }
 
 impl SolverEntry {
@@ -64,8 +66,9 @@ impl std::fmt::Debug for SolverEntry {
     }
 }
 
-/// A name-indexed collection of solver factories.
-#[derive(Debug, Default)]
+/// A name-indexed collection of solver factories. Clones are cheap: they
+/// share every registered factory.
+#[derive(Clone, Debug, Default)]
 pub struct SolverRegistry {
     entries: BTreeMap<String, SolverEntry>,
     aliases: BTreeMap<String, String>,
@@ -176,7 +179,7 @@ impl SolverRegistry {
                 key,
                 summary,
                 guarantee,
-                factory,
+                factory: Arc::new(factory),
             },
         );
     }

@@ -1,19 +1,23 @@
 //! The batch solve engine: NDJSON in, NDJSON out, a worker pool in the
 //! middle.
 //!
-//! [`BatchSession`] is the reusable core any `BufRead`/`Write` pair can
-//! drive — stdin/stdout ([`serve`] is the thin wrapper), a file, or one
-//! socket connection of the [`crate::listener`]. A session reads request
-//! lines in chunks, runs batched feature detection (each distinct instance
-//! is detected once — repeated identical instances hit the hash-keyed
-//! [`SharedFeatureCache`], which long-lived listeners share *across*
-//! connections), fans the solves of a chunk out over the process-wide
-//! [`busytime_core::pool::Executor`] (every session submits to the same
-//! persistent worker pool, so concurrent sessions share one worker budget
-//! instead of multiplying it), and streams exactly one response line per
-//! request line, in input order. Order is guaranteed by construction: the
-//! pool writes results into input-order slots and the writer drains chunks
-//! sequentially.
+//! One session engine serves every entry point: a resumable session
+//! machine (the private `machine` module) parses request lines into
+//! records, answers solution-cache hits at parse time, solves the rest on
+//! the process-wide [`busytime_core::pool::Executor`], and emits exactly
+//! one response line per request line, in input order. Two drivers run it:
+//!
+//! * [`BatchSession`], the blocking driver over any `BufRead`/`Write`
+//!   pair — stdin/stdout ([`serve`] is the thin wrapper), a file, or an
+//!   embedder's stream;
+//! * the [`crate::listener`] reactors, which feed socket bytes as they
+//!   arrive and never block.
+//!
+//! Feature detection runs on the worker that solves the record; the
+//! hash-keyed [`SharedFeatureCache`] deduplicates it across records, and a
+//! long-lived listener shares one cache across connections. Every session
+//! submits to the same persistent worker pool, so concurrent sessions
+//! share one worker budget instead of multiplying it.
 //!
 //! Above the feature cache sits the *solution* cache
 //! ([`busytime_core::SolutionCache`]): before a record is dispatched to the
@@ -27,42 +31,34 @@
 //! [`crate::listener`] shares one cache handle across connections the same
 //! way it shares the feature cache.
 //!
-//! Deadlines are enforced at the pool layer: each record's budget (its
-//! `deadline_ms`, else the batch default) arms a
-//! [`busytime_core::CancelToken`] when a worker picks the record up, the
-//! token rides through the solve pipeline into every solver loop, and the
-//! pool independently stamps each completion `over_deadline` when its own
-//! clock says the budget was blown — so even a solver that misses its
-//! cooperative check is counted in [`BatchSummary::deadline_hits`], and one
-//! pathological record can no longer pin a worker for seconds.
+//! Deadlines: each record's budget (its `deadline_ms`, else the batch
+//! default) arms a [`busytime_core::CancelToken`] when a worker picks the
+//! record up, the token rides through the solve pipeline into every solver
+//! loop, and the worker independently stamps each completion
+//! `over_deadline` when its own clock says the budget was blown — so even
+//! a solver that misses its cooperative check is counted in
+//! [`BatchSummary::deadline_hits`], and one pathological record can no
+//! longer pin a worker for seconds.
 //!
 //! Sessions are also *interruptible*: [`BatchSession::cancel`] installs a
-//! session token that (a) parents every record's deadline token, cutting
-//! in-flight solves at their next cooperative checkpoint, and (b) stops the
-//! read loop at the next line boundary, so a listener draining on SIGINT
-//! finishes the records it already parsed and then summarizes. Transports
-//! with a read timeout (sockets) surface `WouldBlock`/`TimedOut` from their
-//! reads; the session treats those as polling points — it re-checks the
-//! session token and, when records are already pending, dispatches the
-//! partial chunk instead of waiting for a full one, which is what keeps
-//! interactive socket clients from stalling behind the chunk size.
+//! session token that parents every record's deadline token, cutting
+//! in-flight solves at their next cooperative checkpoint, and ends the
+//! session's input, so a drain answers the lines already read and then
+//! summarizes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use busytime_core::algo::SchedulerError;
 use busytime_core::cancel::CancelToken;
-use busytime_core::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint};
+use busytime_core::memo::{CanonicalInstance, SolutionCache};
 use busytime_core::pool::{self, Executor};
-use busytime_core::solve::{
-    SolveError, SolveOptions, SolverRegistry, REPORT_SCHEMA_VERSION, WARM_EDIT_BUDGET,
-};
-use busytime_core::{Instance, InstanceFeatures, SolveRequest};
+use busytime_core::solve::{SolveOptions, SolverRegistry, REPORT_SCHEMA_VERSION};
+use busytime_core::InstanceFeatures;
 use busytime_instances::json::{self, JsonError, Value};
 
-use crate::protocol::{error_line, report_line, BatchRecord};
+use crate::machine::{SessionContext, SessionMachine};
 
 /// What the engine does when a line fails to parse or solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,8 +76,8 @@ pub enum ErrorPolicy {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Width cap: how many of the executor's workers one chunk of this
-    /// session may occupy at once (`0` = the executor's full budget). The
+    /// Width cap: how many of the executor's workers this session may
+    /// occupy at once (`0` = the executor's full budget). The
     /// process-wide budget itself belongs to the [`Executor`] the session
     /// runs on — [`Executor::global`], sized via `--workers` /
     /// `BUSYTIME_WORKERS`, unless [`BatchSession::executor`] installs
@@ -91,8 +87,11 @@ pub struct ServeConfig {
     pub default_solver: String,
     /// Failure handling.
     pub error_policy: ErrorPolicy,
-    /// Records per dispatch wave (`0` = sized from the worker count).
-    /// Smaller chunks stream earlier; larger chunks amortize pool startup.
+    /// Records per parse wave (`0` = sized from the worker count): the
+    /// session parses the next wave only once every solve of the current
+    /// one has completed, and the blocking driver writes and flushes once
+    /// per wave. Smaller waves stream answers earlier; larger waves pay the
+    /// wave barrier less often.
     pub chunk_size: usize,
     /// Capacity of the session's [`SolutionCache`] (validated reports,
     /// LRU-evicted); `0` disables solution caching entirely. Only the
@@ -202,7 +201,7 @@ pub struct BatchSummary {
     /// disabled cache) count in neither solution-cache statistic.
     pub solution_cache_misses: usize,
     /// The session's effective solve width: how many of the process-wide
-    /// executor's workers its chunks could occupy at once.
+    /// executor's workers its solves could occupy at once.
     pub workers: usize,
     /// Records whose *deadline budget* actually cut the solve: the
     /// record's deadline chain had expired when a flagged report (or an
@@ -580,48 +579,8 @@ impl SharedFeatureCache {
     }
 }
 
-/// One record of a chunk, in input order.
-enum Entry {
-    /// The line failed to parse; answer with an error line.
-    Bad { line: usize, message: String },
-    /// The line parsed; `item` indexes the chunk's solve items.
-    Solve { item: usize },
-}
-
-/// One prepared (parsed and cache-consulted) record, ready to dispatch.
-/// Shared between the blocking [`BatchSession`] and the listener's
-/// event-driven session machine ([`crate::machine`]) — both build items
-/// with [`prepare_record`] and solve them with [`solve_prepared`].
-pub(crate) struct SolveItem {
-    pub(crate) line: usize,
-    pub(crate) record: BatchRecord,
-    pub(crate) inst: Instance,
-    /// Canonical (order-invariant) form of `inst`, computed once at parse
-    /// time: the key into both the feature cache and the solution cache.
-    pub(crate) canon: CanonicalInstance,
-    /// The record's effective cache policy (`record.cache`, defaulting to
-    /// read-write).
-    pub(crate) policy: CachePolicy,
-    /// Solution-cache identity of this solve (canonical solver key, seed,
-    /// decompose). `None` when the solution cache is out of play for this
-    /// record — disabled cache, `cache: "off"`, or a `max_jobs` refusal —
-    /// so the solve neither looks up nor writes back.
-    pub(crate) fingerprint: Option<SolveFingerprint>,
-    /// A solution-cache hit, resolved before dispatch: the cached report
-    /// (assignment already remapped to this record's job order,
-    /// `cached: true`). Hit records skip feature detection and never reach
-    /// the executor.
-    pub(crate) hit: Option<busytime_core::SolveReport>,
-    /// Filled by the chunk's batched detection pass before solving.
-    pub(crate) features: Option<InstanceFeatures>,
-    /// Effective solve budget: the record's `deadline_ms`, else the
-    /// batch-level default. Armed onto the record's token when a worker
-    /// picks the record up, so the clock starts at pickup, not when the
-    /// batch starts queuing.
-    pub(crate) budget: Option<Duration>,
-}
-
-fn percentile(sorted: &[Duration], pct: f64) -> Duration {
+/// The nearest-rank `pct`-th percentile of an ascending sample.
+pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
     }
@@ -629,318 +588,24 @@ fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// What one solve worker hands back: the pipeline result plus whether the
-/// record's *own deadline chain* had expired by the time the solver
-/// returned — the signal that separates "`Infeasible` because the budget
-/// ran out" from "genuinely infeasible, refused instantly".
-pub(crate) struct RecordResult {
-    pub(crate) result: Result<busytime_core::SolveReport, SolveError>,
-    pub(crate) deadline_expired: bool,
-}
-
-/// Running per-record statistics, shared by the blocking [`BatchSession`]
-/// and the listener's event-driven session machine so both serving paths
-/// count records, caches, deadlines and latencies identically.
-#[derive(Default)]
-pub(crate) struct SessionStats {
-    pub(crate) records: usize,
-    pub(crate) solved: usize,
-    pub(crate) errors: usize,
-    pub(crate) total_cost: i64,
-    pub(crate) total_lower_bound: i64,
-    pub(crate) cache_hits: usize,
-    pub(crate) cache_misses: usize,
-    pub(crate) solution_cache_hits: usize,
-    pub(crate) solution_cache_misses: usize,
-    pub(crate) deadline_hits: usize,
-    /// Latencies of unaffected solves only: budget cuts, drain cuts and
-    /// solution-cache hits stay out of the percentiles.
-    latencies: Vec<Duration>,
-}
-
-impl SessionStats {
-    /// Freezes the running counts into the batch's [`BatchSummary`].
-    pub(crate) fn summarize(mut self, wall: Duration, workers: usize) -> BatchSummary {
-        self.latencies.sort_unstable();
-        let per_second = |n: usize| {
-            if wall.as_secs_f64() > 0.0 {
-                n as f64 / wall.as_secs_f64()
-            } else {
-                0.0
-            }
-        };
-        BatchSummary {
-            records: self.records,
-            solved: self.solved,
-            errors: self.errors,
-            total_cost: self.total_cost,
-            total_lower_bound: self.total_lower_bound,
-            aggregate_gap: BatchSummary::aggregate_gap(self.total_cost, self.total_lower_bound),
-            throughput: per_second(self.records),
-            solved_per_s: per_second(self.solved),
-            wall,
-            p50_solve: percentile(&self.latencies, 50.0),
-            p99_solve: percentile(&self.latencies, 99.0),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            solution_cache_hits: self.solution_cache_hits,
-            solution_cache_misses: self.solution_cache_misses,
-            workers,
-            deadline_hits: self.deadline_hits,
-        }
-    }
-}
-
-/// The session's effective solve width: its share of the executor budget,
-/// never more than the budget itself.
-pub(crate) fn effective_width(config: &ServeConfig, executor: &Executor) -> usize {
-    if config.workers == 0 {
-        executor.workers()
-    } else {
-        config.workers.min(executor.workers())
-    }
-}
-
-/// Records per dispatch wave for the given width (`config.chunk_size`
-/// unless that is `0` = sized from the width).
-pub(crate) fn effective_chunk_size(config: &ServeConfig, width: usize) -> usize {
-    if config.chunk_size == 0 {
-        (width * 32).clamp(64, 1024)
-    } else {
-        config.chunk_size
-    }
-}
-
-/// Builds the [`SolveItem`] for one parsed record: canonical instance,
-/// cache policy, solve fingerprint, deadline budget, and the pre-dispatch
-/// solution-cache consultation. Lookup accounting happens here, at parse
-/// time, so both serving paths agree on when a lookup was made.
-pub(crate) fn prepare_record(
-    record: BatchRecord,
-    line: usize,
-    registry: &SolverRegistry,
-    config: &ServeConfig,
-    solutions: &SolutionCache,
-    stats: &mut SessionStats,
-) -> SolveItem {
-    let inst = record.instance();
-    let budget = record
-        .deadline_ms
-        .map(Duration::from_millis)
-        .or(config.base_options.deadline);
-    let canon = CanonicalInstance::of(&inst);
-    let policy = record.cache.unwrap_or_default();
-    // the solution cache only sees records it could legitimately answer:
-    // caching enabled, and not a record the pipeline would refuse on
-    // `max_jobs` before solving
-    let effective = record.apply_overrides(config.base_options.clone());
-    let fingerprint = if !solutions.is_disabled()
-        && policy != CachePolicy::Off
-        && effective.max_jobs.is_none_or(|cap| inst.len() <= cap)
-    {
-        let named = record.solver.as_deref().unwrap_or(&config.default_solver);
-        let solver = registry
-            .get(named)
-            .map(|e| e.key().to_string())
-            .unwrap_or_else(|| named.to_string());
-        Some(SolveFingerprint {
-            solver,
-            seed: effective.seed,
-            decompose: effective.decompose,
-        })
-    } else {
-        None
-    };
-    // consult the solution cache *before* dispatch: a hit is answered at
-    // lookup speed and never costs a worker (or a feature detection)
-    let mut hit = None;
-    if let Some(fp) = &fingerprint {
-        if policy.read_enabled() {
-            match solutions.lookup(&canon, fp) {
-                Some(report) => {
-                    stats.solution_cache_hits += 1;
-                    hit = Some(report);
-                }
-                None => stats.solution_cache_misses += 1,
-            }
-        }
-    }
-    SolveItem {
-        line,
-        record,
-        inst,
-        canon,
-        policy,
-        fingerprint,
-        hit,
-        features: None,
-        budget,
-    }
-}
-
-/// The worker-side solve of one prepared item, under `token` (already
-/// armed with the record's budget, a child of the session token). The
-/// item's `features` must be filled by a detection pass first.
-pub(crate) fn solve_prepared(
-    item: &SolveItem,
-    registry: &SolverRegistry,
-    config: &ServeConfig,
-    solutions: &SolutionCache,
-    token: &CancelToken,
-) -> RecordResult {
-    let solver = item
-        .record
-        .solver
-        .as_deref()
-        .unwrap_or(&config.default_solver);
-    let features = item.features.clone().expect("filled by detection pass");
-    // the record token is the single deadline authority here: clear the
-    // option so the pipeline does not re-arm a second (later) deadline on
-    // top of it
-    let mut options = item.record.apply_overrides(config.base_options.clone());
-    options.deadline = None;
-    // a read-enabled exact solve that missed the cache may still
-    // warm-start from a cached near match (same jobs up to a small edit
-    // budget)
-    if let Some(fp) = &item.fingerprint {
-        if item.policy.read_enabled() && fp.solver.starts_with("exact") {
-            options.warm_start = solutions.warm_hint(&item.canon, WARM_EDIT_BUDGET);
-        }
-    }
-    let result = SolveRequest::new(&item.inst)
-        .options(options)
-        .solver(solver)
-        .features(features)
-        .cancel(token.clone())
-        .solve_with(registry);
-    // write-back happens worker-side, off the streaming path; the cache
-    // itself refuses cut or truncated reports and re-validates before
-    // storing
-    if let (Some(fp), Ok(report)) = (&item.fingerprint, &result) {
-        if item.policy.write_enabled() {
-            solutions.insert(&item.canon, fp, report);
-        }
-    }
-    // deadlines never un-expire, so sampling after the solve is exact; the
-    // session token carries no deadline of its own, so a shutdown drain
-    // does not masquerade as a budget expiry
-    let deadline_expired = token.remaining().is_some_and(|r| r.is_zero());
-    RecordResult {
-        result,
-        deadline_expired,
-    }
-}
-
-/// Settles an unparseable line in input order: the error line to stream,
-/// or the [`ServeError::FailFast`] abort under that policy.
-pub(crate) fn settle_bad(
-    line: usize,
-    message: &str,
-    policy: ErrorPolicy,
-    stats: &mut SessionStats,
-) -> Result<String, ServeError> {
-    if policy == ErrorPolicy::FailFast {
-        return Err(ServeError::FailFast {
-            line,
-            id: None,
-            message: message.to_string(),
-        });
-    }
-    stats.errors += 1;
-    Ok(error_line(line, None, message))
-}
-
-/// Settles a record answered from the solution cache before dispatch:
-/// streams the cached (re-validated, remapped) report. Not a solve, so it
-/// joins neither the deadline statistics nor the latency percentiles.
-pub(crate) fn settle_hit(
-    line: usize,
-    id: Option<&str>,
-    report: &busytime_core::SolveReport,
-    stats: &mut SessionStats,
-) -> String {
-    stats.solved += 1;
-    stats.total_cost += report.cost;
-    stats.total_lower_bound += report.lower_bound;
-    report_line(line, id, report)
-}
-
-/// Settles one completed solve in input order: counts it, classifies the
-/// deadline hit, and returns the response line to stream (or the
-/// [`ServeError::FailFast`] abort).
+/// One batch session over a `BufRead`/`Write` pair: the blocking driver of
+/// the session engine (see the [module docs](self)).
 ///
-/// A record is a deadline hit only when its *budget* cut the solve: the
-/// dispatching clock caught the worker over budget, or the deadline chain
-/// had actually expired when a flagged report / `Infeasible` refusal came
-/// back. A report flagged because the *session* token was poisoned
-/// (shutdown drain) is a cut solve but not a deadline hit, and an instant,
-/// genuine refusal under a generous budget is an error, not a hit.
-pub(crate) fn settle_outcome(
-    line: usize,
-    id: Option<&str>,
-    outcome: &pool::DeadlineOutcome<RecordResult>,
-    policy: ErrorPolicy,
-    stats: &mut SessionStats,
-) -> Result<String, ServeError> {
-    let hit = outcome.over_deadline
-        || (outcome.result.deadline_expired
-            && match &outcome.result.result {
-                Ok(report) => report.deadline_hit,
-                Err(SolveError::Scheduler(SchedulerError::Infeasible { .. })) => true,
-                Err(_) => false,
-            });
-    if hit {
-        stats.deadline_hits += 1;
-    }
-    match &outcome.result.result {
-        Ok(report) => {
-            stats.solved += 1;
-            stats.total_cost += report.cost;
-            stats.total_lower_bound += report.lower_bound;
-            if !hit && !report.deadline_hit {
-                // p50/p99 describe unaffected records only: budget cuts
-                // land in deadline_hits, and a shutdown-drain cut (flagged
-                // but not a hit) must not skew the percentiles low either
-                stats.latencies.push(outcome.elapsed);
-            }
-            Ok(report_line(line, id, report))
-        }
-        Err(e) => {
-            if policy == ErrorPolicy::FailFast {
-                return Err(ServeError::FailFast {
-                    line,
-                    id: id.map(str::to_string),
-                    message: e.to_string(),
-                });
-            }
-            stats.errors += 1;
-            Ok(error_line(line, id, &e.to_string()))
-        }
-    }
-}
-
-/// What [`BatchSession::run`] got out of one attempt to read a line.
-enum ReadOutcome {
-    /// A complete, newline-terminated line.
-    Line(Vec<u8>),
-    /// The stream's final, unterminated line — process it, then stop.
-    FinalLine(Vec<u8>),
-    /// A read timeout with records already pending: dispatch the partial
-    /// chunk now instead of waiting for more input.
-    Flush,
-    /// The stream is done (EOF, or the session token asked for a drain).
-    Eof,
-}
-
-/// One batch session: the chunked parse → batched feature-detect →
-/// deadline-pool solve → in-order stream core, reusable over any
-/// `BufRead`/`Write` pair.
+/// [`BatchSession::run`] reads one wave of request lines
+/// ([`ServeConfig::chunk_size`] records), feeds them to a session machine,
+/// blocks until the wave's solves have completed, writes and flushes the
+/// wave's answers in input order, and repeats until the input ends. The
+/// machine does all parsing, caching, dispatch and settling, so the answers
+/// are the bytes the [`crate::listener`] sends for the same records.
+/// [`serve`] wraps one session with private caches around stdin-style
+/// streams.
 ///
-/// [`serve`] wraps one session around stdin-style streams with a private
-/// cache; the [`crate::listener`] builds one session per connection,
-/// shares a [`SharedFeatureCache`] across all of them, and installs its
-/// shutdown token via [`BatchSession::cancel`] so SIGINT drains in-flight
-/// chunks instead of severing them.
+/// Drain contract: once the token installed by [`BatchSession::cancel`]
+/// fires, the session reads nothing more, answers every line it already
+/// read (those solves are cut), and returns its summary.
+///
+/// The driving thread blocks while the executor's workers solve, so a
+/// session must not run on one of its own executor's workers.
 pub struct BatchSession<'a> {
     registry: &'a SolverRegistry,
     config: &'a ServeConfig,
@@ -977,15 +642,15 @@ impl<'a> BatchSession<'a> {
     }
 
     /// Uses `solutions` as the session's [`SolutionCache`] instead of the
-    /// private one sized by [`ServeConfig::solution_cache`] — the listener
-    /// hands clones of one handle to every connection so a record solved on
-    /// one connection is a lookup on the next.
+    /// private one sized by [`ServeConfig::solution_cache`] — hand clones
+    /// of one handle to many sessions and a record solved in one is a
+    /// lookup in the next.
     pub fn solutions(mut self, solutions: SolutionCache) -> Self {
         self.solutions = solutions;
         self
     }
 
-    /// Submits this session's chunks to `executor` instead of the global
+    /// Submits this session's solves to `executor` instead of the global
     /// pool — tests pin exact worker budgets this way, and embedders can
     /// isolate a session from the process pool.
     pub fn executor(mut self, executor: Executor) -> Self {
@@ -995,68 +660,14 @@ impl<'a> BatchSession<'a> {
 
     /// Installs `cancel` as the session token. Once it fires the session
     /// drains: in-flight solves are cut at their next cooperative
-    /// checkpoint (the token parents every record's deadline token), the
-    /// records already parsed are answered, and `run` returns its summary
-    /// without reading further input. Reads only notice mid-line
-    /// cancellation when the transport has a read timeout (sockets); plain
-    /// pipes notice at the next chunk boundary.
+    /// checkpoint (the token parents every record's deadline token), no
+    /// further input is read, every line already read is answered, and
+    /// `run` returns its summary. The token is checked between line reads;
+    /// a read that blocks is not interrupted, and a read error (a timeout
+    /// included) ends the session as [`ServeError::Io`].
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// Reads the next line into/out of `carry`, which persists across
-    /// calls: a timed-out read can leave a partial line in it (the bytes
-    /// stay put for the next call), so pending records can flush while a
-    /// half-received line is still in flight.
-    fn next_line<R: BufRead>(
-        &self,
-        input: &mut R,
-        carry: &mut Vec<u8>,
-        have_pending: bool,
-    ) -> Result<ReadOutcome, ServeError> {
-        loop {
-            match input.read_until(b'\n', carry) {
-                // EOF; an earlier timed-out attempt may have left a partial
-                // line in `carry`, which is then the stream's final line
-                Ok(0) => {
-                    return Ok(if carry.is_empty() {
-                        ReadOutcome::Eof
-                    } else {
-                        ReadOutcome::FinalLine(std::mem::take(carry))
-                    });
-                }
-                Ok(_) => {
-                    return Ok(if carry.ends_with(b"\n") {
-                        ReadOutcome::Line(std::mem::take(carry))
-                    } else {
-                        // read_until only stops short of its delimiter at
-                        // EOF: an unterminated final line
-                        ReadOutcome::FinalLine(std::mem::take(carry))
-                    });
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    // a transport read timeout is a polling point, not an
-                    // error: check for shutdown, flush pending records
-                    // (the partial line stays in `carry`), else keep
-                    // accumulating
-                    if self.cancel.is_cancelled() {
-                        return Ok(ReadOutcome::Eof);
-                    }
-                    if have_pending {
-                        return Ok(ReadOutcome::Flush);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
     }
 
     /// Streams one response line per request line from `input` to `out`,
@@ -1069,185 +680,45 @@ impl<'a> BatchSession<'a> {
         mut input: R,
         mut out: W,
     ) -> Result<BatchSummary, ServeError> {
-        let config = self.config;
-        let started = Instant::now();
-        let executor = self.executor.clone().unwrap_or_else(Executor::global);
-        let workers = effective_width(config, &executor);
-        let chunk_size = effective_chunk_size(config, workers);
-
-        let mut stats = SessionStats::default();
-        let mut line_no = 0usize;
-        let mut eof = false;
-        // a partially-received line survives chunk dispatches here; the
-        // buffer starts from per-thread scratch and is recycled line to
-        // line below, so a steady-state session reads without allocating
-        let mut carry: Vec<u8> = pool::scratch::take_bytes();
-        while !eof && !self.cancel.is_cancelled() {
-            // read one chunk of request lines (raw bytes: a line that is
-            // not valid UTF-8 is a bad record, not a fatal stream error)
-            let mut entries: Vec<Entry> = Vec::new();
-            let mut items: Vec<SolveItem> = Vec::new();
-            'chunk: while entries.len() < chunk_size {
-                let buf = match self.next_line(&mut input, &mut carry, !entries.is_empty())? {
-                    ReadOutcome::Eof => {
-                        eof = true;
-                        break 'chunk;
-                    }
-                    ReadOutcome::Flush => break 'chunk,
-                    ReadOutcome::Line(buf) => buf,
-                    ReadOutcome::FinalLine(buf) => {
-                        eof = true;
-                        buf
-                    }
-                };
-                line_no += 1;
-                let parsed = std::str::from_utf8(&buf)
-                    .map_err(|e| format!("line is not valid UTF-8: {e}"))
-                    .and_then(|line| {
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() {
-                            return Ok(None); // blank lines are not records
-                        }
-                        BatchRecord::parse(trimmed)
-                            .map(Some)
-                            .map_err(|e| e.to_string())
-                    });
-                // `parsed` owns everything it needs: hand the line buffer
-                // back to `carry` so the next read reuses its capacity
-                if carry.capacity() < buf.capacity() {
-                    let mut buf = buf;
-                    buf.clear();
-                    carry = buf;
+        let ctx = SessionContext {
+            registry: Arc::new(self.registry.clone()),
+            config: self.config.clone(),
+            cache: self.cache.clone(),
+            solutions: self.solutions.clone(),
+            executor: self.executor.clone().unwrap_or_else(Executor::global),
+            cancel: self.cancel.clone(),
+        };
+        let mut machine = SessionMachine::new(Arc::new(ctx), Arc::new(|| {}));
+        // the line buffer starts from per-thread scratch, so a steady-state
+        // session reads without allocating
+        let mut line = pool::scratch::take_bytes();
+        let mut answers = Vec::new();
+        while !machine.is_done() {
+            let mut records = 0;
+            while records < machine.wave_size() {
+                line.clear();
+                if self.cancel.is_cancelled() || input.read_until(b'\n', &mut line)? == 0 {
+                    machine.finish_input();
+                    break;
                 }
-                match parsed {
-                    Ok(None) => {
-                        if eof {
-                            break 'chunk;
-                        }
-                    }
-                    Ok(Some(record)) => {
-                        stats.records += 1;
-                        entries.push(Entry::Solve { item: items.len() });
-                        items.push(prepare_record(
-                            record,
-                            line_no,
-                            self.registry,
-                            config,
-                            &self.solutions,
-                            &mut stats,
-                        ));
-                        if eof {
-                            break 'chunk;
-                        }
-                    }
-                    Err(message) => {
-                        stats.records += 1;
-                        entries.push(Entry::Bad {
-                            line: line_no,
-                            message,
-                        });
-                        if eof || config.error_policy == ErrorPolicy::FailFast {
-                            // no point reading (or solving) past the abort
-                            // point; records before it still stream below
-                            break 'chunk;
-                        }
-                    }
+                // a final unterminated line is a whole line, drain or not
+                if !line.ends_with(b"\n") {
+                    line.push(b'\n');
                 }
+                machine.feed(&line);
+                records += usize::from(!line.trim_ascii().is_empty());
             }
-
-            // batched feature detection: detect each distinct instance
-            // once, consulting (and feeding) the shared cross-session
-            // cache; solution-cache hits are already answered and need no
-            // features at all
-            let mut fresh: Vec<(CanonicalInstance, Instance)> = Vec::new();
-            for item in &mut items {
-                if item.hit.is_some() {
-                    continue;
-                }
-                if let Some(features) = self.cache.lookup(&item.canon) {
-                    stats.cache_hits += 1;
-                    item.features = Some(features);
-                } else if fresh.iter().any(|(canon, _)| *canon == item.canon) {
-                    stats.cache_hits += 1; // repeated within this chunk
-                } else {
-                    fresh.push((item.canon.clone(), item.inst.clone()));
-                }
+            machine.pump(&mut answers, true);
+            while machine.has_inflight() {
+                machine.wait();
+                machine.pump(&mut answers, true);
             }
-            let detected =
-                executor.par_map_with(workers, &fresh, |(_, inst)| InstanceFeatures::detect(inst));
-            stats.cache_misses += fresh.len();
-            for ((canon, _), features) in fresh.into_iter().zip(detected) {
-                self.cache.insert(canon, features);
-            }
-            for item in &mut items {
-                if item.hit.is_some() || item.features.is_some() {
-                    continue;
-                }
-                // filled from the cache the fresh detections just fed; LRU
-                // eviction (or another session's churn) can drop entries in
-                // between, so re-detect inline in that rare case
-                item.features = Some(match self.cache.lookup(&item.canon) {
-                    Some(features) => features,
-                    None => InstanceFeatures::detect(&item.inst),
-                });
-            }
-
-            // fan the solves out under pool-enforced deadlines, every
-            // record token a child of the session token; solution-cache
-            // hits are already answered and stay off the pool entirely.
-            // Results land in dispatch order; `result_of` maps item index →
-            // result index for the in-order writer below.
-            let dispatch_ids: Vec<usize> = (0..items.len())
-                .filter(|&i| items[i].hit.is_none())
-                .collect();
-            let dispatch: Vec<&SolveItem> = dispatch_ids.iter().map(|&i| &items[i]).collect();
-            let mut result_of = vec![usize::MAX; items.len()];
-            for (ri, &ii) in dispatch_ids.iter().enumerate() {
-                result_of[ii] = ri;
-            }
-            let results = executor.par_map_deadline_under(
-                workers,
-                &self.cancel,
-                &dispatch,
-                |item| item.budget,
-                |item, token| solve_prepared(item, self.registry, config, &self.solutions, token),
-            );
-
-            // stream response lines in input order; the settle helpers do
-            // the shared accounting (counts, deadline classification,
-            // latency exclusions) for both serving paths
-            for entry in &entries {
-                match entry {
-                    Entry::Bad { line, message } => {
-                        let answer = settle_bad(*line, message, config.error_policy, &mut stats)?;
-                        writeln!(out, "{answer}")?;
-                    }
-                    Entry::Solve { item } => {
-                        let SolveItem {
-                            line, record, hit, ..
-                        } = &items[*item];
-                        let answer = match hit {
-                            Some(report) => {
-                                settle_hit(*line, record.id.as_deref(), report, &mut stats)
-                            }
-                            None => settle_outcome(
-                                *line,
-                                record.id.as_deref(),
-                                &results[result_of[*item]],
-                                config.error_policy,
-                                &mut stats,
-                            )?,
-                        };
-                        writeln!(out, "{answer}")?;
-                    }
-                }
-            }
+            out.write_all(&answers)?;
             out.flush()?;
+            answers.clear();
         }
-
-        pool::scratch::recycle_bytes(carry);
-
-        Ok(stats.summarize(started.elapsed(), workers))
+        pool::scratch::recycle_bytes(line);
+        machine.take_result()
     }
 }
 
@@ -1269,8 +740,8 @@ pub fn serve<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use busytime_core::algo::Scheduler;
-    use busytime_core::Schedule;
+    use busytime_core::algo::{Scheduler, SchedulerError};
+    use busytime_core::{Instance, Schedule};
     use std::borrow::Cow;
 
     fn run(input: &str, config: &ServeConfig) -> (Vec<String>, BatchSummary) {
@@ -1588,7 +1059,9 @@ mod tests {
         // regression companion to the Infeasible fix: a record cut by the
         // session shutdown token (no deadline configured anywhere) must
         // answer deadline_hit: true (the solve *was* cut) without
-        // inflating the summary's deadline_hits
+        // inflating the summary's deadline_hits. It also pins the drain
+        // contract: the record read alongside the drainer is still
+        // answered, and nothing after the token fired is read.
         let session = CancelToken::never();
         let mut registry = SolverRegistry::with_defaults();
         let handle = session.clone();
@@ -1605,15 +1078,22 @@ mod tests {
         let input = concat!(
             r#"{"id": "drained", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "drainer"}"#,
             "\n",
+            r#"{"id": "second", "instance": {"g": 2, "jobs": [[1, 5]]}}"#,
+            "\n",
+            r#"{"id": "unread", "instance": {"g": 2, "jobs": [[2, 6]]}}"#,
+            "\n",
         );
-        let config = ServeConfig::default();
+        let config = ServeConfig {
+            chunk_size: 2,
+            ..ServeConfig::default()
+        };
         let mut out = Vec::new();
         let summary = BatchSession::new(&registry, &config)
             .cancel(session)
             .run(input.as_bytes(), &mut out)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert_eq!(summary.solved, 1);
+        assert_eq!(summary.solved, 2);
         assert!(
             text.contains("\"deadline_hit\": true"),
             "the cut must still be visible on the response line: {text}"
@@ -1622,6 +1102,14 @@ mod tests {
             summary.deadline_hits, 0,
             "a shutdown drain is not a deadline hit"
         );
+        // the second record was read with the drainer's wave and is
+        // answered; the third is never read, and the trailer is the
+        // caller's to write
+        assert_eq!(summary.records, 2);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[1].contains("\"id\": \"second\""), "{}", lines[1]);
+        assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
     }
 
     #[test]

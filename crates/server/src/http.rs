@@ -301,7 +301,7 @@ pub struct HealthSnapshot {
     pub workers: usize,
     /// Workers busy solving right now.
     pub busy_workers: usize,
-    /// Solve chunks queued behind the busy workers.
+    /// Solve jobs queued behind the busy workers.
     pub queue_depth: usize,
     /// Live client connections on the backend.
     pub active_connections: usize,

@@ -13,19 +13,20 @@
 //!   record per input line (instance inline or by
 //!   [`busytime_instances::GeneratorSpec`]), one response line per record,
 //!   in input order, every line stamped with the stable `schema_version`.
-//! * [`engine`] — [`engine::BatchSession`], the chunked parse → batched
-//!   feature-detect → deadline-pool solve → in-order stream core over any
-//!   `BufRead`/`Write` pair ([`engine::serve`] is the stdin-shaped
-//!   wrapper): batched feature detection with a hash-keyed
-//!   [`engine::SharedFeatureCache`] (shareable across sessions, with true
-//!   LRU eviction), solve fan-out over the persistent process-wide
-//!   [`busytime_core::pool::Executor`], and a [`engine::BatchSummary`]
+//! * [`engine`] — the one session engine and its blocking driver
+//!   [`engine::BatchSession`] over any `BufRead`/`Write` pair
+//!   ([`engine::serve`] is the stdin-shaped wrapper): records parse in
+//!   waves, solution-cache hits answer at parse time, and the rest solve
+//!   on the persistent process-wide [`busytime_core::pool::Executor`].
+//!   Feature detection runs on the worker that solves the record, and a
+//!   hash-keyed [`engine::SharedFeatureCache`] (shareable across sessions,
+//!   with true LRU eviction) deduplicates it. A [`engine::BatchSummary`]
 //!   (throughput + solved/s, p50/p99 solve latency, aggregate gap, cache
-//!   hits, deadline hits) once the batch drains.
+//!   hits, deadline hits) comes back once the batch drains.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
-//!   `GET /healthz` mode, one resumable `SessionMachine` per connection
-//!   on readiness-loop I/O threads, all of them multiplexed onto the *one*
+//!   `GET /healthz` mode, the same session engine driven per connection
+//!   from readiness-loop I/O threads, all of them multiplexed onto the *one*
 //!   process-wide executor (so
 //!   `--workers` bounds total solver parallelism no matter how many
 //!   connections are live), the feature cache shared across connections,

@@ -21,13 +21,12 @@
 //! owns the accept socket and deals new connections round-robin across
 //! the set, and every reactor owns the full life of the connections dealt
 //! to it — reading request bytes, parsing, writing responses back. Reads
-//! and parses feed a per-connection `SessionMachine`; the machine
-//! dispatches records onto the shared executor as fire-and-forget jobs
-//! and workers post completions back through a wakeable mailbox, so the
-//! reactor never blocks and never solves, and the executor workers never
-//! touch a socket. 500 idle keep-alive connections therefore cost 500
-//! registered file descriptors and `io_threads` threads — not 500
-//! threads.
+//! feed a per-connection session machine (the engine `serve` drives too);
+//! the machine's runner jobs solve records on the shared executor and
+//! post completions back through a wakeable mailbox, so the reactor never
+//! blocks and never solves, and the executor workers never touch a
+//! socket. 500 idle keep-alive connections therefore cost 500 registered
+//! file descriptors and `io_threads` threads — not 500 threads.
 //!
 //! Back-pressure is a bounded per-connection outbox
 //! ([`ListenConfig::outbox_limit`]): when a client stops reading its
@@ -424,7 +423,7 @@ impl Listener {
         })
     }
 
-    /// Runs every connection's solve chunks on `executor` instead of the
+    /// Runs every connection's solves on `executor` instead of the
     /// process-wide [`Executor::global`] — tests pin exact worker budgets
     /// this way, and embedders running several listeners can give each its
     /// own pool.
@@ -1445,10 +1444,14 @@ fn step_conn(
                         state.kind = Kind::Ndjson(machine);
                         break;
                     }
-                    if let Some(failure) = machine.failure() {
-                        return Step::Close(Some(failure.to_string()));
-                    }
-                    state.summary = machine.summary().cloned();
+                    let summary = match machine.take_result() {
+                        Ok(summary) => summary,
+                        Err(failure) => return Step::Close(Some(failure.to_string())),
+                    };
+                    state
+                        .outbox
+                        .extend_from_slice(format!("{}\n", summary.to_json_line()).as_bytes());
+                    state.summary = Some(summary);
                     // kind stays Flush
                 }
                 Kind::Http(mut http) => {
@@ -1687,8 +1690,9 @@ fn step_http(
                 if !machine.is_done() {
                     return HttpStep::Wait;
                 }
-                if let Some(failure) = machine.failure() {
-                    if matches!(failure, ServeError::FailFast { .. }) {
+                let summary = match machine.take_result() {
+                    Ok(summary) => summary,
+                    Err(failure @ ServeError::FailFast { .. }) => {
                         let cause = failure.to_string();
                         let body = format!("{{\"error\": {cause:?}}}\n");
                         write_http_response(
@@ -1701,12 +1705,9 @@ fn step_http(
                         .expect(VEC_WRITE);
                         return HttpStep::Finish;
                     }
-                    return HttpStep::Abort(failure.to_string());
-                }
-                let summary = machine
-                    .summary()
-                    .cloned()
-                    .expect("a machine done without failure has a summary");
+                    Err(failure) => return HttpStep::Abort(failure.to_string()),
+                };
+                response.extend_from_slice(format!("{}\n", summary.to_json_line()).as_bytes());
                 let ka = *keep_alive;
                 write_http_response(outbox, "200 OK", "application/x-ndjson", response, ka)
                     .expect(VEC_WRITE);

@@ -1,27 +1,48 @@
-//! The resumable per-connection session state machine behind the
-//! event-driven [`crate::listener`].
+//! The session engine: one resumable state machine behind every serving
+//! path.
 //!
-//! [`SessionMachine`] is the non-blocking counterpart of
-//! [`crate::engine::BatchSession`]: instead of owning a `BufRead`/`Write`
-//! pair and blocking on it, the machine is *fed* raw socket bytes as they
-//! arrive (`feed`), dispatches parsed records onto the shared
-//! [`Executor`] as fire-and-forget jobs, receives completions through a
-//! wakeable inbox, and *pumped* (`pump`) emits response bytes in input
-//! order into whatever outbox the caller maintains. The I/O thread that
-//! drives it never blocks and never solves; the executor workers that
-//! solve never touch the socket.
+//! [`SessionMachine`] is the only code that turns request lines into
+//! answers. It is *fed* raw bytes (`feed`), parses them into records,
+//! prepares each one (solution-cache consultation included), hands the
+//! solves to the shared [`Executor`], receives completions through an
+//! inbox, and, *pumped* (`pump`), settles the answers and emits response
+//! lines in input order into whatever buffer its driver keeps. It never
+//! blocks on a transport and never writes the [`BatchSummary`] trailer;
+//! its driver decides where the summary goes.
 //!
-//! Record semantics are identical to the blocking engine by construction:
-//! both paths share [`crate::engine`]'s `prepare_record` (parse-time
-//! solution-cache consultation), `solve_prepared` (the worker-side solve,
-//! warm starts and write-back included) and `settle_*` helpers (in-order
-//! accounting, deadline classification, latency exclusions). Records are
-//! parsed in *waves* of at most the engine chunk size, and the next wave
-//! is parsed only once the current wave's dispatches have all completed —
-//! which preserves the blocking engine's cross-record solution-cache
-//! behavior (a record repeated after a completed wave is a lookup hit) and
-//! its per-wave feature-cache accounting (duplicates within a wave count
-//! one miss plus hits).
+//! Two drivers run it:
+//!
+//! * [`crate::engine::BatchSession`], the blocking driver behind `serve`,
+//!   `batch` and the benches: it reads one wave of lines from a `BufRead`,
+//!   feeds them, parks in [`SessionMachine::wait`] until the wave has
+//!   completed, then writes and flushes the wave's answers.
+//! * the [`crate::listener`] reactors: they feed socket bytes as they
+//!   arrive and pump again whenever a completion's `notify` wakes the poll
+//!   loop, so the I/O thread never blocks and never solves.
+//!
+//! # Waves
+//!
+//! Records are parsed in *waves* of at most the chunk size
+//! ([`crate::ServeConfig::chunk_size`]), and the next wave is parsed only
+//! once every solve of the current one has completed. Solution-cache hits
+//! and feature-cache counts therefore do not depend on timing: a record
+//! repeated after a completed wave is a lookup hit, and duplicates within a
+//! wave count one feature-cache miss plus hits.
+//!
+//! # Runner chains
+//!
+//! A wave's solves go into the session's run queue. At most `width` runner
+//! jobs serve it on the executor: each pops a record, detects its features
+//! (the shared feature cache deduplicates detection across records and
+//! connections), solves it, posts the completion and notifies the driver.
+//! A runner keeps going while no other submission's job waits on the
+//! executor; otherwise it requeues itself at the back of the pool's queue
+//! (the pool's yield rule), so concurrent sessions share the workers at
+//! record granularity. The queue and the runner count sit under one lock,
+//! so a chain cannot end while work is being queued behind it.
+//!
+//! Feature detection runs before the record's budget is armed: detection
+//! time is charged to the batch, never to the record.
 //!
 //! Lines are consumed by advancing a cursor over the input buffer; the
 //! consumed prefix is compacted away once per wave, so a batch that
@@ -33,67 +54,376 @@
 //! every newline-terminated line it has been fed — including lines that
 //! arrived while an earlier wave was in flight. Their records run under
 //! children of the cancelled token, so they come back cut, and every one
-//! of them is counted in the summary trailer. Only a trailing partial
-//! line (no newline yet) is dropped. Bytes fed after
+//! of them is counted in the summary. Only a trailing partial line (no
+//! newline yet) is dropped. Bytes fed after
 //! [`SessionMachine::finish_input`] are ignored, so a drain always ends.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
+use busytime_core::algo::SchedulerError;
 use busytime_core::cancel::CancelToken;
-use busytime_core::memo::SolutionCache;
-use busytime_core::pool::{DeadlineOutcome, Executor};
-use busytime_core::solve::SolverRegistry;
-use busytime_core::InstanceFeatures;
+use busytime_core::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint};
+use busytime_core::pool::Executor;
+use busytime_core::solve::{SolveError, SolverRegistry, WARM_EDIT_BUDGET};
+use busytime_core::{Instance, InstanceFeatures, SolveReport, SolveRequest};
 
 use crate::engine::{
-    effective_chunk_size, effective_width, lock_ignoring_poison, prepare_record, settle_bad,
-    settle_hit, settle_outcome, solve_prepared, BatchSummary, ErrorPolicy, RecordResult,
-    ServeConfig, ServeError, SessionStats, SharedFeatureCache, SolveItem,
+    lock_ignoring_poison, percentile, BatchSummary, ErrorPolicy, ServeConfig, ServeError,
+    SharedFeatureCache,
 };
-use crate::protocol::BatchRecord;
+use crate::protocol::{error_line, report_line, BatchRecord};
 
-/// Everything the machines of one listener share: the registry, the
-/// engine configuration, both caches, the executor and the shutdown
-/// token. One of these is built per listener and handed to every
-/// connection's machine as an `Arc`.
+/// Everything the machines of one driver share: the registry, the engine
+/// configuration, both caches, the executor and the shutdown token. The
+/// listener builds one per listener and hands it to every connection's
+/// machine; [`crate::engine::BatchSession`] builds one per run.
 pub(crate) struct SessionContext {
     pub(crate) registry: Arc<SolverRegistry>,
     pub(crate) config: ServeConfig,
     pub(crate) cache: SharedFeatureCache,
     pub(crate) solutions: SolutionCache,
     pub(crate) executor: Executor,
-    /// The listener's shutdown token: once it fires the machine answers
-    /// its buffered complete lines and finishes (see the
-    /// [module docs](self)), and every record token is armed as a child of
-    /// it so a drain cuts in-flight and later solves cooperatively.
+    /// The shutdown token: once it fires the machine answers its buffered
+    /// complete lines and finishes (see the [module docs](self)), and
+    /// every record token is armed as a child of it so a drain cuts
+    /// in-flight and later solves cooperatively.
     pub(crate) cancel: CancelToken,
 }
 
-/// One completed solve, posted by an executor worker into the machine's
-/// inbox.
+/// One prepared (parsed and cache-consulted) record, ready to solve.
+struct SolveItem {
+    record: BatchRecord,
+    inst: Instance,
+    /// Canonical (order-invariant) form of `inst`, computed once at parse
+    /// time: the key into both the feature cache and the solution cache.
+    canon: CanonicalInstance,
+    /// The record's effective cache policy (`record.cache`, defaulting to
+    /// read-write).
+    policy: CachePolicy,
+    /// Solution-cache identity of this solve (canonical solver key, seed,
+    /// decompose). `None` when the solution cache is out of play for this
+    /// record — disabled cache, `cache: "off"`, or a `max_jobs` refusal —
+    /// so the solve neither looks up nor writes back.
+    fingerprint: Option<SolveFingerprint>,
+    /// A solution-cache hit, resolved at parse time: the cached report
+    /// (assignment already remapped to this record's job order,
+    /// `cached: true`). Hit records skip feature detection and never reach
+    /// the executor.
+    hit: Option<SolveReport>,
+    /// Filled at parse time on a feature-cache hit, else by the runner.
+    features: Option<InstanceFeatures>,
+    /// Effective solve budget: the record's `deadline_ms`, else the
+    /// batch-level default. Armed onto the record's token when a runner
+    /// picks the record up, so the clock starts at pickup, not when the
+    /// wave was queued.
+    budget: Option<Duration>,
+}
+
+/// What one solve hands back.
+struct Outcome {
+    result: Result<SolveReport, SolveError>,
+    /// The record's *own deadline chain* had expired by the time the
+    /// solver returned — the signal that separates "`Infeasible` because
+    /// the budget ran out" from "genuinely infeasible, refused instantly".
+    deadline_expired: bool,
+    /// Wall-clock time from arming the record's token to the end of its
+    /// solve, write-back included.
+    elapsed: Duration,
+    /// The record had a budget and `elapsed` exceeded it — the runner's
+    /// own clock, so it holds even when the solver never polled its token.
+    over_deadline: bool,
+}
+
+/// Running per-record statistics, frozen into the [`BatchSummary`] once
+/// the session ends.
+#[derive(Default)]
+struct SessionStats {
+    records: usize,
+    solved: usize,
+    errors: usize,
+    total_cost: i64,
+    total_lower_bound: i64,
+    cache_hits: usize,
+    cache_misses: usize,
+    solution_cache_hits: usize,
+    solution_cache_misses: usize,
+    deadline_hits: usize,
+    /// Latencies of unaffected solves only: budget cuts, drain cuts and
+    /// solution-cache hits stay out of the percentiles.
+    latencies: Vec<Duration>,
+}
+
+impl SessionStats {
+    /// Freezes the running counts into the batch's [`BatchSummary`].
+    fn summarize(mut self, wall: Duration, workers: usize) -> BatchSummary {
+        self.latencies.sort_unstable();
+        let per_second = |n: usize| {
+            if wall.as_secs_f64() > 0.0 {
+                n as f64 / wall.as_secs_f64()
+            } else {
+                0.0
+            }
+        };
+        BatchSummary {
+            records: self.records,
+            solved: self.solved,
+            errors: self.errors,
+            total_cost: self.total_cost,
+            total_lower_bound: self.total_lower_bound,
+            aggregate_gap: BatchSummary::aggregate_gap(self.total_cost, self.total_lower_bound),
+            throughput: per_second(self.records),
+            solved_per_s: per_second(self.solved),
+            wall,
+            p50_solve: percentile(&self.latencies, 50.0),
+            p99_solve: percentile(&self.latencies, 99.0),
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            solution_cache_hits: self.solution_cache_hits,
+            solution_cache_misses: self.solution_cache_misses,
+            workers,
+            deadline_hits: self.deadline_hits,
+        }
+    }
+}
+
+/// Builds the [`SolveItem`] for one parsed record: canonical instance,
+/// cache policy, solve fingerprint, deadline budget, and the parse-time
+/// solution-cache consultation (counted into `stats`).
+fn prepare_record(
+    record: BatchRecord,
+    ctx: &SessionContext,
+    stats: &mut SessionStats,
+) -> SolveItem {
+    let config = &ctx.config;
+    let inst = record.instance();
+    let budget = record
+        .deadline_ms
+        .map(Duration::from_millis)
+        .or(config.base_options.deadline);
+    let canon = CanonicalInstance::of(&inst);
+    let policy = record.cache.unwrap_or_default();
+    // the solution cache only sees records it could legitimately answer:
+    // caching enabled, and not a record the pipeline would refuse on
+    // `max_jobs` before solving
+    let effective = record.apply_overrides(config.base_options.clone());
+    let fingerprint = if !ctx.solutions.is_disabled()
+        && policy != CachePolicy::Off
+        && effective.max_jobs.is_none_or(|cap| inst.len() <= cap)
+    {
+        let named = record.solver.as_deref().unwrap_or(&config.default_solver);
+        let solver = ctx
+            .registry
+            .get(named)
+            .map(|e| e.key().to_string())
+            .unwrap_or_else(|| named.to_string());
+        Some(SolveFingerprint {
+            solver,
+            seed: effective.seed,
+            decompose: effective.decompose,
+        })
+    } else {
+        None
+    };
+    // consult the solution cache *before* dispatch: a hit is answered at
+    // lookup speed and never costs a worker (or a feature detection)
+    let mut hit = None;
+    if let Some(fp) = &fingerprint {
+        if policy.read_enabled() {
+            match ctx.solutions.lookup(&canon, fp) {
+                Some(report) => {
+                    stats.solution_cache_hits += 1;
+                    hit = Some(report);
+                }
+                None => stats.solution_cache_misses += 1,
+            }
+        }
+    }
+    SolveItem {
+        record,
+        inst,
+        canon,
+        policy,
+        fingerprint,
+        hit,
+        features: None,
+        budget,
+    }
+}
+
+/// The runner side of one record: features through the shared cache, then
+/// the solve under a child of the session token armed with the record's
+/// budget, then the solution-cache write-back.
+fn solve_item(ctx: &SessionContext, mut item: SolveItem) -> Outcome {
+    let config = &ctx.config;
+    let features = match item.features.take() {
+        Some(features) => features,
+        None => ctx.cache.lookup(&item.canon).unwrap_or_else(|| {
+            let features = InstanceFeatures::detect(&item.inst);
+            ctx.cache.insert(item.canon.clone(), features.clone());
+            features
+        }),
+    };
+    let token = match item.budget {
+        Some(budget) => ctx.cancel.child_after(budget),
+        None => ctx.cancel.child(),
+    };
+    let started = Instant::now();
+    // the record token is the single deadline authority here: clear the
+    // option so the pipeline does not re-arm a second (later) deadline on
+    // top of it
+    let mut options = item.record.apply_overrides(config.base_options.clone());
+    options.deadline = None;
+    // a read-enabled exact solve that missed the cache may still
+    // warm-start from a cached near match (same jobs up to a small edit
+    // budget)
+    if let Some(fp) = &item.fingerprint {
+        if item.policy.read_enabled() && fp.solver.starts_with("exact") {
+            options.warm_start = ctx.solutions.warm_hint(&item.canon, WARM_EDIT_BUDGET);
+        }
+    }
+    let result = SolveRequest::new(&item.inst)
+        .options(options)
+        .solver(
+            item.record
+                .solver
+                .as_deref()
+                .unwrap_or(&config.default_solver),
+        )
+        .features(features)
+        .cancel(token.clone())
+        .solve_with(&ctx.registry);
+    // the cache itself refuses cut or truncated reports and re-validates
+    // before storing
+    if let (Some(fp), Ok(report)) = (&item.fingerprint, &result) {
+        if item.policy.write_enabled() {
+            ctx.solutions.insert(&item.canon, fp, report);
+        }
+    }
+    // deadlines never un-expire, so sampling after the solve is exact; the
+    // session token carries no deadline of its own, so a shutdown drain
+    // does not masquerade as a budget expiry
+    let deadline_expired = token.remaining().is_some_and(|r| r.is_zero());
+    let elapsed = started.elapsed();
+    Outcome {
+        result,
+        deadline_expired,
+        elapsed,
+        over_deadline: item.budget.is_some_and(|b| elapsed > b),
+    }
+}
+
+/// Settles an unparseable line (or a solve that panicked) in input order:
+/// the error line to stream, or the [`ServeError::FailFast`] abort under
+/// that policy.
+fn settle_bad(
+    line: usize,
+    id: Option<&str>,
+    message: &str,
+    policy: ErrorPolicy,
+    stats: &mut SessionStats,
+) -> Result<String, ServeError> {
+    if policy == ErrorPolicy::FailFast {
+        return Err(ServeError::FailFast {
+            line,
+            id: id.map(str::to_string),
+            message: message.to_string(),
+        });
+    }
+    stats.errors += 1;
+    Ok(error_line(line, id, message))
+}
+
+/// Settles a record answered from the solution cache at parse time. Not a
+/// solve, so it joins neither the deadline statistics nor the latency
+/// percentiles.
+fn settle_hit(
+    line: usize,
+    id: Option<&str>,
+    report: &SolveReport,
+    stats: &mut SessionStats,
+) -> String {
+    stats.solved += 1;
+    stats.total_cost += report.cost;
+    stats.total_lower_bound += report.lower_bound;
+    report_line(line, id, report)
+}
+
+/// Settles one completed solve in input order: counts it, classifies the
+/// deadline hit, and returns the response line to stream (or the
+/// [`ServeError::FailFast`] abort).
+///
+/// A record is a deadline hit only when its *budget* cut the solve: the
+/// runner's clock caught the solve over budget, or the deadline chain had
+/// actually expired when a flagged report / `Infeasible` refusal came
+/// back. A report flagged because the *session* token was poisoned
+/// (shutdown drain) is a cut solve but not a deadline hit, and an instant,
+/// genuine refusal under a generous budget is an error, not a hit.
+fn settle_outcome(
+    line: usize,
+    id: Option<&str>,
+    outcome: &Outcome,
+    policy: ErrorPolicy,
+    stats: &mut SessionStats,
+) -> Result<String, ServeError> {
+    let hit = outcome.over_deadline
+        || (outcome.deadline_expired
+            && match &outcome.result {
+                Ok(report) => report.deadline_hit,
+                Err(SolveError::Scheduler(SchedulerError::Infeasible { .. })) => true,
+                Err(_) => false,
+            });
+    if hit {
+        stats.deadline_hits += 1;
+    }
+    match &outcome.result {
+        Ok(report) => {
+            stats.solved += 1;
+            stats.total_cost += report.cost;
+            stats.total_lower_bound += report.lower_bound;
+            if !hit && !report.deadline_hit {
+                // p50/p99 describe unaffected records only: budget cuts
+                // land in deadline_hits, and a shutdown-drain cut (flagged
+                // but not a hit) must not skew the percentiles low either
+                stats.latencies.push(outcome.elapsed);
+            }
+            Ok(report_line(line, id, report))
+        }
+        Err(e) => {
+            if policy == ErrorPolicy::FailFast {
+                return Err(ServeError::FailFast {
+                    line,
+                    id: id.map(str::to_string),
+                    message: e.to_string(),
+                });
+            }
+            stats.errors += 1;
+            Ok(error_line(line, id, &e.to_string()))
+        }
+    }
+}
+
+/// One finished record, posted by a runner into the machine's inbox.
 struct Completion {
     seq: usize,
-    outcome: DeadlineOutcome<RecordResult>,
+    answer: Answer,
 }
 
 /// How one input-order slot will be (or was) answered.
 enum Answer {
-    /// The line failed to parse.
+    /// The line failed to parse, or its solve panicked.
     Bad(String),
     /// Answered from the solution cache at parse time.
-    Hit(busytime_core::SolveReport),
-    /// A completed dispatch.
-    Solved(DeadlineOutcome<RecordResult>),
+    Hit(SolveReport),
+    /// A completed solve.
+    Solved(Outcome),
 }
 
 enum SlotState {
-    /// Parsed and prepared, waiting for a dispatch slot under the
-    /// session's width cap.
-    Queued(Box<SolveItem>),
-    /// On (or queued behind) the executor; a [`Completion`] will fill it.
+    /// Queued for or on a runner; a [`Completion`] will fill it.
     InFlight,
     /// Answer known; drains once every earlier slot has drained.
     Ready(Box<Answer>),
@@ -106,15 +436,81 @@ struct Slot {
     state: SlotState,
 }
 
-/// A resumable batch session over one connection: feed bytes in, pump
-/// response bytes out, in input order; see the [module docs](self).
-pub(crate) struct SessionMachine {
+/// The session's run queue (see [runner chains](self#runner-chains)).
+#[derive(Default)]
+struct RunQueue {
+    /// Solves waiting for a runner, in input order, with their slot seqs.
+    items: VecDeque<(usize, Box<SolveItem>)>,
+    /// Runner jobs alive: solving a record or queued on the executor.
+    runners: usize,
+    /// Runner jobs queued on the executor and not yet started: the part of
+    /// the pool's queue depth a runner must not yield to.
+    queued: usize,
+}
+
+#[derive(Default)]
+struct Inbox {
+    done: Vec<Completion>,
+    /// How many completions a blocked [`SessionMachine::wait`] needs; `0`
+    /// while nobody waits.
+    awaited: usize,
+}
+
+/// What a machine shares with its runner jobs.
+struct Shared {
     ctx: Arc<SessionContext>,
-    /// Completions posted by executor workers; drained by `pump`.
-    inbox: Arc<Mutex<Vec<Completion>>>,
-    /// Called by workers after posting a completion — the listener's hook
-    /// to wake the poll loop that owns this machine.
+    run: Mutex<RunQueue>,
+    inbox: Mutex<Inbox>,
+    /// Signalled once the inbox holds every completion `wait` needs.
+    arrived: Condvar,
+    /// The driver's wakeup, called after every posted completion.
     notify: Arc<dyn Fn() + Send + Sync>,
+}
+
+impl Shared {
+    fn post(&self, completion: Completion) {
+        let mut inbox = lock_ignoring_poison(&self.inbox);
+        inbox.done.push(completion);
+        if inbox.done.len() == inbox.awaited {
+            self.arrived.notify_one();
+        }
+        drop(inbox);
+        (self.notify)();
+    }
+}
+
+/// One runner job: solves queued records until the run queue is empty, or
+/// requeues itself behind another submission's job.
+fn run_chain(shared: Arc<Shared>) {
+    let mut run = lock_ignoring_poison(&shared.run);
+    run.queued -= 1;
+    while let Some((seq, item)) = run.items.pop_front() {
+        drop(run);
+        // a panicking solver answers its own record with an error line
+        // instead of leaving the session waiting for it forever
+        let answer = match catch_unwind(AssertUnwindSafe(|| solve_item(&shared.ctx, *item))) {
+            Ok(outcome) => Answer::Solved(outcome),
+            Err(_) => Answer::Bad(String::from("solver panicked")),
+        };
+        shared.post(Completion { seq, answer });
+        run = lock_ignoring_poison(&shared.run);
+        // the pool's yield rule: another submission's job waits when the
+        // pool queues more jobs than this session's own runners
+        if !run.items.is_empty() && shared.ctx.executor.queue_depth() > run.queued {
+            run.queued += 1;
+            drop(run);
+            let executor = shared.ctx.executor.clone();
+            executor.spawn(move || run_chain(shared));
+            return;
+        }
+    }
+    run.runners -= 1;
+}
+
+/// A resumable batch session: feed bytes in, pump response bytes out, in
+/// input order; see the [module docs](self).
+pub(crate) struct SessionMachine {
+    shared: Arc<Shared>,
     /// Input bytes; `inbuf[consumed..]` is still unparsed.
     inbuf: Vec<u8>,
     /// The consume cursor: end of the last line taken off `inbuf`.
@@ -124,15 +520,13 @@ pub(crate) struct SessionMachine {
     line_no: usize,
     /// `finish_input` was called: the client's end of batch.
     eof: bool,
-    /// FailFast (or a future fatal) latch: the batch is aborted, no
-    /// further answers stream, and the connection should be cut.
+    /// FailFast latch: the batch is aborted and no further answers stream.
     failed: Option<ServeError>,
     /// Input-order slots awaiting drain; `base_seq` is the front's seq.
     slots: VecDeque<Slot>,
     base_seq: usize,
     next_seq: usize,
-    /// Seqs parsed but not yet dispatched (width cap back-pressure).
-    queue: VecDeque<usize>,
+    /// Solves queued or running whose completions have not been drained.
     inflight: usize,
     width: usize,
     chunk_size: usize,
@@ -142,17 +536,28 @@ pub(crate) struct SessionMachine {
 }
 
 impl SessionMachine {
-    /// A machine over the listener's shared context. `notify` is invoked
-    /// from executor workers whenever a completion lands in the inbox —
-    /// it must be cheap and non-blocking (the listener posts a wake to
-    /// the owning poll loop).
+    /// A machine over the shared context. `notify` is invoked from
+    /// executor workers whenever a completion lands in the inbox — it must
+    /// be cheap and non-blocking (the listener posts a wake to the owning
+    /// poll loop).
     pub(crate) fn new(ctx: Arc<SessionContext>, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
-        let width = effective_width(&ctx.config, &ctx.executor);
-        let chunk_size = effective_chunk_size(&ctx.config, width);
+        // the session's share of the executor budget, never more than it
+        let width = match ctx.config.workers {
+            0 => ctx.executor.workers(),
+            cap => cap.min(ctx.executor.workers()),
+        };
+        let chunk_size = match ctx.config.chunk_size {
+            0 => (width * 32).clamp(64, 1024),
+            size => size,
+        };
         SessionMachine {
-            ctx,
-            inbox: Arc::new(Mutex::new(Vec::new())),
-            notify,
+            shared: Arc::new(Shared {
+                ctx,
+                run: Mutex::default(),
+                inbox: Mutex::default(),
+                arrived: Condvar::new(),
+                notify,
+            }),
             inbuf: Vec::new(),
             consumed: 0,
             scanned: 0,
@@ -162,7 +567,6 @@ impl SessionMachine {
             slots: VecDeque::new(),
             base_seq: 0,
             next_seq: 0,
-            queue: VecDeque::new(),
             inflight: 0,
             width,
             chunk_size,
@@ -172,51 +576,71 @@ impl SessionMachine {
         }
     }
 
-    /// Buffers freshly-read socket bytes. Call `pump` afterwards to parse
-    /// and dispatch them. Ignored after [`SessionMachine::finish_input`].
+    /// Records per wave.
+    pub(crate) fn wave_size(&self) -> usize {
+        self.chunk_size
+    }
+
+    /// Buffers freshly-read bytes. Call `pump` afterwards to parse and
+    /// dispatch them. Ignored after [`SessionMachine::finish_input`].
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
         if !self.eof {
             self.inbuf.extend_from_slice(bytes);
         }
     }
 
-    /// Marks the client's end of batch (half-close, idle cut, or the
-    /// listener's shutdown drain). Buffered complete lines — and a final
-    /// unterminated one, unless the shutdown token fired — are still
-    /// parsed and answered.
+    /// Marks the client's end of batch (EOF, half-close, idle cut, or a
+    /// shutdown drain). Buffered complete lines — and a final unterminated
+    /// one, unless the shutdown token fired — are still parsed and
+    /// answered.
     pub(crate) fn finish_input(&mut self) {
         self.eof = true;
     }
 
-    /// The batch is fully answered: summary emitted (or the batch
-    /// aborted), nothing in flight.
+    /// The batch is over: fully answered and summarized, or aborted.
     pub(crate) fn is_done(&self) -> bool {
         self.summary.is_some() || self.failed.is_some()
     }
 
-    /// Records dispatched (or queued for dispatch) whose answers have not
-    /// come back yet — the signal that an idle wire does not mean an idle
-    /// session.
+    /// Records whose answers have not come back yet — the signal that an
+    /// idle wire does not mean an idle session.
     pub(crate) fn has_inflight(&self) -> bool {
-        self.inflight > 0 || !self.queue.is_empty()
+        self.inflight > 0
     }
 
-    /// The batch summary, once the session finished cleanly.
-    pub(crate) fn summary(&self) -> Option<&BatchSummary> {
-        self.summary.as_ref()
+    /// The session's end, once [`SessionMachine::is_done`]: its summary,
+    /// or why it aborted ([`ErrorPolicy::FailFast`]).
+    pub(crate) fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
+        match self.failed.take() {
+            Some(failure) => Err(failure),
+            None => Ok(self
+                .summary
+                .take()
+                .expect("a finished machine has a summary")),
+        }
     }
 
-    /// Why the batch aborted, when it did ([`ErrorPolicy::FailFast`]).
-    pub(crate) fn failure(&self) -> Option<&ServeError> {
-        self.failed.as_ref()
+    /// Blocks until every in-flight record's completion is in the inbox:
+    /// the blocking driver's one wakeup per wave.
+    pub(crate) fn wait(&self) {
+        let mut inbox = lock_ignoring_poison(&self.shared.inbox);
+        inbox.awaited = self.inflight;
+        while inbox.done.len() < self.inflight {
+            inbox = self
+                .shared
+                .arrived
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        inbox.awaited = 0;
     }
 
     /// Drives the machine as far as it can go without blocking: drains
-    /// worker completions, emits ready answers (in input order) into
-    /// `out`, parses and dispatches the next wave when the current one is
-    /// complete, and appends the summary line once everything is
-    /// answered. `allow_parse = false` suspends parsing (outbox
-    /// back-pressure) while completions still drain.
+    /// completions, emits ready answers (in input order) into `out`,
+    /// parses and dispatches the next wave when the current one is
+    /// complete, and records the summary once everything is answered.
+    /// `allow_parse = false` suspends parsing (outbox back-pressure) while
+    /// completions still drain.
     ///
     /// Returns `true` when bytes were appended to `out`.
     pub(crate) fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) -> bool {
@@ -227,33 +651,31 @@ impl SessionMachine {
             if allow_parse && self.can_parse() {
                 progressed |= self.parse_wave();
             }
-            progressed |= self.dispatch_some();
             if !progressed {
                 break;
             }
         }
-        self.maybe_summarize(out);
+        self.maybe_summarize();
         out.len() > before
     }
 
     /// Moves posted completions into their slots.
     fn drain_inbox(&mut self) {
-        let completions = std::mem::take(&mut *lock_ignoring_poison(&self.inbox));
-        for Completion { seq, outcome } in completions {
+        let completions = std::mem::take(&mut lock_ignoring_poison(&self.shared.inbox).done);
+        for Completion { seq, answer } in completions {
             // completions for slots cleared by a FailFast abort are stale
             if seq < self.base_seq {
                 continue;
             }
             let slot = &mut self.slots[seq - self.base_seq];
             debug_assert!(matches!(slot.state, SlotState::InFlight));
-            slot.state = SlotState::Ready(Box::new(Answer::Solved(outcome)));
+            slot.state = SlotState::Ready(Box::new(answer));
             self.inflight -= 1;
         }
     }
 
     /// Streams the contiguous ready prefix, settling each answer into the
-    /// shared statistics exactly as the blocking engine does at write
-    /// time.
+    /// session statistics.
     fn drain_ready(&mut self, out: &mut Vec<u8>) -> bool {
         let mut any = false;
         while matches!(
@@ -265,22 +687,16 @@ impl SessionMachine {
             let SlotState::Ready(answer) = slot.state else {
                 unreachable!("front checked Ready");
             };
-            let policy = self.ctx.config.error_policy;
+            let policy = self.shared.ctx.config.error_policy;
+            let id = slot.id.as_deref();
             let settled = match *answer {
-                Answer::Bad(message) => settle_bad(slot.line, &message, policy, &mut self.stats),
-                Answer::Hit(report) => Ok(settle_hit(
-                    slot.line,
-                    slot.id.as_deref(),
-                    &report,
-                    &mut self.stats,
-                )),
-                Answer::Solved(outcome) => settle_outcome(
-                    slot.line,
-                    slot.id.as_deref(),
-                    &outcome,
-                    policy,
-                    &mut self.stats,
-                ),
+                Answer::Bad(message) => {
+                    settle_bad(slot.line, id, &message, policy, &mut self.stats)
+                }
+                Answer::Hit(report) => Ok(settle_hit(slot.line, id, &report, &mut self.stats)),
+                Answer::Solved(outcome) => {
+                    settle_outcome(slot.line, id, &outcome, policy, &mut self.stats)
+                }
             };
             match settled {
                 Ok(line) => {
@@ -297,28 +713,24 @@ impl SessionMachine {
         any
     }
 
-    /// Aborts the batch: later slots never answer (matching the blocking
-    /// engine, which returns mid-stream), and completions still in flight
-    /// are dropped as stale when they arrive.
+    /// Aborts the batch: later slots never answer, queued solves are
+    /// dropped, and completions still in flight are dropped as stale when
+    /// they arrive.
     fn fail(&mut self, error: ServeError) {
         self.failed = Some(error);
         self.slots.clear();
-        self.queue.clear();
+        lock_ignoring_poison(&self.shared.run).items.clear();
         self.base_seq = self.next_seq;
         self.inflight = 0;
     }
 
-    /// A new wave may parse once the current one has fully completed —
-    /// the window in which the blocking engine would be between chunks.
-    /// (Completed means answered by the workers, not yet drained to the
-    /// client: write-backs have happened, so parse-time lookups stay
-    /// equivalent.) A fired shutdown token does not stop parsing: the
-    /// drain answers every buffered complete line.
+    /// A new wave may parse once the current one has fully completed.
+    /// (Completed means answered by the runners, not yet drained to the
+    /// client: write-backs have happened, so parse-time lookups see them.)
+    /// A fired shutdown token does not stop parsing: the drain answers
+    /// every buffered complete line.
     fn can_parse(&self) -> bool {
-        self.failed.is_none()
-            && self.summary.is_none()
-            && self.inflight == 0
-            && self.queue.is_empty()
+        self.failed.is_none() && self.summary.is_none() && self.inflight == 0
     }
 
     /// The end (one past the newline) of the next complete line in
@@ -335,13 +747,15 @@ impl SessionMachine {
 
     /// Takes the next line off `inbuf` by advancing the consume cursor: a
     /// complete line, or the final unterminated line at EOF (dropped
-    /// instead once the shutdown token fired), like the blocking engine's
-    /// `next_line`.
+    /// instead once the shutdown token fired).
     fn take_line(&mut self) -> Option<Range<usize>> {
         let start = self.consumed;
         let end = match self.complete_line_end() {
             Some(end) => end,
-            None if self.eof && start < self.inbuf.len() && !self.ctx.cancel.is_cancelled() => {
+            None if self.eof
+                && start < self.inbuf.len()
+                && !self.shared.ctx.cancel.is_cancelled() =>
+            {
                 self.inbuf.len()
             }
             None => return None,
@@ -351,13 +765,17 @@ impl SessionMachine {
         Some(start..end)
     }
 
-    /// Parses up to one chunk of buffered records into new slots: bad
-    /// lines and solution-cache hits become `Ready` immediately, solves
-    /// are queued for dispatch. Runs the wave's feature-cache accounting
-    /// the way the blocking engine's batched detection pass counts it.
+    /// Parses up to one wave of buffered records into new slots: bad lines
+    /// and solution-cache hits are ready at once, solves go to the run
+    /// queue. Counts the wave's feature-cache hits and misses at parse
+    /// time: a hit per instance the shared cache already holds, one miss
+    /// per distinct fresh instance, hits for its repeats within the wave.
     fn parse_wave(&mut self) -> bool {
-        let mut wave: Vec<usize> = Vec::new();
-        while wave.len() < self.chunk_size {
+        let ctx = Arc::clone(&self.shared.ctx);
+        let mut records = 0;
+        let mut solves: Vec<(usize, Box<SolveItem>)> = Vec::new();
+        let mut fresh: Vec<CanonicalInstance> = Vec::new();
+        while records < self.chunk_size {
             let Some(range) = self.take_line() else { break };
             self.line_no += 1;
             let parsed = std::str::from_utf8(&self.inbuf[range])
@@ -371,172 +789,96 @@ impl SessionMachine {
                         .map(Some)
                         .map_err(|e| e.to_string())
                 });
-            match parsed {
+            // under FailFast no point parsing past the abort point; records
+            // before it still stream
+            let abort = parsed.is_err() && ctx.config.error_policy == ErrorPolicy::FailFast;
+            let (id, state) = match parsed {
                 Ok(None) => continue,
                 Ok(Some(record)) => {
-                    self.stats.records += 1;
-                    let item = prepare_record(
-                        record,
-                        self.line_no,
-                        &self.ctx.registry,
-                        &self.ctx.config,
-                        &self.ctx.solutions,
-                        &mut self.stats,
-                    );
-                    wave.push(self.push_slot(item));
-                }
-                Err(message) => {
-                    self.stats.records += 1;
-                    self.slots.push_back(Slot {
-                        line: self.line_no,
-                        id: None,
-                        state: SlotState::Ready(Box::new(Answer::Bad(message))),
-                    });
-                    self.next_seq += 1;
-                    wave.push(self.next_seq - 1);
-                    if self.ctx.config.error_policy == ErrorPolicy::FailFast {
-                        // no point parsing past the abort point; records
-                        // before it still stream
-                        break;
+                    let mut item = prepare_record(record, &ctx, &mut self.stats);
+                    let id = item.record.id.clone();
+                    match item.hit.take() {
+                        Some(report) => (id, SlotState::Ready(Box::new(Answer::Hit(report)))),
+                        None => {
+                            if let Some(features) = ctx.cache.lookup(&item.canon) {
+                                self.stats.cache_hits += 1;
+                                item.features = Some(features);
+                            } else if fresh.contains(&item.canon) {
+                                self.stats.cache_hits += 1; // repeated within this wave
+                            } else {
+                                fresh.push(item.canon.clone());
+                            }
+                            solves.push((self.next_seq, Box::new(item)));
+                            (id, SlotState::InFlight)
+                        }
                     }
                 }
+                Err(message) => (None, SlotState::Ready(Box::new(Answer::Bad(message)))),
+            };
+            records += 1;
+            self.stats.records += 1;
+            self.slots.push_back(Slot {
+                line: self.line_no,
+                id,
+                state,
+            });
+            self.next_seq += 1;
+            if abort {
+                break;
             }
         }
         // compact the consumed prefix once per wave, not once per line
         self.inbuf.drain(..self.consumed);
         self.scanned -= self.consumed;
         self.consumed = 0;
-        if wave.is_empty() {
-            return false;
-        }
-        // the wave's feature-cache accounting, counted at parse time the
-        // way the blocking engine's batched detection pass counts it: a
-        // shared-cache hit per already-known instance, one miss per
-        // distinct fresh instance, hits for duplicates within the wave
-        let mut fresh: Vec<busytime_core::memo::CanonicalInstance> = Vec::new();
-        for &seq in &wave {
-            let slot = &mut self.slots[seq - self.base_seq];
-            let SlotState::Queued(item) = &mut slot.state else {
-                continue;
-            };
-            if item.hit.is_some() {
-                continue;
-            }
-            if let Some(features) = self.ctx.cache.lookup(&item.canon) {
-                self.stats.cache_hits += 1;
-                item.features = Some(features);
-            } else if fresh.contains(&item.canon) {
-                self.stats.cache_hits += 1; // repeated within this wave
-            } else {
-                fresh.push(item.canon.clone());
-            }
-        }
         self.stats.cache_misses += fresh.len();
-        true
+        self.submit(solves);
+        records > 0
     }
 
-    /// Appends a slot for a prepared record: cache hits are `Ready` at
-    /// once (they never reach the executor), solves join the dispatch
-    /// queue. Returns the slot's seq.
-    fn push_slot(&mut self, mut item: SolveItem) -> usize {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let line = item.line;
-        let id = item.record.id.clone();
-        let state = match item.hit.take() {
-            Some(report) => SlotState::Ready(Box::new(Answer::Hit(report))),
-            None => {
-                self.queue.push_back(seq);
-                SlotState::Queued(Box::new(item))
-            }
+    /// Queues a wave's solves and tops the session's runners up to its
+    /// width.
+    fn submit(&mut self, solves: Vec<(usize, Box<SolveItem>)>) {
+        self.inflight += solves.len();
+        let start = {
+            let mut run = lock_ignoring_poison(&self.shared.run);
+            run.items.extend(solves);
+            let start = self.width.saturating_sub(run.runners).min(run.items.len());
+            run.runners += start;
+            run.queued += start;
+            start
         };
-        self.slots.push_back(Slot { line, id, state });
-        seq
-    }
-
-    /// Spawns queued records onto the executor up to the session's width
-    /// cap — the event-driven analogue of the blocking engine's
-    /// `par_map_deadline_under(width, ..)` fairness: one session cannot
-    /// occupy more than its share of workers no matter how many records
-    /// it has parsed.
-    fn dispatch_some(&mut self) -> bool {
-        let mut any = false;
-        while self.inflight < self.width {
-            let Some(seq) = self.queue.pop_front() else {
-                break;
-            };
-            let slot = &mut self.slots[seq - self.base_seq];
-            let state = std::mem::replace(&mut slot.state, SlotState::InFlight);
-            let SlotState::Queued(item) = state else {
-                unreachable!("queued seqs hold Queued slots");
-            };
-            self.inflight += 1;
-            any = true;
-            let ctx = Arc::clone(&self.ctx);
-            let inbox = Arc::clone(&self.inbox);
-            let notify = Arc::clone(&self.notify);
-            let executor = ctx.executor.clone();
-            executor.spawn(move || {
-                let mut item = item;
-                // feature detection runs worker-side, before the record's
-                // budget is armed — detection time is charged to the
-                // batch, never to the record, exactly as the blocking
-                // engine's separate detection pass does. The shared cache
-                // still deduplicates across records and connections.
-                if item.features.is_none() {
-                    item.features = Some(match ctx.cache.lookup(&item.canon) {
-                        Some(features) => features,
-                        None => {
-                            let features = InstanceFeatures::detect(&item.inst);
-                            ctx.cache.insert(item.canon.clone(), features.clone());
-                            features
-                        }
-                    });
-                }
-                // arm the record's budget at pickup (a child of the
-                // session token, so a shutdown drain cuts it too)
-                let token = match item.budget {
-                    Some(budget) => ctx.cancel.child_after(budget),
-                    None => ctx.cancel.child(),
-                };
-                let solve_started = Instant::now();
-                let result =
-                    solve_prepared(&item, &ctx.registry, &ctx.config, &ctx.solutions, &token);
-                let elapsed = solve_started.elapsed();
-                let outcome = DeadlineOutcome {
-                    result,
-                    elapsed,
-                    // the dispatching clock is the enforcement of last
-                    // resort for uncooperative solves, exactly like the
-                    // deadline pool's own stamp
-                    over_deadline: item.budget.is_some_and(|b| elapsed > b),
-                };
-                lock_ignoring_poison(&inbox).push(Completion { seq, outcome });
-                notify();
-            });
+        for _ in 0..start {
+            let shared = Arc::clone(&self.shared);
+            self.shared.ctx.executor.spawn(move || run_chain(shared));
         }
-        any
     }
 
-    /// Emits the summary line once the input has ended (or, after the
+    /// Records the summary once the input has ended (or, after the
     /// shutdown token fired, no complete line is left) and every slot has
     /// drained.
-    fn maybe_summarize(&mut self, out: &mut Vec<u8>) {
-        if self.summary.is_some() || self.failed.is_some() {
+    fn maybe_summarize(&mut self) {
+        if self.is_done() {
             return;
         }
-        let input_done = if self.ctx.cancel.is_cancelled() {
+        let input_done = if self.shared.ctx.cancel.is_cancelled() {
             self.complete_line_end().is_none()
         } else {
             self.eof && self.consumed == self.inbuf.len()
         };
-        if !input_done || !self.slots.is_empty() || !self.queue.is_empty() || self.inflight > 0 {
+        if !input_done || !self.slots.is_empty() || self.inflight > 0 {
             return;
         }
-        let summary = std::mem::take(&mut self.stats).summarize(self.started.elapsed(), self.width);
-        out.extend_from_slice(summary.to_json_line().as_bytes());
-        out.push(b'\n');
-        self.summary = Some(summary);
+        let stats = std::mem::take(&mut self.stats);
+        self.summary = Some(stats.summarize(self.started.elapsed(), self.width));
+    }
+}
+
+impl Drop for SessionMachine {
+    /// A machine dropped mid-batch (a closed connection) leaves its queued
+    /// solves unsolved; runners finish only the records they hold.
+    fn drop(&mut self) {
+        lock_ignoring_poison(&self.shared.run).items.clear();
     }
 }
 
@@ -574,6 +916,14 @@ mod tests {
     }
 
     fn machine(cancel: &CancelToken) -> SessionMachine {
+        machine_on(cancel, Executor::new(1), Arc::new(|| {}))
+    }
+
+    fn machine_on(
+        cancel: &CancelToken,
+        executor: Executor,
+        notify: Arc<dyn Fn() + Send + Sync>,
+    ) -> SessionMachine {
         let mut registry = SolverRegistry::with_defaults();
         registry.register(
             "hold",
@@ -587,10 +937,10 @@ mod tests {
             solutions: SolutionCache::new(config.solution_cache),
             config,
             cache: SharedFeatureCache::new(),
-            executor: Executor::new(1),
+            executor,
             cancel: cancel.clone(),
         };
-        SessionMachine::new(Arc::new(ctx), Arc::new(|| {}))
+        SessionMachine::new(Arc::new(ctx), notify)
     }
 
     fn record(id: &str, solver: &str) -> String {
@@ -600,7 +950,8 @@ mod tests {
     }
 
     /// Pumps until the machine finishes (completions land from the
-    /// executor asynchronously) and returns everything it emitted.
+    /// executor asynchronously), appends the summary trailer the way the
+    /// listener does, and returns everything emitted.
     fn pump_to_done(machine: &mut SessionMachine, mut out: Vec<u8>) -> Vec<String> {
         let started = Instant::now();
         while !machine.is_done() {
@@ -611,6 +962,8 @@ mod tests {
             machine.pump(&mut out, true);
             std::thread::sleep(Duration::from_millis(1));
         }
+        let summary = machine.take_result().unwrap();
+        out.extend_from_slice(format!("{}\n", summary.to_json_line()).as_bytes());
         let text = String::from_utf8(out).unwrap();
         text.lines().map(str::to_owned).collect()
     }
@@ -672,5 +1025,49 @@ mod tests {
         assert_eq!(report_id(&lines[0]).as_deref(), Some("a"));
         assert_eq!(report_id(&lines[1]).as_deref(), Some("b"));
         assert!(lines[2].contains("\"records\": 2"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn runners_yield_to_another_session_between_records() {
+        // one worker, two sessions: A queues six records that each hold
+        // the worker for 20 ms, then B queues one quick record. A's runner
+        // must requeue behind B's after a record, so B finishes long
+        // before A's backlog; a runner that never yields makes B wait for
+        // all six.
+        let executor = Executor::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let tagged = |tag: &'static str| -> Arc<dyn Fn() + Send + Sync> {
+            let order = Arc::clone(&order);
+            Arc::new(move || lock_ignoring_poison(&order).push(tag))
+        };
+        let cancel = CancelToken::never();
+        let mut a = machine_on(&cancel, executor.clone(), tagged("a"));
+        let mut b = machine_on(&cancel, executor, tagged("b"));
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        for i in 0..6 {
+            a.feed(
+                format!(
+                    r#"{{"id": "a{i}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}, "solver": "hold", "deadline_ms": 20}}"#
+                )
+                .as_bytes(),
+            );
+            a.feed(b"\n");
+        }
+        a.finish_input();
+        a.pump(&mut out_a, true);
+        b.feed(format!("{}\n", record("b", "first-fit")).as_bytes());
+        b.finish_input();
+        b.pump(&mut out_b, true);
+        let lines_a = pump_to_done(&mut a, out_a);
+        let lines_b = pump_to_done(&mut b, out_b);
+        assert_eq!((lines_a.len(), lines_b.len()), (7, 2));
+
+        let order = lock_ignoring_poison(&order).clone();
+        assert_eq!(order.len(), 7, "{order:?}");
+        let b_at = order.iter().position(|&t| t == "b").expect("b answered");
+        assert!(
+            b_at < 4,
+            "b must finish before a's fourth answer, got {order:?}"
+        );
     }
 }

@@ -77,8 +77,9 @@
 //! Fleets of independent instances are solved at throughput through the
 //! batch engine of [`server`]: NDJSON in (one `SolveRequest`-shaped record
 //! per line, instance inline or by generator spec), one report line per
-//! record in input order, fanned out over the persistent process-wide
-//! [`core::pool::Executor`] with batched feature detection. From a shell:
+//! record in input order, solved on the persistent process-wide
+//! [`core::pool::Executor`]. Feature detection runs on the worker that
+//! solves the record, and a shared cache deduplicates it. From a shell:
 //!
 //! ```text
 //! $ echo '{"instance": {"g": 2, "jobs": [[0, 4], [1, 5], [6, 9]]}}' \
@@ -89,10 +90,11 @@
 //! The same engine runs as a long-lived network service through
 //! [`server::listener`] — `busytime-cli listen --tcp ADDR` (NDJSON over
 //! TCP; also `--unix PATH`, and `--http ADDR` for a minimal HTTP/1.1
-//! `POST /solve` + `GET /healthz` mode). Each connection drives its own
-//! [`server::BatchSession`], all multiplexed onto the *one* process-wide
-//! executor (`--workers` is a true process cap, whatever the connection
-//! count), each ending with a [`server::BatchSummary`] trailer line;
+//! `POST /solve` + `GET /healthz` mode). Each connection drives the same
+//! session engine as [`server::BatchSession`], all multiplexed onto the
+//! *one* process-wide executor (`--workers` is a true process cap,
+//! whatever the connection count), each ending with a
+//! [`server::BatchSummary`] trailer line;
 //! instance-feature detections are shared across connections via
 //! [`server::SharedFeatureCache`]; per-record `deadline_ms` budgets act
 //! as request timeouts; and SIGINT/SIGTERM drain in-flight batches before
