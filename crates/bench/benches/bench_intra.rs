@@ -1,10 +1,13 @@
 //! Intra-instance fork–join: one large many-component solve, sequential
 //! vs. inside fork–join contexts of widths 1, 2 and 4.
 //!
-//! The instance mirrors `tests/fixtures/intra_many_components.json` at
-//! bench scale: disjoint fully-overlapping clusters of equal size, so the
-//! schedule phase decomposes into balanced fat components and component
-//! dispatch, the only place one instance forks, has real work to spread.
+//! The instance is disjoint fully-overlapping clusters of equal size, so
+//! the schedule phase decomposes into balanced fat components and
+//! component dispatch, the only place one instance forks, has real work to
+//! spread. (The `intra-smoke` CI fixture,
+//! `tests/fixtures/intra_many_components.json`, uses random rather than
+//! clique clusters, so that each component still costs milliseconds under
+//! FirstFit once a clique's saturated machines are skipped in groups.)
 //! The `1w` context is inert by contract — its cost over `seq` is the
 //! overhead of consulting the thread-local context, which must stay
 //! within budget noise. On multi-core hosts the wider contexts solve the

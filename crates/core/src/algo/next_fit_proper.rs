@@ -19,10 +19,11 @@
 
 use std::borrow::Cow;
 
+use busytime_interval::OverlapProfile;
+
 use crate::algo::{Scheduler, SchedulerError};
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
-use crate::machine::MachineLoad;
 use crate::schedule::Schedule;
 
 /// The Greedy/NextFit scheduler of Section 3.1.
@@ -70,16 +71,17 @@ impl Scheduler for NextFitProper {
         let mut order: Vec<usize> = (0..inst.len()).collect();
         order.sort_by_key(|&i| (inst.job(i).start, inst.job(i).end));
         let mut raw = vec![0usize; inst.len()];
-        let mut current = MachineLoad::new();
+        // only the currently filled machine is ever tested again
+        let mut current = OverlapProfile::new();
         let mut machine = 0usize;
         let mut opened = false;
         for id in order {
             let iv = inst.job(id);
-            if opened && !current.can_fit(&iv, g) {
+            if opened && !current.can_add(&iv, g) {
                 machine += 1;
-                current = MachineLoad::new();
+                current = OverlapProfile::new();
             }
-            current.push(id, &iv);
+            current.add(&iv);
             raw[id] = machine;
             opened = true;
         }

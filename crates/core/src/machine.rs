@@ -1,4 +1,8 @@
-//! [`MachineLoad`]: the incremental per-machine state used by schedulers.
+//! [`MachineLoad`]: a machine's jobs, count profile and busy set, kept
+//! together for the baseline schedulers (`NextFitArrival`, `BestFit`,
+//! `RandomFit`) and `exact-bb`. The paper's FirstFit and NextFitProper only
+//! ever ask the capacity question, so they keep one bare [`OverlapProfile`]
+//! per machine instead.
 
 use busytime_interval::{Interval, IntervalSet, OverlapProfile};
 

@@ -181,8 +181,12 @@ fn worker_loop(inner: Arc<ExecInner>) {
 }
 
 /// Owns the worker threads on behalf of every [`Executor`] clone: when the
-/// last handle drops, the workers are told to stop and joined. Workers
-/// themselves hold only [`ExecInner`], so they never keep the pool alive.
+/// last handle drops, the workers are told to stop and joined. A worker's
+/// own loop holds only [`ExecInner`], but a job it runs may own handles (a
+/// session runner reaches one through its session's context), so the last
+/// handle can drop on one of the pool's own workers. That worker is not
+/// joined — a thread cannot join itself — and exits on its own once the
+/// job returns and the queue is empty.
 struct ShutdownGuard {
     inner: Arc<ExecInner>,
     /// Written once at construction, drained only in `Drop` (which has
@@ -204,9 +208,12 @@ impl Drop for ShutdownGuard {
         self.inner.available.notify_all();
         // every batch blocks its submitter until completion, so at this
         // point no batch is in flight and the queue is empty — the join is
-        // prompt
+        // prompt. Dropping the calling worker's own handle detaches it.
+        let me = std::thread::current().id();
         for handle in self.handles.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -921,6 +928,27 @@ mod tests {
     }
 
     #[test]
+    fn last_handle_dropped_by_a_job_does_not_join_its_own_worker() {
+        // the job owns the only handle left once the test drops its own,
+        // so the pool shuts down from inside one of its workers
+        let executor = Executor::new(2);
+        let last = executor.clone();
+        let (go_send, go_recv) = std::sync::mpsc::channel::<()>();
+        let (done_send, done_recv) = std::sync::mpsc::channel::<bool>();
+        executor.spawn(move || {
+            go_recv.recv().unwrap();
+            let dropped = catch_unwind(AssertUnwindSafe(move || drop(last)));
+            let _ = done_send.send(dropped.is_ok());
+        });
+        drop(executor);
+        go_send.send(()).unwrap();
+        let dropped = done_recv
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the job never signalled after dropping the last handle");
+        assert!(dropped, "dropping the last handle panicked on a worker");
+    }
+
+    #[test]
     fn pool_survives_a_panicking_batch() {
         // a panic fails its batch but must not kill pool threads — the
         // process budget cannot silently shrink
@@ -1223,7 +1251,8 @@ pub mod scratch {
         pub ids: Vec<usize>,
         /// Coordinate staging (sorted deltas, keys).
         pub keys: Vec<i64>,
-        /// Interval-pair staging (canonical hashing).
+        /// Interval-pair staging (canonical hashing, FirstFit's per-group
+        /// saturated ranges).
         pub pairs: Vec<(i64, i64)>,
     }
 

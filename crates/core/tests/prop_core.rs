@@ -42,6 +42,25 @@ fn arb_clique_instance(max_n: usize) -> impl Strategy<Value = Instance> {
         })
 }
 
+/// 100–300 jobs that all contain the point 1 000: at `g ≤ 4` FirstFit
+/// opens at least 25 machines, and at `g = 1` every job opens one.
+fn arb_big_clique_jobs() -> impl Strategy<Value = Vec<Interval>> {
+    proptest::collection::vec(
+        (0i64..=1_000, 1_000i64..2_000).prop_map(|(s, c)| Interval::new(s, c)),
+        100..300,
+    )
+}
+
+/// 300–500 short jobs over a horizon of about 20 000: most of them are
+/// disjoint, so the first machine collects well over 128 jobs and its
+/// profile outgrows the 256 steps of a flat vector.
+fn arb_sparse_jobs() -> impl Strategy<Value = Vec<Interval>> {
+    proptest::collection::vec(
+        (0i64..20_000, 1i64..80).prop_map(|(s, l)| Interval::with_len(s, l)),
+        300..500,
+    )
+}
+
 /// FirstFit as Section 2.1 states it, gating every machine with a direct
 /// range-max (`max_in(J) < g`) instead of [`OverlapProfile::can_add`].
 fn first_fit_by_max_in(inst: &Instance) -> Schedule {
@@ -118,21 +137,32 @@ proptest! {
         prop_assert!(sched.cost(&inst) <= 4 * bounds::component_lower_bound(&inst).max(1));
     }
 
-    /// FirstFit's O(1) peak and saturated-run answers change no
+    /// FirstFit's O(1) peak and saturated-run answers, its skipping of
+    /// whole saturated machine groups and its blocked profiles change no
     /// assignment: it places every job exactly where gating each machine
-    /// with `max_in` does, on general and on clique instances.
+    /// with `max_in` does. The inputs reach each path: small general and
+    /// clique instances (flat profiles, no full group), cliques of 100–300
+    /// jobs (several full groups of 32 machines, all saturated at the
+    /// common point) and sparse instances of 300–500 jobs (one machine
+    /// takes most of them, so its profile splits into blocks).
     #[test]
     fn first_fit_matches_max_in_gating(
         general in arb_instance(40),
         clique in arb_clique_instance(40),
+        big_clique in arb_big_clique_jobs(),
+        sparse in arb_sparse_jobs(),
+        sparse_g in 1u32..=8,
     ) {
-        for jobs in [general.jobs(), clique.jobs()] {
+        for jobs in [general.jobs(), clique.jobs(), &big_clique] {
             for g in 1..=4 {
                 let inst = Instance::new(jobs.to_vec(), g);
                 let sched = FirstFit::paper().schedule(&inst).unwrap();
                 prop_assert_eq!(sched, first_fit_by_max_in(&inst));
             }
         }
+        let inst = Instance::new(sparse, sparse_g);
+        let sched = FirstFit::paper().schedule(&inst).unwrap();
+        prop_assert_eq!(sched, first_fit_by_max_in(&inst));
     }
 
     /// Observation 2.2 and Lemma 2.3 hold on every FirstFit run.

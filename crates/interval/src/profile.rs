@@ -5,24 +5,56 @@
 //! any instant. FirstFit must therefore answer, per candidate machine,
 //! *"would adding job `J` push the count above `g` anywhere on `J`?"* —
 //! a range-max query over the machine's current count profile, followed by a
-//! range-increment when the job is placed. This type supports both in
-//! `O(log n + k)` where `k` is the number of profile steps inside the range,
-//! and answers the feasibility question in `O(1)` whenever the machine is
-//! clearly below `g` everywhere or provably saturated where `J` lies.
+//! range-increment when the job is placed.
+//!
+//! Costs, for a profile of `n` steps of which `k` lie inside the range:
+//!
+//! * **Up to 256 steps** the profile is one flat sorted vector. A query is
+//!   a binary search plus a scan of the `k` steps; an add also inserts its
+//!   two boundaries, each shifting up to `n` steps (at most 4 KiB).
+//! * **Past 256 steps** it splits into blocks of 32–64 steps, each carrying
+//!   its first key and its maximum. An add finds its block by a binary
+//!   search over the blocks, so a boundary insert moves at most one block
+//!   (`O(log n + 64 + k)` instead of `O(n)`), and a query takes every block
+//!   its range covers whole by that block's maximum (`O(log n + 64 + k/32)`).
+//! * **The capacity test** [`OverlapProfile::can_add`] answers in `O(1)`
+//!   whenever the machine is clearly below `g` everywhere or provably
+//!   saturated where `J` lies, and otherwise falls through to the range
+//!   query. Either way `can_add(J, g) == (max_in(J) < g)`.
 
 use crate::interval::Interval;
+
+/// The flat vector holds at most this many steps; one more splits it into
+/// blocks. A blocked query pays a second level of search on every call
+/// (about 20–30 ns more per query on profiles of a few hundred steps),
+/// which only the cheaper inserts of a long profile repay: FirstFit queries
+/// up to every machine per placement but adds to only one, and below this
+/// size a flat insert moves at most 4 KiB.
+const FLAT_MAX: usize = 256;
+
+/// A block holds at most this many steps; one more splits it into halves.
+const BLOCK_MAX: usize = 64;
+
+/// A block that a remove leaves with fewer steps than this merges into a
+/// neighbour (splitting again past [`BLOCK_MAX`]). It sits well below the
+/// halves a split leaves, so a profile hovering around the split size does
+/// not split and merge on alternate operations.
+const BLOCK_MERGE: usize = 16;
 
 /// Dynamic count profile over doubled coordinates (see
 /// [`Interval::dkey_lo`]): a step function `count: ℝ → ℕ` that is zero
 /// outside the tracked region.
 ///
-/// Representation: a sorted vector of `(key, count)` steps; `(k, c)` means
-/// the count is `c` on `[k, k')` where `k'` is the next key (and the final
-/// entry is always zero). Counts before the first key are zero. The flat
-/// vector keeps the scheduler's inner-loop range-max a binary search plus a
-/// contiguous scan, and mutation is an in-place splice — no per-node
-/// allocation under add/remove churn, unlike the `BTreeMap` representation
-/// this replaced (kept verbatim as the comparator in `bench_interval`).
+/// Representation: sorted `(key, count)` steps; `(k, c)` means the count is
+/// `c` on `[k, k')` where `k'` is the next key (and the final entry is
+/// always zero). Counts before the first key are zero. The steps live in one
+/// flat vector until there are more than 256 of them; then the vector
+/// splits into blocks of 32–64 steps, each with its first key and its
+/// maximum count (and a last block left after removes becomes the flat
+/// vector again). Mutation is an in-place splice inside the vector or one block —
+/// no per-node allocation under add/remove churn, unlike the `BTreeMap`
+/// representation this replaced (kept verbatim as the comparator in
+/// `bench_interval`).
 ///
 /// Two summaries, each kept up to date in `O(1)` per update, let
 /// [`OverlapProfile::can_add`] and [`OverlapProfile::can_add_weighted`]
@@ -56,14 +88,81 @@ use crate::interval::Interval;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OverlapProfile {
-    /// Steps sorted by strictly increasing key.
-    steps: Vec<(i64, u32)>,
+    /// Every step while there are at most [`FLAT_MAX`]; empty once the
+    /// profile is blocked.
+    flat: Vec<(i64, u32)>,
+    /// The steps in blocks, in key order; empty while the profile is flat.
+    blocks: Vec<Block>,
     /// Number of intervals currently contributing to the profile.
     len: usize,
     /// Upper bound on every count (exact until the first remove).
     peak: u32,
     /// `(lo, hi, v)`: every count on the doubled range `[lo, hi)` is ≥ `v`.
     witness: (i64, i64, u32),
+}
+
+/// A run of consecutive steps, sorted by strictly increasing key.
+#[derive(Clone, Debug, Default)]
+struct Block {
+    /// Key of the first step, kept beside the steps so locating a block
+    /// reads only the block summaries. Not read for the first block, which
+    /// holds every key before the second.
+    first: i64,
+    /// Largest count among the steps.
+    max: u32,
+    steps: Vec<(i64, u32)>,
+}
+
+impl Block {
+    /// A block holding a copy of `steps`.
+    fn new(steps: &[(i64, u32)]) -> Block {
+        let mut block = Block {
+            steps: Vec::with_capacity(BLOCK_MAX + 1),
+            ..Block::default()
+        };
+        block.steps.extend_from_slice(steps);
+        block.refresh();
+        block
+    }
+
+    /// Recomputes the first key and the maximum from the steps.
+    fn refresh(&mut self) {
+        if let Some(&(key, _)) = self.steps.first() {
+            self.first = key;
+        }
+        self.max = self.steps.iter().map(|&(_, c)| c).max().unwrap_or(0);
+    }
+
+    /// Moves the steps from index `at` on into a new block.
+    fn split_off(&mut self, at: usize) -> Block {
+        let upper = Block::new(&self.steps[at..]);
+        self.steps.truncate(at);
+        self.refresh();
+        upper
+    }
+}
+
+/// Index of the first step with key strictly greater than `dkey`.
+fn upper_bound(steps: &[(i64, u32)], dkey: i64) -> usize {
+    steps.partition_point(|&(k, _)| k <= dkey)
+}
+
+/// Maximum count on the doubled range `[lo, hi)` that `steps` see: the
+/// count entering at `lo` and every step inside. One binary search for the
+/// entry step, then a scan that stops at the first step at or past `hi`
+/// (scheduler ranges cover a few steps, where that scan is cheaper than a
+/// second binary search for the end).
+fn scan_max(steps: &[(i64, u32)], lo: i64, hi: i64) -> u32 {
+    let from = upper_bound(steps, lo);
+    let entry = match from {
+        0 => 0,
+        idx => steps[idx - 1].1,
+    };
+    steps[from..]
+        .iter()
+        .take_while(|&&(k, _)| k < hi)
+        .map(|&(_, c)| c)
+        .fold(entry, u32::max)
 }
 
 impl OverlapProfile {
@@ -84,19 +183,57 @@ impl OverlapProfile {
 
     /// Number of internal steps (diagnostic; proportional to memory).
     pub fn step_count(&self) -> usize {
-        self.steps.len()
+        self.flat.len() + self.blocks.iter().map(|blk| blk.steps.len()).sum::<usize>()
     }
 
-    /// Index of the first step with key strictly greater than `dkey`.
-    fn upper_bound(&self, dkey: i64) -> usize {
-        self.steps.partition_point(|&(k, _)| k <= dkey)
+    /// The saturated-run witness `(lo, hi, v)`: every count on the doubled
+    /// range `[lo, hi)` (see [`Interval::dkey_lo`]) is at least `v`. It
+    /// only ever moves to a run at least as high, and only a remove
+    /// overlapping it lowers `v`, so under adds alone a profile with
+    /// `v ≥ g` stays full at parallelism `g` on `[lo, hi)` for good.
+    pub fn saturated_run(&self) -> (i64, i64, u32) {
+        self.witness
+    }
+
+    /// Every step in key order.
+    fn steps(&self) -> impl Iterator<Item = &(i64, u32)> {
+        self.flat
+            .iter()
+            .chain(self.blocks.iter().flat_map(|blk| &blk.steps))
+    }
+
+    /// The steps of chunk `b`: the flat vector while flat, else block `b`.
+    fn chunk(&self, b: usize) -> &[(i64, u32)] {
+        if self.blocks.is_empty() {
+            &self.flat
+        } else {
+            &self.blocks[b].steps
+        }
+    }
+
+    fn chunk_mut(&mut self, b: usize) -> &mut Vec<(i64, u32)> {
+        if self.blocks.is_empty() {
+            &mut self.flat
+        } else {
+            &mut self.blocks[b].steps
+        }
+    }
+
+    /// The chunk holding `dkey`: the last block whose first key is at most
+    /// `dkey`, with the first block taking every key before the second
+    /// (and `0` while flat).
+    fn chunk_of(&self, dkey: i64) -> usize {
+        self.blocks
+            .get(1..)
+            .map_or(0, |rest| rest.partition_point(|blk| blk.first <= dkey))
     }
 
     /// Count at doubled coordinate `dkey`.
     fn value_at(&self, dkey: i64) -> u32 {
-        match self.upper_bound(dkey) {
+        let steps = self.chunk(self.chunk_of(dkey));
+        match upper_bound(steps, dkey) {
             0 => 0,
-            idx => self.steps[idx - 1].1,
+            idx => steps[idx - 1].1,
         }
     }
 
@@ -105,22 +242,30 @@ impl OverlapProfile {
         self.value_at(2 * t)
     }
 
-    /// Maximum count over the closed interval `iv`: one binary search for
-    /// the entry step, then a scan that stops at the first step at or past
-    /// the interval's end (scheduler ranges cover a few steps, where that
-    /// scan is cheaper than a second binary search for the end).
+    /// Maximum count over the closed interval `iv`: a scan of the flat
+    /// vector, or of the block holding its start, then every later block it
+    /// covers whole by that block's maximum and a scan of the block holding
+    /// its end.
     pub fn max_in(&self, iv: &Interval) -> u32 {
-        let hi = iv.dkey_hi();
-        let from = self.upper_bound(iv.dkey_lo());
-        let entry = match from {
-            0 => 0,
-            idx => self.steps[idx - 1].1,
-        };
-        self.steps[from..]
-            .iter()
-            .take_while(|&&(k, _)| k < hi)
-            .map(|&(_, c)| c)
-            .fold(entry, u32::max)
+        let (lo, hi) = (iv.dkey_lo(), iv.dkey_hi());
+        if self.blocks.is_empty() {
+            return scan_max(&self.flat, lo, hi);
+        }
+        let b = self.chunk_of(lo);
+        let mut max = scan_max(&self.blocks[b].steps, lo, hi);
+        // blocks after `b` start past `lo`; one lies wholly before `hi`
+        // when the block after it starts at or before `hi`
+        let later = &self.blocks[b + 1..];
+        for (j, blk) in later.iter().enumerate() {
+            if blk.first >= hi {
+                break;
+            }
+            match later.get(j + 1) {
+                Some(next) if next.first <= hi => max = max.max(blk.max),
+                _ => return max.max(scan_max(&blk.steps, lo, hi)),
+            }
+        }
+        max
     }
 
     /// True iff after adding `iv` every point of `iv` would have count ≤ `g`;
@@ -131,15 +276,49 @@ impl OverlapProfile {
         self.can_add_weighted(iv, 1, g)
     }
 
-    /// Ensures a step boundary exists exactly at `dkey`; returns its index.
-    fn ensure_boundary(&mut self, dkey: i64) -> usize {
-        let idx = self.upper_bound(dkey);
-        if idx > 0 && self.steps[idx - 1].0 == dkey {
-            return idx - 1;
+    /// Ensures a step boundary exists exactly at `dkey`; returns its
+    /// `(chunk, index)`. An insert that overfills the flat vector or a
+    /// block splits it.
+    fn ensure_boundary(&mut self, dkey: i64) -> (usize, usize) {
+        let b = self.chunk_of(dkey);
+        let steps = self.chunk_mut(b);
+        let idx = upper_bound(steps, dkey);
+        if idx > 0 && steps[idx - 1].0 == dkey {
+            return (b, idx - 1);
         }
-        let value = if idx == 0 { 0 } else { self.steps[idx - 1].1 };
-        self.steps.insert(idx, (dkey, value));
-        idx
+        // the copied count is already in the block (or is the zero before
+        // every step), so the block's maximum stands
+        let value = if idx == 0 { 0 } else { steps[idx - 1].1 };
+        steps.insert(idx, (dkey, value));
+        if steps.len() <= BLOCK_MAX {
+            return (b, idx);
+        }
+        self.split(b, idx)
+    }
+
+    /// After an insert at `(b, idx)`: splits a flat vector past
+    /// [`FLAT_MAX`] steps into blocks of about 48, or a block past
+    /// [`BLOCK_MAX`] into halves; returns where the inserted step now is.
+    fn split(&mut self, b: usize, idx: usize) -> (usize, usize) {
+        if self.blocks.is_empty() {
+            if self.flat.len() <= FLAT_MAX {
+                return (0, idx);
+            }
+            let count = self.flat.len().div_ceil(BLOCK_MAX * 3 / 4);
+            let size = self.flat.len().div_ceil(count);
+            self.blocks = self.flat.chunks(size).map(Block::new).collect();
+            self.flat = Vec::new();
+            return (idx / size, idx % size);
+        }
+        let blk = &mut self.blocks[b];
+        let mid = blk.steps.len() / 2;
+        let upper = blk.split_off(mid);
+        self.blocks.insert(b + 1, upper);
+        if idx < mid {
+            (b, idx)
+        } else {
+            (b + 1, idx - mid)
+        }
     }
 
     /// Adds a closed interval: count += 1 on `iv`.
@@ -151,26 +330,40 @@ impl OverlapProfile {
     /// the capacitated-demand extension where a job consumes `w ≤ g` units
     /// of a machine's parallelism.
     pub fn add_weighted(&mut self, iv: &Interval, w: u32) {
-        let lo_idx = self.ensure_boundary(iv.dkey_lo());
-        let hi_idx = self.ensure_boundary(iv.dkey_hi());
-        // the highest run this add creates: its count and the step indices
-        // (relative to `lo_idx`) of its first maximal occurrence
-        let (mut top, mut run_lo, mut run_hi) = (0, 0, 0);
-        for (i, step) in self.steps[lo_idx..hi_idx].iter_mut().enumerate() {
-            step.1 = step.1.saturating_add(w);
-            if step.1 > top {
-                (top, run_lo, run_hi) = (step.1, i, i + 1);
-            } else if step.1 == top && run_hi == i {
-                run_hi = i + 1;
+        let (lo, hi) = (iv.dkey_lo(), iv.dkey_hi());
+        // `hi` first: only `lo`'s position is needed afterwards, and an
+        // insert that splits a block can move the other boundary's
+        self.ensure_boundary(hi);
+        let (mut b, mut from) = self.ensure_boundary(lo);
+        // the highest run this add creates: its count and its first maximal
+        // occurrence `[run_lo, run_hi)`, still open while `open`
+        let (mut top, mut run_lo, mut run_hi, mut open) = (0, lo, hi, false);
+        loop {
+            let (mut block_top, mut at_hi) = (0, false);
+            for step in &mut self.chunk_mut(b)[from..] {
+                if step.0 >= hi {
+                    at_hi = true;
+                    break;
+                }
+                step.1 = step.1.saturating_add(w);
+                block_top = block_top.max(step.1);
+                if step.1 > top {
+                    (top, run_lo, run_hi, open) = (step.1, step.0, hi, true);
+                } else if open && step.1 < top {
+                    (run_hi, open) = (step.0, false);
+                }
             }
+            if let Some(blk) = self.blocks.get_mut(b) {
+                blk.max = blk.max.max(block_top);
+            }
+            if at_hi {
+                break;
+            }
+            (b, from) = (b + 1, 0);
         }
         self.peak = self.peak.max(top);
         if top >= self.witness.2 {
-            self.witness = (
-                self.steps[lo_idx + run_lo].0,
-                self.steps[lo_idx + run_hi].0,
-                top,
-            );
+            self.witness = (run_lo, run_hi, top);
         }
         self.len += 1;
     }
@@ -197,39 +390,83 @@ impl OverlapProfile {
     /// Panics (in debug builds) if the interval was not previously added —
     /// i.e. if any count in the range is already zero.
     pub fn remove(&mut self, iv: &Interval) {
-        let lo_idx = self.ensure_boundary(iv.dkey_lo());
-        let hi_idx = self.ensure_boundary(iv.dkey_hi());
-        for step in &mut self.steps[lo_idx..hi_idx] {
-            debug_assert!(step.1 > 0, "removing an interval that was never added");
-            step.1 = step.1.saturating_sub(1);
+        let (lo, hi) = (iv.dkey_lo(), iv.dkey_hi());
+        self.ensure_boundary(hi);
+        let (first, mut from) = self.ensure_boundary(lo);
+        // the count just before `lo`
+        let mut prev = match (first, from) {
+            (0, 0) => 0,
+            (b, 0) => self.chunk(b - 1).last().map_or(0, |&(_, c)| c),
+            (b, i) => self.chunk(b)[i - 1].1,
+        };
+        // chunk by chunk: decrement `[lo, hi)`, and drop the steps in
+        // `[lo, hi]` that now repeat their predecessor's count (leading
+        // zeros included) with one in-place shift, to bound memory under
+        // churn
+        let mut b = first;
+        loop {
+            let steps = self.chunk_mut(b);
+            let (mut write, mut read, mut at_hi) = (from, from, false);
+            while let Some(&(key, count)) = steps.get(read) {
+                let count = if key < hi {
+                    debug_assert!(count > 0, "removing an interval that was never added");
+                    count.saturating_sub(1)
+                } else {
+                    count
+                };
+                if count != prev {
+                    steps[write] = (key, count);
+                    write += 1;
+                }
+                prev = count;
+                read += 1;
+                if key == hi {
+                    at_hi = true;
+                    break;
+                }
+            }
+            steps.drain(write..read);
+            if let Some(blk) = self.blocks.get_mut(b) {
+                blk.refresh();
+            }
+            if at_hi {
+                break;
+            }
+            (b, from) = (b + 1, 0);
+        }
+        // from the last touched block down, so merges keep indices valid
+        for touched in (first..=b).rev() {
+            self.rebalance(touched);
         }
         self.len = self.len.saturating_sub(1);
-        let (lo, hi, v) = &mut self.witness;
-        if iv.dkey_lo() < *hi && *lo < iv.dkey_hi() {
+        let (w_lo, w_hi, v) = &mut self.witness;
+        if lo < *w_hi && *w_lo < hi {
             *v = v.saturating_sub(1);
         }
-        self.compact(lo_idx, hi_idx);
     }
 
-    /// Drops redundant boundaries in the index window `[from, to]` (equal
-    /// consecutive values and leading zeros) with one in-place shift, to
-    /// bound memory under churn.
-    fn compact(&mut self, from: usize, to: usize) {
-        let to = to.min(self.steps.len().saturating_sub(1));
-        let mut write = from;
-        for read in from..=to {
-            let prev = if write == 0 {
-                0
-            } else {
-                self.steps[write - 1].1
-            };
-            if self.steps[read].1 != prev {
-                self.steps[write] = self.steps[read];
-                write += 1;
-            }
+    /// Merges block `b` into a neighbour when it holds fewer than
+    /// [`BLOCK_MERGE`] steps (an emptied block included), splitting the
+    /// merged block again when it exceeds [`BLOCK_MAX`]. A last remaining
+    /// block becomes the flat vector again.
+    fn rebalance(&mut self, b: usize) {
+        if self.blocks.len() < 2 || self.blocks[b].steps.len() >= BLOCK_MERGE {
+            return;
         }
-        if write <= to {
-            self.steps.drain(write..=to);
+        // merge blocks `left` and `left + 1`
+        let left = if b + 1 < self.blocks.len() { b } else { b - 1 };
+        let right = self.blocks.remove(left + 1);
+        let blk = &mut self.blocks[left];
+        blk.steps.extend(right.steps);
+        if blk.steps.len() > BLOCK_MAX {
+            let upper = blk.split_off(blk.steps.len() / 2);
+            self.blocks.insert(left + 1, upper);
+        } else {
+            blk.refresh();
+            if self.blocks.len() == 1 {
+                self.flat = std::mem::take(&mut self.blocks[0].steps);
+                self.blocks.clear();
+            }
         }
     }
 
@@ -240,10 +477,12 @@ impl OverlapProfile {
     /// whole-tick spans count, so we convert by halving rounded down.
     pub fn busy_measure(&self) -> i64 {
         let mut total = 0i64;
-        for pair in self.steps.windows(2) {
-            if pair[0].1 > 0 {
-                total += dkey_range_measure(pair[0].0, pair[1].0);
+        let mut prev = (0, 0);
+        for &(key, count) in self.steps() {
+            if prev.1 > 0 {
+                total += dkey_range_measure(prev.0, key);
             }
+            prev = (key, count);
         }
         total
     }
@@ -459,6 +698,31 @@ mod tests {
         }
     }
 
+    /// The block structure is sound: steps strictly increase across
+    /// blocks, a profile is either flat or split into at least two blocks,
+    /// every block is non-empty and holds at most `BLOCK_MAX` steps, and
+    /// its first key (read from the second block on) and maximum are its
+    /// own.
+    fn assert_blocks_consistent(p: &OverlapProfile) {
+        let keys: Vec<i64> = p.steps().map(|s| s.0).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
+        assert!(p.flat.len() <= FLAT_MAX);
+        assert!(p.flat.is_empty() || p.blocks.is_empty());
+        assert_ne!(p.blocks.len(), 1, "a lone block stays flat");
+        for (b, blk) in p.blocks.iter().enumerate() {
+            assert!(!blk.steps.is_empty() && blk.steps.len() <= BLOCK_MAX);
+            if b > 0 {
+                assert_eq!(blk.first, blk.steps[0].0);
+            }
+            assert_eq!(Some(blk.max), blk.steps.iter().map(|s| s.1).max());
+        }
+    }
+
+    /// Flat and blocked storage both match the `BTreeMap` reference step for
+    /// step: the profile grows past many blocks (adds outnumber removes),
+    /// then shrinks back to one (removes outnumber adds), so boundary
+    /// inserts split blocks and removes cross block boundaries and merge
+    /// them again.
     #[test]
     fn vec_profile_matches_btreemap_reference_under_churn() {
         let mut state = 7u64;
@@ -472,10 +736,13 @@ mod tests {
         let mut vec_p = OverlapProfile::new();
         let mut map_p = MapProfile::default();
         let mut live: Vec<Interval> = Vec::new();
-        for _ in 0..500 {
-            let s = (next() % 40) as i64 - 20;
-            let probe = iv(s, s + (next() % 12) as i64);
-            if !live.is_empty() && next() % 3 == 0 {
+        let (mut most_blocks, mut merged) = (0, false);
+        for op in 0..3_000 {
+            let s = (next() % 4_000) as i64 - 2_000;
+            let probe = iv(s, s + (next() % 120) as i64);
+            // removes: one op in four while growing, three in four after
+            let remove_odds = if op < 1_500 { 1 } else { 3 };
+            if !live.is_empty() && next() % 4 < remove_odds {
                 let victim = live.swap_remove((next() % live.len() as u64) as usize);
                 vec_p.remove(&victim);
                 map_p.remove(&victim);
@@ -485,9 +752,48 @@ mod tests {
                 live.push(probe);
             }
             assert_eq!(vec_p.max_in(&probe), map_p.max_in(&probe));
+            let wide = iv(s - 500, s + 500);
+            assert_eq!(vec_p.max_in(&wide), map_p.max_in(&wide));
             assert_gates_match_max_in(&vec_p, &probe);
             assert_eq!(vec_p.count_at(s), map_p.value_at(2 * s));
             assert_eq!(vec_p.interval_count(), live.len());
+            assert_eq!(vec_p.step_count(), map_p.steps.len());
+            assert_blocks_consistent(&vec_p);
+            merged |= vec_p.blocks.len() < most_blocks;
+            most_blocks = most_blocks.max(vec_p.blocks.len());
         }
+        assert!(most_blocks >= 8, "the profile never grew past a few blocks");
+        assert!(merged, "no remove ever merged a block");
+        for victim in live.drain(..) {
+            vec_p.remove(&victim);
+            map_p.remove(&victim);
+            assert_eq!(vec_p.step_count(), map_p.steps.len());
+            assert_blocks_consistent(&vec_p);
+        }
+        assert!(vec_p.is_empty());
+        assert_eq!((vec_p.step_count(), vec_p.blocks.len()), (0, 0));
+    }
+
+    #[test]
+    fn blocked_profile_busy_measure_and_counts() {
+        // 200 disjoint unit jobs: 400 steps, several blocks
+        let mut p = OverlapProfile::new();
+        for i in 0..200 {
+            p.add(&iv(3 * i, 3 * i + 1));
+        }
+        assert!(p.blocks.len() >= 6);
+        assert_blocks_consistent(&p);
+        assert_eq!(p.busy_measure(), 200);
+        assert_eq!(p.max_in(&iv(-10, 1_000)), 1);
+        assert_eq!(p.count_at(301), 1);
+        assert_eq!(p.count_at(302), 0);
+        // one long job over all of them: every block's maximum rises
+        p.add(&iv(0, 600));
+        assert_eq!(p.max_in(&iv(-10, 1_000)), 2);
+        assert_eq!(p.max_in(&iv(302, 302)), 1);
+        assert_eq!(p.busy_measure(), 600);
+        assert!(!p.can_add(&iv(450, 460), 2));
+        assert!(p.can_add(&iv(602, 700), 2));
+        assert_blocks_consistent(&p);
     }
 }

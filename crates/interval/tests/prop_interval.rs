@@ -12,6 +12,25 @@ fn arb_family(max_n: usize) -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec(arb_interval(), 0..max_n)
 }
 
+/// 150–220 intervals over a range of 10 000 ticks: hundreds of distinct
+/// endpoints, so a profile of all of them holds more than the 256 steps of
+/// a flat vector.
+fn arb_wide_family() -> impl Strategy<Value = Vec<Interval>> {
+    proptest::collection::vec(
+        (-5_000i64..5_000, 0i64..300).prop_map(|(s, l)| Interval::with_len(s, l)),
+        150..220,
+    )
+}
+
+/// Maximum count over `probe`, by a static sweep of `live` clipped to it.
+fn swept_max_in(live: &[Interval], probe: &Interval) -> u32 {
+    let clipped: Vec<Interval> = live
+        .iter()
+        .filter_map(|ivl| ivl.intersection(probe))
+        .collect();
+    sweep::max_overlap(&clipped) as u32
+}
+
 /// The capacity gates answer exactly as gating on `max_in` directly, for
 /// every probe in `probes`, `g` in 1..=4 and `w` in 1..=g.
 fn gates_match_max_in(profile: &OverlapProfile, probes: &[Interval]) -> TestCaseResult {
@@ -104,26 +123,6 @@ proptest! {
         prop_assert_eq!(profile.busy_measure(), span(&family));
     }
 
-    /// Adding then removing every interval restores the empty profile, and
-    /// the capacity gates agree with `max_in` after every step.
-    #[test]
-    fn profile_add_remove_roundtrip(family in arb_family(30)) {
-        let mut profile = OverlapProfile::new();
-        for ivl in &family {
-            profile.add(ivl);
-            gates_match_max_in(&profile, &family)?;
-        }
-        for ivl in &family {
-            profile.remove(ivl);
-            gates_match_max_in(&profile, &family)?;
-        }
-        prop_assert!(profile.is_empty());
-        prop_assert_eq!(profile.busy_measure(), 0);
-        if let Some(h) = busytime_interval::hull(&family) {
-            prop_assert_eq!(profile.max_in(&h), 0);
-        }
-    }
-
     /// count_at agrees with a naive per-point count.
     #[test]
     fn profile_count_at_naive(family in arb_family(20), t in -1_200i64..1_200) {
@@ -170,6 +169,56 @@ proptest! {
             .all(|(i, a)| family.iter().skip(i + 1).all(|b| a.overlaps(b)));
         if pairwise && !family.is_empty() {
             prop_assert!(busytime_interval::relations::common_point(&family).is_some());
+        }
+    }
+}
+
+proptest! {
+    // every case runs a few hundred profile operations, each checked
+    // against a static sweep
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Adding then removing every interval restores the empty profile, and
+    /// the capacity gates agree with `max_in` after every step. The family
+    /// spreads 150–220 intervals over a wide range, so the profile outgrows
+    /// one flat vector (256 steps) and splits into blocks; the removes run in
+    /// a shuffled order, crossing block boundaries and merging blocks again,
+    /// and `max_in` is checked against a static sweep of the live intervals
+    /// throughout.
+    #[test]
+    fn profile_add_remove_roundtrip(family in arb_wide_family(), seed in 0u64..1_000) {
+        let mut profile = OverlapProfile::new();
+        let probes: Vec<Interval> = family.iter().step_by(24).copied().collect();
+        for (i, ivl) in family.iter().enumerate() {
+            profile.add(ivl);
+            gates_match_max_in(&profile, &probes)?;
+            prop_assert_eq!(profile.max_in(ivl), swept_max_in(&family[..=i], ivl));
+        }
+        for probe in &probes {
+            let wide = Interval::new(probe.start - 700, probe.end + 700);
+            prop_assert_eq!(profile.max_in(&wide), swept_max_in(&family, &wide));
+        }
+        prop_assert!(profile.step_count() > 256, "the profile never left its flat vector");
+        let mut live = family.clone();
+        let mut state = seed;
+        while !live.is_empty() {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let victim = live.swap_remove((state >> 33) as usize % live.len());
+            profile.remove(&victim);
+            gates_match_max_in(&profile, &probes)?;
+            prop_assert_eq!(profile.max_in(&victim), swept_max_in(&live, &victim));
+            let wide = Interval::new(victim.start - 700, victim.end + 700);
+            prop_assert_eq!(profile.max_in(&wide), swept_max_in(&live, &wide));
+            prop_assert_eq!(profile.busy_measure(), span(&live));
+            let t = victim.start;
+            let naive = live.iter().filter(|ivl| ivl.contains_time(t)).count() as u32;
+            prop_assert_eq!(profile.count_at(t), naive);
+        }
+        prop_assert!(profile.is_empty());
+        prop_assert_eq!(profile.busy_measure(), 0);
+        prop_assert_eq!(profile.step_count(), 0);
+        if let Some(h) = busytime_interval::hull(&family) {
+            prop_assert_eq!(profile.max_in(&h), 0);
         }
     }
 }
