@@ -18,11 +18,11 @@
 //!   (probe-quorum demotion, instant demotion on broken pipes, revival
 //!   on a successful probe or a spawn-mode restart) and the load score
 //!   [`pick`] balances on.
-//! * [`router`] — [`Router`]: the accept loop, the background prober,
-//!   and the per-connection routed session: per-record fan-out (or
-//!   whole-connection pinning with [`RouteConfig::sticky`]), an in-order
-//!   fan-in reorder buffer, orphan retry when a shard dies mid-batch,
-//!   and the merged summary trailer.
+//! * [`router`] — [`Router`]: the routing service on the listener's
+//!   reactor, the background prober, and the per-connection routed
+//!   session: per-record fan-out (or whole-connection pinning with
+//!   [`RouteConfig::sticky`]), an in-order fan-in reorder buffer, orphan
+//!   retry when a shard dies mid-batch, and the merged summary trailer.
 //! * [`spawn`] — [`ShardFleet`]: `--spawn N` mode, where the router
 //!   launches and supervises local shard children (banner-based address
 //!   discovery, restart with backoff, whole-tree SIGINT drain).

@@ -20,35 +20,30 @@
 //! record answered exactly once, in order. Only when no healthy shard
 //! remains does a record answer as a structured error line.
 //!
-//! The connection front-end is a readiness loop over the [`polling`]
-//! epoll shim: one thread owns the acceptor, every not-yet-classified
-//! connection, capacity rejections, and the NDJSON-endpoint `GET
-//! /healthz` probes — none of which cost a thread. A connection is
-//! sniffed nonblockingly; only once it shows real batch traffic is it
-//! switched back to blocking mode and handed a session thread running
-//! the fan-out/fan-in engine below (whose shard reader threads are
-//! scoped to the batch and exit with it).
+//! Connections are served by the listener's [readiness
+//! reactor](busytime_server::reactor): accepting, sniffing, health probes,
+//! HTTP framing, capacity rejections, the bounded outbox and the drain
+//! cost no thread, exactly as on `listen`. The router is the reactor's
+//! routing [`Service`]: a connection's batch runs the fan-out/fan-in
+//! engine below on one session thread, which reads the bytes the reactor
+//! feeds it through a pipe and answers into a buffer the reactor drains
+//! when woken. Each shard stream the session opens adds one reader thread,
+//! scoped to the batch.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-#[cfg(unix)]
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
 use busytime_core::solve::REPORT_SCHEMA_VERSION;
 use busytime_instances::json::{self, Value};
-use busytime_server::http::{
-    read_http_body, read_http_head, write_http_response, HttpError, MAX_BODY_BYTES, MAX_HEAD_BYTES,
-};
 use busytime_server::protocol::error_line;
-use busytime_server::{reline_output, BatchSummary, ListenMode};
-use polling::{Event, Interest, Poller, RawFd};
+use busytime_server::reactor::{self, Endpoint, Gauges, Notify, Service, Session};
+use busytime_server::{reline_output, BatchSummary, ListenConfig, ListenMode, ServeError};
 
 use crate::shard::{connect, lock, pick, ShardState};
 
@@ -70,11 +65,13 @@ pub struct RouteConfig {
     pub probe_timeout: Duration,
     /// Budget for opening a shard connection on the dispatch path.
     pub connect_timeout: Duration,
-    /// Socket read timeout — the cancellation poll cadence for client and
-    /// shard readers, not a client deadline.
+    /// Read timeout on shard streams: the cadence at which a shard reader
+    /// notices shutdown and starts its drain budget. Client reads need
+    /// none; the reactor reacts to readable sockets.
     pub read_timeout: Duration,
-    /// Socket write timeout towards clients and shards; a peer that stops
-    /// reading for this long is treated as gone.
+    /// Write timeout towards shards, and the longest a client's outbox
+    /// may make no write progress before the connection is aborted: a
+    /// peer that stops reading for this long is treated as gone.
     pub write_timeout: Duration,
     /// How many times an orphaned record may chase a new shard after the
     /// client's batch is fully read before answering as an error.
@@ -132,172 +129,10 @@ impl std::fmt::Display for RouteReport {
     }
 }
 
-/// One accepted client connection, abstracted over the socket family.
-enum RConn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl RConn {
-    fn try_clone(&self) -> std::io::Result<RConn> {
-        Ok(match self {
-            RConn::Tcp(s) => RConn::Tcp(s.try_clone()?),
-            #[cfg(unix)]
-            RConn::Unix(s) => RConn::Unix(s.try_clone()?),
-        })
-    }
-
-    fn set_nonblocking(&self) -> std::io::Result<()> {
-        // accepted sockets do not inherit the acceptor's non-blocking
-        // flag on Linux — it must be set per connection
-        match self {
-            RConn::Tcp(s) => s.set_nonblocking(true),
-            #[cfg(unix)]
-            RConn::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-
-    #[cfg(unix)]
-    fn raw_fd(&self) -> RawFd {
-        use std::os::fd::AsRawFd;
-        match self {
-            RConn::Tcp(s) => s.as_raw_fd(),
-            RConn::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> RawFd {
-        // the poller itself is Unsupported off Unix; this is never polled
-        -1
-    }
-
-    fn prepare(&self, read_timeout: Duration, write_timeout: Duration) -> std::io::Result<()> {
-        match self {
-            RConn::Tcp(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(read_timeout))?;
-                s.set_write_timeout(Some(write_timeout))
-            }
-            #[cfg(unix)]
-            RConn::Unix(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(read_timeout))?;
-                s.set_write_timeout(Some(write_timeout))
-            }
-        }
-    }
-
-    /// Half-close: the client sees EOF after the merged trailer while its
-    /// own pending writes still drain.
-    fn shutdown_write(&self) {
-        let _ = match self {
-            RConn::Tcp(s) => s.shutdown(Shutdown::Write),
-            #[cfg(unix)]
-            RConn::Unix(s) => s.shutdown(Shutdown::Write),
-        };
-    }
-
-    fn peer(&self) -> String {
-        match self {
-            RConn::Tcp(s) => s
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| String::from("tcp-peer")),
-            #[cfg(unix)]
-            RConn::Unix(_) => String::from("unix-peer"),
-        }
-    }
-}
-
-impl Read for RConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            RConn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            RConn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for RConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            RConn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            RConn::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            RConn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            RConn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// The bound front socket, abstracted over the socket family.
-enum RAcceptor {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-impl RAcceptor {
-    fn accept(&self) -> std::io::Result<RConn> {
-        match self {
-            RAcceptor::Tcp(l) => l.accept().map(|(s, _)| RConn::Tcp(s)),
-            #[cfg(unix)]
-            RAcceptor::Unix(l, _) => l.accept().map(|(s, _)| RConn::Unix(s)),
-        }
-    }
-
-    #[cfg(unix)]
-    fn raw_fd(&self) -> RawFd {
-        use std::os::fd::AsRawFd;
-        match self {
-            RAcceptor::Tcp(l) => l.as_raw_fd(),
-            RAcceptor::Unix(l, _) => l.as_raw_fd(),
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> RawFd {
-        -1
-    }
-}
-
-/// Everything a connection thread needs, bundled so spawning stays tidy.
-struct RouteShared {
-    shards: Vec<Arc<ShardState>>,
-    config: RouteConfig,
-    shutdown: CancelToken,
-    http: bool,
-    active: AtomicUsize,
-    report: Mutex<RouteReport>,
-    started: Instant,
-}
-
-/// Poller key of the accept socket; client connections start at
-/// [`FIRST_CONN_KEY`].
-const KEY_ACCEPT: usize = 1;
-const FIRST_CONN_KEY: usize = 2;
-
-/// How long a flushed rejection or health-probe response lingers
-/// half-closed waiting for the peer's FIN before the socket is dropped,
-/// so the response survives in flight.
-const FRONT_LINGER: Duration = Duration::from_millis(150);
-
-/// Poll-wait granularity of the front loop — the shutdown-token and
-/// linger-deadline check cadence.
-const FRONT_POLL: Duration = Duration::from_millis(25);
-
-/// Bound on rejections concurrently flushing in the front loop. A
-/// rejection costs one poller slot and a ~100-byte outbox (no thread);
-/// past this a connect flood is shed by dropping connections outright.
-const REJECT_BACKLOG_CAP: usize = 1024;
+/// Answer bytes a routed session may queue ahead of the reactor's pump;
+/// past this its writers wait, so the outbox overshoots its cap by at
+/// most this much.
+const PIPE_CAP: usize = 64 * 1024;
 
 /// How long a shard reader keeps draining responses after shutdown is
 /// signalled — in-flight solves finish cooperatively on the shard, and
@@ -307,8 +142,7 @@ const SHARD_DRAIN_BUDGET: Duration = Duration::from_secs(10);
 /// The shard-routing front-end; see the [module docs](self) for the wire
 /// and failure contracts.
 pub struct Router {
-    acceptor: RAcceptor,
-    http: bool,
+    endpoint: Endpoint,
     shards: Vec<Arc<ShardState>>,
     config: RouteConfig,
     shutdown: CancelToken,
@@ -328,35 +162,8 @@ impl Router {
                 "a router needs at least one shard",
             ));
         }
-        let (acceptor, http) = match mode {
-            ListenMode::Tcp(addr) => (RAcceptor::Tcp(bind_tcp(addr)?), false),
-            ListenMode::Http(addr) => (RAcceptor::Tcp(bind_tcp(addr)?), true),
-            #[cfg(unix)]
-            ListenMode::Unix(path) => {
-                let listener = UnixListener::bind(path).map_err(|e| {
-                    std::io::Error::new(
-                        e.kind(),
-                        format!(
-                            "{}: {e} (a stale socket file from an unclean \
-                             shutdown must be removed first)",
-                            path.display()
-                        ),
-                    )
-                })?;
-                listener.set_nonblocking(true)?;
-                (RAcceptor::Unix(listener, path.clone()), false)
-            }
-            #[cfg(not(unix))]
-            ListenMode::Unix(_) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "unix-domain sockets are not available on this platform",
-                ))
-            }
-        };
         Ok(Router {
-            acceptor,
-            http,
+            endpoint: Endpoint::bind(mode)?,
             shards,
             config,
             shutdown: CancelToken::never(),
@@ -366,26 +173,12 @@ impl Router {
     /// The actually-bound TCP address (resolves `:0` ephemeral ports);
     /// `None` for Unix-domain endpoints.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match &self.acceptor {
-            RAcceptor::Tcp(l) => l.local_addr().ok(),
-            #[cfg(unix)]
-            RAcceptor::Unix(..) => None,
-        }
+        self.endpoint.local_addr()
     }
 
     /// A URL-ish description of the bound endpoint.
     pub fn endpoint(&self) -> String {
-        match &self.acceptor {
-            RAcceptor::Tcp(l) => {
-                let scheme = if self.http { "http" } else { "tcp" };
-                match l.local_addr() {
-                    Ok(addr) => format!("{scheme}://{addr}"),
-                    Err(_) => format!("{scheme}://?"),
-                }
-            }
-            #[cfg(unix)]
-            RAcceptor::Unix(_, path) => format!("unix://{}", path.display()),
-        }
+        self.endpoint.url()
     }
 
     /// The shutdown token: cancel it (from a signal handler thread, a
@@ -395,740 +188,373 @@ impl Router {
     }
 
     /// Accepts and routes connections until the shutdown token fires,
-    /// then drains every live connection and returns the aggregate
-    /// report. The caller's thread runs the readiness front loop; a
-    /// background prober keeps every shard's health snapshot fresh for
+    /// then drains every live connection, joins every session thread and
+    /// returns the aggregate report. The caller's thread runs reactor 0;
+    /// a background prober keeps every shard's health snapshot fresh for
     /// the whole run.
     pub fn run(self) -> std::io::Result<RouteReport> {
-        let max_conns = if self.config.max_conns == 0 {
-            64
-        } else {
-            self.config.max_conns
-        };
-        let shared = Arc::new(RouteShared {
+        let service = Arc::new(RouteService {
             shards: self.shards,
             config: self.config,
-            shutdown: self.shutdown,
-            http: self.http,
-            active: AtomicUsize::new(0),
-            report: Mutex::new(RouteReport::default()),
-            started: Instant::now(),
+            shutdown: self.shutdown.clone(),
+            report: Mutex::default(),
+            sessions: Mutex::default(),
         });
-
         let prober = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_prober(&shared))
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || run_prober(&service))
         };
-
-        let poller = Poller::new()?;
-        poller.add(self.acceptor.raw_fd(), KEY_ACCEPT, Interest::READ)?;
-        let mut front = FrontEnd {
-            poller,
-            acceptor: &self.acceptor,
-            shared: &shared,
-            max_conns,
-            conns: HashMap::new(),
-            next_key: FIRST_CONN_KEY,
-            conn_id: 0,
-            rejects_open: 0,
-            handles: Vec::new(),
-            draining: false,
-            fatal: None,
+        let limits = ListenConfig {
+            max_conns: service.config.max_conns,
+            write_timeout: service.config.write_timeout,
+            ..ListenConfig::default()
         };
-        front.run();
-        let FrontEnd { handles, fatal, .. } = front;
-
-        shared.shutdown.cancel();
-        for handle in handles {
+        let counts = reactor::run(self.endpoint, Arc::clone(&service), &limits, self.shutdown);
+        service.shutdown.cancel();
+        for handle in std::mem::take(&mut *lock(&service.sessions)) {
             let _ = handle.join();
         }
         let _ = prober.join();
-        #[cfg(unix)]
-        if let RAcceptor::Unix(_, path) = &self.acceptor {
-            let _ = std::fs::remove_file(path);
-        }
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(lock(&shared.report).clone()),
-        }
+        let counts = counts?;
+        let mut report = lock(&service.report).clone();
+        report.connections = counts.connections;
+        report.rejected = counts.rejected;
+        report.health_probes = counts.health_probes;
+        Ok(report)
     }
-}
-
-/// Decrements the active-connection count when its thread ends,
-/// panicking or not.
-struct ActiveSlot {
-    shared: Arc<RouteShared>,
-}
-
-impl Drop for ActiveSlot {
-    fn drop(&mut self) {
-        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn bind_tcp(addr: &str) -> std::io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("{addr}: {e}")))?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
 }
 
 /// The background health loop: one `/healthz` round trip per shard per
 /// interval. A spawned shard that has not reported an address yet is
 /// skipped without charging its failure streak — not-born-yet is not
 /// unhealthy.
-fn run_prober(shared: &RouteShared) {
-    while !shared.shutdown.is_cancelled() {
-        for shard in &shared.shards {
-            if shared.shutdown.is_cancelled() {
+fn run_prober(service: &RouteService) {
+    while !service.shutdown.is_cancelled() {
+        for shard in &service.shards {
+            if service.shutdown.is_cancelled() {
                 return;
             }
             if shard.addr().is_empty() {
                 continue;
             }
-            let _ = shard.check(shared.config.probe_timeout);
+            let _ = shard.check(service.config.probe_timeout);
         }
         let mut slept = Duration::ZERO;
-        while slept < shared.config.probe_interval && !shared.shutdown.is_cancelled() {
-            let slice = Duration::from_millis(25).min(shared.config.probe_interval - slept);
+        while slept < service.config.probe_interval && !service.shutdown.is_cancelled() {
+            let slice = Duration::from_millis(25).min(service.config.probe_interval - slept);
             std::thread::sleep(slice);
             slept += slice;
         }
     }
 }
 
-/// What a front-loop connection is tallied as when it closes in the
-/// front loop (connections that are handed off tally in their session
-/// thread instead).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FrontTally {
-    /// A real client, still being sniffed.
-    Client,
-    /// A `GET /healthz` probe on the NDJSON endpoint, answered inline.
-    Probe,
-    /// An at-capacity rejection flushing its structured error.
-    Reject,
+/// The router as the reactor's [`Service`]: every session routes one
+/// batch across the fleet on its own thread.
+struct RouteService {
+    shards: Vec<Arc<ShardState>>,
+    config: RouteConfig,
+    shutdown: CancelToken,
+    report: Mutex<RouteReport>,
+    /// Session threads not known to have finished; [`Router::run`] joins
+    /// them all.
+    sessions: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// One connection owned by the front loop: either still being sniffed
-/// (waiting for its first bytes) or flushing a threadless response
-/// (health probe / capacity rejection) before a lingered close.
-struct FrontConn {
-    conn: RConn,
-    conn_id: usize,
-    peer: String,
-    tally: FrontTally,
-    /// Bytes read while sniffing; prepended to the session's reader at
-    /// hand-off so nothing is lost.
-    sniffed: Vec<u8>,
-    /// Response bytes to flush before closing (probe / rejection).
-    outbox: Vec<u8>,
-    sent: usize,
-    /// `true` once the connection is in flush-then-close mode.
-    flushing: bool,
-    half_closed: bool,
-    peer_eof: bool,
-    linger_until: Option<Instant>,
-    interest: (bool, bool),
+impl RouteService {
+    fn log(&self, line: String) {
+        if !self.config.quiet {
+            eprintln!("{line}");
+        }
+    }
 }
 
-/// The readiness front loop: acceptor, sniffing connections, threadless
-/// rejections and probes. Runs on the [`Router::run`] caller's thread.
-struct FrontEnd<'a> {
-    poller: Poller,
-    acceptor: &'a RAcceptor,
-    shared: &'a Arc<RouteShared>,
-    max_conns: usize,
-    conns: HashMap<usize, FrontConn>,
-    next_key: usize,
-    conn_id: usize,
-    rejects_open: usize,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    draining: bool,
-    fatal: Option<std::io::Error>,
-}
+impl Service for RouteService {
+    type Session = RouteSession;
+    const NOUN: &'static str = "router";
 
-impl FrontEnd<'_> {
-    fn run(&mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.shutdown.is_cancelled() && !self.draining {
-                self.draining = true;
-                let _ = self.poller.delete(self.acceptor.raw_fd());
-                // sniffing connections hand off so their sessions can
-                // write drain trailers; flushers close after one last try
-                let keys: Vec<usize> = self.conns.keys().copied().collect();
-                for key in keys {
-                    self.service(key);
-                }
-            }
-            if self.draining && self.conns.is_empty() {
-                break;
-            }
-            let mut timeout = FRONT_POLL;
-            let now = Instant::now();
-            for state in self.conns.values() {
-                if let Some(when) = state.linger_until {
-                    let until = when.saturating_duration_since(now);
-                    timeout = timeout.min(until.max(Duration::from_millis(1)));
-                }
-            }
-            events.clear();
-            match self.poller.wait(&mut events, Some(timeout)) {
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.fatal = Some(e);
-                    self.shared.shutdown.cancel();
-                    continue; // the drain branch above cleans up and exits
-                }
-            }
-            let now = Instant::now();
-            let expired: Vec<usize> = self
-                .conns
-                .iter()
-                .filter(|(_, s)| s.linger_until.is_some_and(|when| now >= when))
-                .map(|(key, _)| *key)
-                .collect();
-            for key in expired {
-                self.close(key);
-            }
-            let keys: Vec<usize> = events.iter().map(|event| event.key).collect();
-            for key in keys {
-                match key {
-                    KEY_ACCEPT => self.accept_some(),
-                    key => self.service(key),
-                }
-            }
+    fn open(&self, notify: Notify) -> RouteSession {
+        let pipe = Arc::new(Pipe {
+            state: Mutex::default(),
+            stir: Condvar::new(),
+            notify,
+        });
+        let (theirs, shards) = (Arc::clone(&pipe), self.shards.clone());
+        let (config, shutdown) = (self.config.clone(), self.shutdown.clone());
+        let handle = std::thread::spawn(move || {
+            // a panic must still end the session, or its connection (and
+            // the drain) would wait for it forever
+            let done = catch_unwind(AssertUnwindSafe(|| {
+                route_session(&theirs, &shards, &config, &shutdown)
+            }));
+            lock(&theirs.state).done = Some(done);
+            (theirs.notify)();
+        });
+        let mut sessions = lock(&self.sessions);
+        sessions.retain(|session| !session.is_finished());
+        sessions.push(handle);
+        RouteSession {
+            pipe,
+            end: None,
+            stats: None,
         }
     }
 
-    fn accept_some(&mut self) {
-        loop {
-            match self.acceptor.accept() {
-                Ok(conn) => {
-                    if conn.set_nonblocking().is_err() {
-                        continue; // broken before it said anything
-                    }
-                    if self.shared.active.load(Ordering::SeqCst) >= self.max_conns {
-                        lock(&self.shared.report).rejected += 1;
-                        if self.rejects_open >= REJECT_BACKLOG_CAP {
-                            continue; // flood: shed without the courtesy
-                        }
-                        let outbox = rejection_bytes(self.shared.http, self.max_conns);
-                        self.register(conn, FrontTally::Reject, outbox);
-                        continue;
-                    }
-                    self.conn_id += 1;
-                    self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    self.register(conn, FrontTally::Client, Vec::new());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => {
-                    self.fatal = Some(e);
-                    self.shared.shutdown.cancel();
-                    break;
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, conn: RConn, tally: FrontTally, outbox: Vec<u8>) {
-        let key = self.next_key;
-        self.next_key += 1;
-        let flushing = tally != FrontTally::Client;
-        let interest = if flushing {
-            (false, true)
+    /// Fleet-level status plus the summed capacity picture from the
+    /// latest shard snapshots, around the router's own reactor gauges.
+    fn healthz(&self, gauges: &Gauges) -> String {
+        let healthy = self.shards.iter().filter(|s| s.is_healthy()).count();
+        let status = if healthy == self.shards.len() {
+            "ok"
+        } else if healthy > 0 {
+            "degraded"
         } else {
-            (true, false)
+            "down"
         };
-        if self
-            .poller
-            .add(conn.raw_fd(), key, interest_of(interest))
-            .is_err()
-        {
-            if tally != FrontTally::Reject {
-                self.shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            return;
-        }
-        if tally == FrontTally::Reject {
-            self.rejects_open += 1;
-        }
-        let peer = conn.peer();
-        self.conns.insert(
-            key,
-            FrontConn {
-                conn,
-                conn_id: self.conn_id,
-                peer,
-                tally,
-                sniffed: Vec::new(),
-                outbox,
-                sent: 0,
-                flushing,
-                half_closed: false,
-                peer_eof: false,
-                linger_until: None,
-                interest,
-            },
-        );
-        // service immediately: a rejection usually flushes in one write,
-        // and a fast client may already have bytes waiting
-        self.service(key);
-    }
-
-    fn service(&mut self, key: usize) {
-        let Some(state) = self.conns.get_mut(&key) else {
-            return;
-        };
-        if !state.flushing {
-            // HTTP mode needs no sniff: the only front-loop job is
-            // noticing the first readable byte and handing off
-            if self.shared.http {
-                return self.hand_off(key);
-            }
-            let mut eof = false;
-            let mut scratch = [0u8; 512];
-            loop {
-                match state.conn.read(&mut scratch) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        state.sniffed.extend_from_slice(&scratch[..n]);
-                        if state.sniffed.len() >= 4 || state.sniffed.contains(&b'\n') {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return self.close_aborted(key, &e),
-                }
-            }
-            // four bytes tell "GET " apart from NDJSON; EOF and drain
-            // decide with whatever arrived
-            let decided =
-                state.sniffed.len() >= 4 || state.sniffed.contains(&b'\n') || eof || self.draining;
-            if !decided {
-                return;
-            }
-            if !state.sniffed.starts_with(b"GET ") {
-                return self.hand_off(key);
-            }
-            let body = router_healthz(self.shared);
-            let _ = write_http_response(
-                &mut state.outbox,
-                "200 OK",
-                "application/json",
-                body.as_bytes(),
-                false,
-            );
-            state.tally = FrontTally::Probe;
-            state.flushing = true;
-            state.peer_eof = eof;
-        }
-        self.flush_and_linger(key);
-    }
-
-    /// Drives a flush-then-close connection: write the outbox, half-close,
-    /// linger-drain the peer's unread bytes until its FIN (or the linger
-    /// deadline), then close.
-    fn flush_and_linger(&mut self, key: usize) {
-        let Some(state) = self.conns.get_mut(&key) else {
-            return;
-        };
-        if !state.half_closed {
-            match flush_front_outbox(state) {
-                Err(_) => return self.close(key),
-                Ok(false) => {} // WouldBlock: wait for writability
-                Ok(true) => {
-                    state.conn.shutdown_write();
-                    state.half_closed = true;
-                    state.linger_until = Some(Instant::now() + FRONT_LINGER);
-                }
+        let (mut workers, mut busy, mut queue) = (0usize, 0usize, 0usize);
+        for shard in &self.shards {
+            if let Some(snap) = shard.snapshot() {
+                workers += snap.workers;
+                busy += snap.busy_workers;
+                queue += snap.queue_depth;
             }
         }
-        if state.half_closed {
-            let mut scratch = [0u8; 4096];
-            loop {
-                match state.conn.read(&mut scratch) {
-                    Ok(0) => {
-                        state.peer_eof = true;
-                        break;
-                    }
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        state.peer_eof = true;
-                        break;
-                    }
-                }
-            }
-            let expired = state
-                .linger_until
-                .is_some_and(|when| Instant::now() >= when);
-            if state.peer_eof || expired || self.draining {
-                return self.close(key);
-            }
-        }
-        let want = (
-            state.half_closed,
-            !state.half_closed && state.sent < state.outbox.len(),
-        );
-        if want != state.interest
-            && self
-                .poller
-                .modify(state.conn.raw_fd(), key, interest_of(want))
-                .is_ok()
-        {
-            state.interest = want;
-        }
-    }
-
-    /// Deregisters a classified-as-real connection and gives it a session
-    /// thread, with the sniffed bytes prepended to its reader.
-    fn hand_off(&mut self, key: usize) {
-        let Some(state) = self.conns.remove(&key) else {
-            return;
-        };
-        let _ = self.poller.delete(state.conn.raw_fd());
-        let shared = Arc::clone(self.shared);
-        let (conn, sniffed, conn_id) = (state.conn, state.sniffed, state.conn_id);
-        self.handles.push(std::thread::spawn(move || {
-            let _slot = ActiveSlot {
-                shared: Arc::clone(&shared),
-            };
-            handle_connection(conn, sniffed, conn_id, &shared);
-        }));
-        if self.handles.len() >= 2 * self.max_conns {
-            self.handles.retain(|h| !h.is_finished());
-        }
-    }
-
-    /// A sniffing client broke before classification: close and account
-    /// for it here, since no session thread will.
-    fn close_aborted(&mut self, key: usize, e: &std::io::Error) {
-        let Some(state) = self.conns.remove(&key) else {
-            return;
-        };
-        let _ = self.poller.delete(state.conn.raw_fd());
-        lock(&self.shared.report).connections += 1;
-        log_unless_quiet(
-            self.shared,
-            format!("conn {} ({}): aborted: {e}", state.conn_id, state.peer),
-        );
-        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn close(&mut self, key: usize) {
-        let Some(state) = self.conns.remove(&key) else {
-            return;
-        };
-        let _ = self.poller.delete(state.conn.raw_fd());
-        match state.tally {
-            FrontTally::Reject => {
-                self.rejects_open -= 1;
-                return; // rejected was tallied at accept; no active slot
-            }
-            FrontTally::Probe => lock(&self.shared.report).health_probes += 1,
-            FrontTally::Client => {}
-        }
-        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn interest_of((read, write): (bool, bool)) -> Interest {
-    match (read, write) {
-        (true, true) => Interest::BOTH,
-        (true, false) => Interest::READ,
-        (false, true) => Interest::WRITE,
-        (false, false) => Interest::NONE,
-    }
-}
-
-/// The prefilled outbox of an at-capacity rejection.
-fn rejection_bytes(http: bool, max_conns: usize) -> Vec<u8> {
-    let message = format!("router at capacity ({max_conns} connections); retry later");
-    let mut out = Vec::new();
-    if http {
-        let body = format!("{{\"error\": {message:?}}}\n");
-        let _ = write_http_response(
-            &mut out,
-            "503 Service Unavailable",
-            "application/json",
-            body.as_bytes(),
-            false,
-        );
-    } else {
-        out.extend_from_slice(error_line(0, None, &message).as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
-/// Writes as much of the outbox as the socket takes right now.
-/// `Ok(true)` = fully flushed, `Ok(false)` = the socket would block.
-fn flush_front_outbox(state: &mut FrontConn) -> std::io::Result<bool> {
-    while state.sent < state.outbox.len() {
-        match state.conn.write(&state.outbox[state.sent..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => state.sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Briefly drains whatever the client was mid-sending before the socket
-/// is dropped, so the close is a FIN and the response survives in flight.
-fn drain_briefly<R: Read>(reader: &mut R) {
-    let mut scratch = [0u8; 4096];
-    for _ in 0..10 {
-        match reader.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => continue,
-        }
-    }
-}
-
-/// One handed-off connection: restore blocking mode + socket timeouts,
-/// then run the batch session with the front loop's sniffed bytes
-/// prepended. Health probes never get here — the front loop answers them
-/// inline.
-fn handle_connection(conn: RConn, sniffed: Vec<u8>, conn_id: usize, shared: &RouteShared) {
-    let peer = conn.peer();
-    if conn
-        .prepare(shared.config.read_timeout, shared.config.write_timeout)
-        .is_err()
-    {
-        return;
-    }
-    let served = if shared.http {
-        serve_http_route_conn(conn, sniffed, conn_id, &peer, shared)
-    } else {
-        serve_ndjson_route_conn(conn, sniffed, conn_id, &peer, shared)
-    };
-    lock(&shared.report).connections += 1;
-    if let Err(e) = served {
-        log_unless_quiet(shared, format!("conn {conn_id} ({peer}): aborted: {e}"));
-    }
-}
-
-fn log_unless_quiet(shared: &RouteShared, line: String) {
-    if !shared.config.quiet {
-        eprintln!("{line}");
-    }
-}
-
-/// One NDJSON connection: run one routed batch session (the front loop's
-/// sniffed bytes first), write the merged trailer, half-close.
-fn serve_ndjson_route_conn(
-    conn: RConn,
-    first: Vec<u8>,
-    conn_id: usize,
-    peer: &str,
-    shared: &RouteShared,
-) -> std::io::Result<()> {
-    let reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
-    let mut input = std::io::Cursor::new(first).chain(reader);
-    let stats = route_session(
-        &mut input,
-        &mut writer,
-        &shared.shards,
-        &shared.config,
-        &shared.shutdown,
-    );
-    writer.flush()?;
-    writer.get_ref().shutdown_write();
-    drain_briefly(&mut input);
-    absorb_session(shared, conn_id, peer, &stats);
-    Ok(())
-}
-
-fn absorb_session(shared: &RouteShared, conn_id: usize, peer: &str, stats: &SessionStats) {
-    {
-        let mut report = lock(&shared.report);
-        report.records += stats.records;
-        report.retried += stats.retried;
-        report.failed += stats.failed;
-    }
-    log_unless_quiet(
-        shared,
         format!(
+            "{{\"schema_version\": {REPORT_SCHEMA_VERSION}, \"status\": \"{status}\", \
+             \"role\": \"router\", \"shards\": {}, \"healthy_shards\": {healthy}, \
+             \"workers\": {workers}, \"busy_workers\": {busy}, \"queue_depth\": {queue}, \
+             {gauges}}}\n",
+            self.shards.len(),
+        )
+    }
+
+    fn settle(&self, conn_id: usize, peer: &str, session: &RouteSession, _: &BatchSummary) {
+        let Some(stats) = &session.stats else { return };
+        {
+            let mut report = lock(&self.report);
+            report.records += stats.records;
+            report.retried += stats.retried;
+            report.failed += stats.failed;
+        }
+        self.log(format!(
             "conn {conn_id} ({peer}): {} records routed ({} retried, {} failed) \
              across {} healthy shards",
             stats.records,
             stats.retried,
             stats.failed,
-            shared.shards.iter().filter(|s| s.is_healthy()).count(),
-        ),
-    );
+            self.shards.iter().filter(|s| s.is_healthy()).count(),
+        ));
+    }
+
+    fn abort(&self, conn_id: usize, peer: &str, reason: &str) {
+        self.log(format!("conn {conn_id} ({peer}): aborted: {reason}"));
+    }
 }
 
-/// The router's own `/healthz` body: fleet-level status plus the summed
-/// capacity picture from the latest shard snapshots.
-fn router_healthz(shared: &RouteShared) -> String {
-    let healthy = shared.shards.iter().filter(|s| s.is_healthy()).count();
-    let status = if healthy == shared.shards.len() {
-        "ok"
-    } else if healthy > 0 {
-        "degraded"
-    } else {
-        "down"
-    };
-    let (mut workers, mut busy, mut queue) = (0usize, 0usize, 0usize);
-    for shard in &shared.shards {
-        if let Some(snap) = shard.snapshot() {
-            workers += snap.workers;
-            busy += snap.busy_workers;
-            queue += snap.queue_depth;
-        }
-    }
-    format!(
-        "{{\"schema_version\": {REPORT_SCHEMA_VERSION}, \"status\": \"{status}\", \
-         \"role\": \"router\", \"shards\": {}, \"healthy_shards\": {healthy}, \
-         \"workers\": {workers}, \"busy_workers\": {busy}, \"queue_depth\": {queue}, \
-         \"active_connections\": {}, \"uptime_ms\": {}}}\n",
-        shared.shards.len(),
-        shared.active.load(Ordering::SeqCst),
-        shared.started.elapsed().as_millis(),
-    )
+// ---------------------------------------------------------------------------
+// The thread-backed session: a pipe between the reactor and
+// `route_session`
+// ---------------------------------------------------------------------------
+
+/// The byte pipe between the reactor and one session thread.
+struct Pipe {
+    state: Mutex<PipeState>,
+    /// Wakes the session's threads: input arrived or ended, answers may
+    /// flow again, the session was dropped, or a shard reader orphaned
+    /// records.
+    stir: Condvar,
+    /// Wakes the reactor: answers arrived, or the batch ended.
+    notify: Notify,
 }
 
-/// HTTP mode: `GET /healthz` answers fleet status, `POST /solve` routes
-/// the body as one batch and returns the NDJSON responses + merged
-/// trailer.
-fn serve_http_route_conn(
-    conn: RConn,
-    first: Vec<u8>,
-    conn_id: usize,
-    peer: &str,
-    shared: &RouteShared,
-) -> std::io::Result<()> {
-    let mut reader = std::io::Cursor::new(first).chain(BufReader::new(conn.try_clone()?));
-    let mut writer = BufWriter::new(conn);
-    loop {
-        let request = match read_http_head(&mut reader, &shared.shutdown) {
-            Ok(Some(request)) => request,
-            Ok(None) => break,
-            Err(HttpError::Malformed(reason)) => {
-                let body = format!("{{\"error\": {reason:?}}}\n");
-                write_http_response(
-                    &mut writer,
-                    "400 Bad Request",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                )?;
-                break;
+#[derive(Default)]
+struct PipeState {
+    /// Client bytes fed and not yet read by the session thread.
+    input: Vec<u8>,
+    /// The client's end of batch.
+    eof: bool,
+    /// The reactor dropped the session: input ends, answers are
+    /// discarded.
+    gone: bool,
+    /// Orphans wait for re-dispatch; the session thread's blocked read
+    /// returns so it can take them.
+    stirred: bool,
+    /// Answer lines not yet pumped into the reactor's outbox.
+    output: Vec<u8>,
+    /// The reactor's outbox is over its cap: answers wait in their
+    /// writers.
+    held: bool,
+    /// The session thread's end: its counters and the merged trailer, or
+    /// its panic.
+    done: Option<std::thread::Result<(SessionStats, BatchSummary)>>,
+}
+
+impl Pipe {
+    /// Changes the state under the lock, then wakes every waiter to
+    /// re-check it.
+    fn update(&self, change: impl FnOnce(&mut PipeState)) {
+        change(&mut lock(&self.state));
+        self.stir.notify_all();
+    }
+}
+
+/// One connection's routed batch, as the reactor sees it: the session
+/// thread reads what [`Session::feed`] hands it and answers through the
+/// pipe.
+struct RouteSession {
+    pipe: Arc<Pipe>,
+    /// How the session thread ended, once pumped out of the pipe.
+    end: Option<Result<BatchSummary, ServeError>>,
+    /// The session thread's counters, read by [`Service::settle`].
+    stats: Option<SessionStats>,
+}
+
+impl Session for RouteSession {
+    fn feed(&mut self, bytes: &[u8]) {
+        self.pipe.update(|state| {
+            if !state.eof {
+                state.input.extend_from_slice(bytes);
             }
-            Err(HttpError::Io(e)) => return Err(e),
-        };
-        let mut keep_alive = request.keep_alive && !shared.shutdown.is_cancelled();
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => {
-                match request.content_length {
-                    None | Some(0) => {}
-                    Some(length) if length <= MAX_HEAD_BYTES => {
-                        match read_http_body(&mut reader, length, &shared.shutdown) {
-                            Ok(Some(_)) => {}
-                            Ok(None) => keep_alive = false,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Some(_) => keep_alive = false,
-                }
-                let body = router_healthz(shared);
-                write_http_response(
-                    &mut writer,
-                    "200 OK",
-                    "application/json",
-                    body.as_bytes(),
-                    keep_alive,
-                )?;
-            }
-            ("POST", "/solve") => {
-                let Some(length) = request.content_length else {
-                    write_http_response(
-                        &mut writer,
-                        "411 Length Required",
-                        "application/json",
-                        b"{\"error\": \"POST /solve needs a Content-Length body\"}\n",
-                        false,
-                    )?;
-                    break;
-                };
-                if length > MAX_BODY_BYTES {
-                    write_http_response(
-                        &mut writer,
-                        "413 Content Too Large",
-                        "application/json",
-                        b"{\"error\": \"batch body too large\"}\n",
-                        false,
-                    )?;
-                    break;
-                }
-                let body = match read_http_body(&mut reader, length, &shared.shutdown)? {
-                    Some(body) => body,
-                    None => break, // shutdown or client gone mid-body
-                };
-                let mut out = Vec::new();
-                let stats = route_session(
-                    &mut body.as_slice(),
-                    &mut out,
-                    &shared.shards,
-                    &shared.config,
-                    &shared.shutdown,
-                );
-                write_http_response(
-                    &mut writer,
-                    "200 OK",
-                    "application/x-ndjson",
-                    &out,
-                    keep_alive,
-                )?;
-                absorb_session(shared, conn_id, peer, &stats);
-            }
-            ("GET" | "POST", _) => {
-                write_http_response(
-                    &mut writer,
-                    "404 Not Found",
-                    "application/json",
-                    b"{\"error\": \"unknown path (use POST /solve or GET /healthz)\"}\n",
-                    keep_alive,
-                )?;
-            }
-            _ => {
-                write_http_response(
-                    &mut writer,
-                    "405 Method Not Allowed",
-                    "application/json",
-                    b"{\"error\": \"unsupported method\"}\n",
-                    keep_alive,
-                )?;
-            }
+        });
+    }
+
+    fn finish_input(&mut self) {
+        self.pipe.update(|state| state.eof = true);
+    }
+
+    /// `allow_parse = false` holds the next answer back in its writer, as
+    /// does a full pipe. The shard reader that writes it stalls, and
+    /// back-pressure reaches the shards and the dispatcher, as through a
+    /// slow client socket.
+    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+        let mut state = lock(&self.pipe.state);
+        if allow_parse && (state.held || state.output.len() >= PIPE_CAP) {
+            self.pipe.stir.notify_all();
         }
-        if !keep_alive {
-            break;
+        out.append(&mut state.output);
+        state.held = !allow_parse;
+        if let Some(done) = state.done.take() {
+            self.end = Some(match done {
+                Ok((stats, trailer)) => {
+                    self.stats = Some(stats);
+                    Ok(trailer)
+                }
+                Err(_) => Err(ServeError::Io(std::io::Error::other(
+                    "the routing session panicked",
+                ))),
+            });
         }
     }
-    writer.flush()?;
-    writer.get_ref().shutdown_write();
-    drain_briefly(&mut reader);
-    Ok(())
+
+    fn is_done(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Busy until the batch ends: the router cuts no idle connection.
+    fn has_inflight(&self) -> bool {
+        self.end.is_none()
+    }
+
+    fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
+        self.end.take().expect("a finished session has an end")
+    }
+}
+
+impl Drop for RouteSession {
+    /// The client is gone (or the write timeout fired): the session
+    /// thread sees its input end and its answers are discarded, as a
+    /// client that stopped reading always was.
+    fn drop(&mut self) {
+        self.pipe.update(|state| {
+            state.gone = true;
+            state.output.clear();
+        });
+    }
+}
+
+/// The session thread's end of the client input.
+struct PipeReader<'a> {
+    pipe: &'a Pipe,
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Read for PipeReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(out)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for PipeReader<'_> {
+    /// Blocks until the reactor feeds bytes or ends the input. Fails with
+    /// `WouldBlock` when a shard reader stirred the pipe and with
+    /// `BrokenPipe` once the session is dropped.
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            let mut state = lock(&self.pipe.state);
+            loop {
+                if state.gone {
+                    return Err(std::io::ErrorKind::BrokenPipe.into());
+                }
+                if !state.input.is_empty() || state.eof {
+                    break;
+                }
+                if std::mem::take(&mut state.stirred) {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                state = self
+                    .pipe
+                    .stir
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            std::mem::swap(&mut self.buf, &mut state.input);
+        }
+        Ok(&self.buf[self.pos..])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+    }
+}
+
+/// The session thread's answer sink: each flushed line goes to the
+/// reactor in one piece.
+struct PipeWriter<'a> {
+    pipe: &'a Pipe,
+    line: Vec<u8>,
+}
+
+impl Write for PipeWriter<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.line.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut state = lock(&self.pipe.state);
+        while (state.held || state.output.len() >= PIPE_CAP) && !state.gone {
+            state = self
+                .pipe
+                .stir
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if state.gone {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        // a non-empty output already has a wake on its way
+        let wake = state.output.is_empty();
+        state.output.append(&mut self.line);
+        drop(state);
+        if wake {
+            (self.pipe.notify)();
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1218,7 +644,8 @@ impl<W: Write> Fanin<W> {
 
 /// The cross-thread state of one routed session, passed by copy into
 /// scoped reader threads.
-struct Ctx<'a, W: Write + Send> {
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
     shards: &'a [Arc<ShardState>],
     config: &'a RouteConfig,
     shutdown: &'a CancelToken,
@@ -1226,7 +653,7 @@ struct Ctx<'a, W: Write + Send> {
     /// order (a shard answers in order, so the front is always the record
     /// its next response belongs to).
     pendings: &'a [Mutex<VecDeque<Pending>>],
-    fanin: &'a Mutex<Fanin<W>>,
+    fanin: &'a Mutex<Fanin<PipeWriter<'a>>>,
     /// Records reclaimed from dead shards awaiting re-dispatch.
     orphans: &'a Mutex<Vec<Pending>>,
     /// Summary trailers collected from shards, merged at session end.
@@ -1234,16 +661,9 @@ struct Ctx<'a, W: Write + Send> {
     /// Answer counts from shards that died before sending a trailer, so
     /// the merged trailer still accounts for every record.
     untallied: &'a Mutex<Untallied>,
+    /// The client pipe; a shard reader that orphans records stirs it.
+    pipe: &'a Pipe,
 }
-
-// manual impls: derive(Copy) would demand W: Copy, which is neither true
-// nor needed — only the references are copied
-impl<'a, W: Write + Send> Clone for Ctx<'a, W> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a, W: Write + Send> Copy for Ctx<'a, W> {}
 
 #[derive(Default)]
 struct Untallied {
@@ -1251,20 +671,28 @@ struct Untallied {
     answered_ok: usize,
 }
 
-/// Routes one client batch: reads records, fans them out across healthy
-/// shards, restores input order on the way back, retries orphans, and
-/// writes one merged [`BatchSummary`] trailer. Never returns an error —
-/// every failure mode degrades to structured error lines on the wire.
-fn route_session<R: BufRead, W: Write + Send>(
-    client: &mut R,
-    writer: W,
+/// Routes one client batch: reads records off the pipe, fans them out
+/// across healthy shards, restores input order on the way back, retries
+/// orphans, and returns the session's counters with one merged
+/// [`BatchSummary`] trailer. Never fails — every failure mode degrades to
+/// structured error lines on the wire.
+fn route_session(
+    pipe: &Pipe,
     shards: &[Arc<ShardState>],
     config: &RouteConfig,
     shutdown: &CancelToken,
-) -> SessionStats {
+) -> (SessionStats, BatchSummary) {
     let started = Instant::now();
     let mut stats = SessionStats::default();
-    let fanin = Mutex::new(Fanin::new(writer));
+    let mut client = PipeReader {
+        pipe,
+        buf: Vec::new(),
+        pos: 0,
+    };
+    let fanin = Mutex::new(Fanin::new(PipeWriter {
+        pipe,
+        line: Vec::new(),
+    }));
     let pendings: Vec<Mutex<VecDeque<Pending>>> = (0..shards.len())
         .map(|_| Mutex::new(VecDeque::new()))
         .collect();
@@ -1280,6 +708,7 @@ fn route_session<R: BufRead, W: Write + Send>(
         orphans: &orphans,
         trailers: &trailers,
         untallied: &untallied,
+        pipe,
     };
 
     // (orig_line, id) per seq, for hole-filling after the threads join
@@ -1323,7 +752,9 @@ fn route_session<R: BufRead, W: Write + Send>(
             drain_orphans(scope, ctx, &mut streams, &mut pinned, &mut stats);
             match client.read_until(b'\n', &mut buf) {
                 Ok(0) => {
-                    if !buf.is_empty() {
+                    // a final unterminated line is a record, unless a
+                    // drain ended the input
+                    if !buf.is_empty() && !shutdown.is_cancelled() {
                         take_record(&buf, &mut streams, &mut pinned, &mut stats, &mut seq_meta);
                     }
                     break;
@@ -1336,19 +767,13 @@ fn route_session<R: BufRead, W: Write + Send>(
                     // no trailing newline = EOF mid-line; the next read
                     // returns Ok(0) and the partial line is taken there
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
+                // stirred: orphans wait for the top of the loop
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if shutdown.is_cancelled() {
                         break;
                     }
                 }
-                Err(_) => break,
+                Err(_) => break, // the session was dropped
             }
         }
         // client EOF: half-close every shard stream so each shard ends
@@ -1413,17 +838,7 @@ fn route_session<R: BufRead, W: Write + Send>(
     for trailer in lock(&trailers).iter() {
         merged.merge(trailer);
     }
-    {
-        let mut fanin = lock(&fanin);
-        if !fanin.client_gone {
-            let wrote = writeln!(fanin.writer, "{}", merged.to_json_line())
-                .and_then(|_| fanin.writer.flush());
-            if wrote.is_err() {
-                fanin.client_gone = true;
-            }
-        }
-    }
-    stats
+    (stats, merged)
 }
 
 /// Pulls the record id out of a raw request line, if it parses at all —
@@ -1443,9 +858,9 @@ fn extract_id(text: &str) -> Option<String> {
 }
 
 /// Re-dispatches everything reclaimed from dead shards so far.
-fn drain_orphans<'scope, 'a: 'scope, W: Write + Send>(
+fn drain_orphans<'scope, 'a: 'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a, W>,
+    ctx: Ctx<'a>,
     streams: &mut [Option<TcpStream>],
     pinned: &mut Option<usize>,
     stats: &mut SessionStats,
@@ -1465,9 +880,9 @@ fn drain_orphans<'scope, 'a: 'scope, W: Write + Send>(
 /// in sticky mode), opening the shard stream and its reader thread
 /// lazily. On a broken write the record is reclaimed and retried on
 /// another shard; with no healthy shard it answers as an error line.
-fn dispatch<'scope, 'a: 'scope, W: Write + Send>(
+fn dispatch<'scope, 'a: 'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a, W>,
+    ctx: Ctx<'a>,
     pending: Pending,
     streams: &mut [Option<TcpStream>],
     pinned: &mut Option<usize>,
@@ -1550,7 +965,7 @@ fn dispatch<'scope, 'a: 'scope, W: Write + Send>(
     }
 }
 
-fn fail_record<W: Write + Send>(ctx: Ctx<'_, W>, pending: Pending, stats: &mut SessionStats) {
+fn fail_record(ctx: Ctx<'_>, pending: Pending, stats: &mut SessionStats) {
     stats.failed += 1;
     lock(ctx.fanin).push(
         pending.seq,
@@ -1564,9 +979,9 @@ fn fail_record<W: Write + Send>(ctx: Ctx<'_, W>, pending: Pending, stats: &mut S
 
 /// Connects to a shard and spawns its response-reader thread. The
 /// returned stream is the write half; the reader owns a clone.
-fn open_shard_stream<'scope, 'a: 'scope, W: Write + Send>(
+fn open_shard_stream<'scope, 'a: 'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a, W>,
+    ctx: Ctx<'a>,
     shard: &Arc<ShardState>,
 ) -> std::io::Result<TcpStream> {
     let stream = connect(&shard.addr(), ctx.config.connect_timeout)?;
@@ -1587,6 +1002,8 @@ fn open_shard_stream<'scope, 'a: 'scope, W: Write + Send>(
                 shard.note_answered();
             }
             lock(ctx.orphans).extend(leftovers);
+            // the session thread may be blocked on a quiet client
+            ctx.pipe.update(|state| state.stirred = true);
         } else if !got_trailer {
             // answered everything it was sent but closed without a
             // trailer — still suspect
@@ -1601,11 +1018,11 @@ fn open_shard_stream<'scope, 'a: 'scope, W: Write + Send>(
 /// with the client's original line number, and staged into the fan-in;
 /// the trailer is collected for the merge. Returns whether a trailer
 /// arrived (the shard finished its batch cleanly).
-fn pump_shard_responses<W: Write + Send>(
+fn pump_shard_responses(
     stream: TcpStream,
     shard: &ShardState,
     queue: &Mutex<VecDeque<Pending>>,
-    ctx: Ctx<'_, W>,
+    ctx: Ctx<'_>,
 ) -> bool {
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
@@ -1698,11 +1115,7 @@ fn pump_shard_responses<W: Write + Send>(
 /// batch and pumps the answers back. Writing and reading run
 /// concurrently (a large orphan batch must not deadlock on full socket
 /// buffers). Unanswered records stay in `queue` for the next round.
-fn retry_batch<W: Write + Send>(
-    shard: &Arc<ShardState>,
-    queue: &mut VecDeque<Pending>,
-    ctx: Ctx<'_, W>,
-) {
+fn retry_batch(shard: &Arc<ShardState>, queue: &mut VecDeque<Pending>, ctx: Ctx<'_>) {
     let stream = match connect(&shard.addr(), ctx.config.connect_timeout) {
         Ok(stream) => stream,
         Err(_) => {

@@ -1,8 +1,8 @@
 //! End-to-end coverage of the shard router over in-process listeners:
 //! in-order fan-in across skewed shards, the additive-capacity speedup,
 //! shard death mid-batch (retry on the survivor, no drops, no
-//! duplicates), all-shards-down degradation, sticky pinning, and the
-//! sniffed fleet health endpoint.
+//! duplicates), all-shards-down degradation, sticky pinning, the
+//! sniffed fleet health endpoint, and HTTP framing on one connection.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -73,7 +73,6 @@ struct Shard {
 fn start_shard(nap: Duration, workers: usize, shard_id: &str) -> Shard {
     let config = ListenConfig {
         log: ConnLog::Quiet,
-        read_timeout: Duration::from_millis(30),
         shard_id: Some(shard_id.to_string()),
         ..ListenConfig::default()
     };
@@ -131,6 +130,20 @@ impl Front {
     fn stop(self) -> RouteReport {
         self.shutdown.cancel();
         self.handle.join().unwrap().unwrap()
+    }
+}
+
+/// [`start_router`] on an HTTP endpoint.
+fn start_http_router(shards: Vec<Arc<ShardState>>) -> Front {
+    let mode = ListenMode::Http("127.0.0.1:0".to_string());
+    let router = Router::bind(&mode, shards, quiet_route_config()).unwrap();
+    let addr = router.local_addr().unwrap();
+    let shutdown = router.shutdown_token();
+    let handle = std::thread::spawn(move || router.run());
+    Front {
+        addr,
+        shutdown,
+        handle,
     }
 }
 
@@ -392,6 +405,103 @@ fn shard_death_mid_batch_retries_on_the_survivor() {
 }
 
 #[test]
+fn an_orphan_is_retried_while_its_client_waits_for_the_answer() {
+    // as above, but the client sends one record at a time and waits for
+    // each answer: when the stub dies, the session is blocked on a quiet
+    // client, and the orphan must still be re-dispatched
+    let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stub_addr = stub.local_addr().unwrap();
+    let stub_thread = std::thread::spawn(move || loop {
+        let (conn, _) = stub.accept().unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        let _ = reader.read_line(&mut line);
+        if !line.starts_with("GET ") {
+            break;
+        }
+    });
+    let survivor = start_shard(Duration::from_millis(5), 1, "survivor");
+    let shards = vec![
+        ShardState::new(0, stub_addr.to_string()),
+        ShardState::new(1, survivor.addr.to_string()),
+    ];
+    let front = start_router(shards, quiet_route_config());
+
+    let mut client = Client::connect(front.addr);
+    let ids: Vec<String> = (0..4).map(|i| format!("w-{i}")).collect();
+    let mut lines = Vec::new();
+    for id in &ids {
+        client.send(&record(id));
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        lines.push(line.trim_end().to_string());
+    }
+    client.finish();
+    lines.extend(client.read_to_end());
+    let trailer = assert_ordered_batch(&lines, &ids);
+    assert!(trailer.contains("\"records\": 4"), "{trailer}");
+
+    let report = front.stop();
+    assert!(report.retried >= 1, "the stub's record was re-dispatched");
+    assert_eq!(report.failed, 0);
+    stub_thread.join().unwrap();
+    survivor.stop();
+}
+
+/// The `outbox_bytes` gauge off the router's `/healthz`.
+fn outbox_bytes(addr: SocketAddr) -> usize {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (_, body) = response.split_once("\r\n\r\n").unwrap();
+    busytime_server::parse_healthz(body).unwrap().outbox_bytes
+}
+
+#[test]
+fn a_slow_reader_holds_routed_answers_near_the_outbox_cap() {
+    let a = start_shard(Duration::ZERO, 1, "a");
+    let b = start_shard(Duration::ZERO, 1, "b");
+    let shards = vec![
+        ShardState::new(0, a.addr.to_string()),
+        ShardState::new(1, b.addr.to_string()),
+    ];
+    let front = start_router(shards, quiet_route_config());
+
+    // several MB of answers to a client that reads nothing for a while:
+    // the router holds them back instead of buffering the batch
+    let ids: Vec<String> = (0..6000).map(|i| format!("slow-{i}")).collect();
+    let batch: String = ids.iter().map(|id| record(id) + "\n").collect();
+    let mut client = Client::connect(front.addr);
+    let mut sender = client.stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        sender.write_all(batch.as_bytes()).unwrap();
+        sender.shutdown(Shutdown::Write).unwrap();
+    });
+    let started = Instant::now();
+    let mut peak = 0;
+    while started.elapsed() < Duration::from_secs(2) {
+        peak = peak.max(outbox_bytes(front.addr));
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    // the 256 KiB cap, plus at most two pipe loads (64 KiB each) pumped
+    // around the moment the gate closes
+    assert!(peak < 512 * 1024, "outbox peaked at {peak} bytes");
+
+    let lines = client.read_to_end();
+    writer.join().unwrap();
+    assert_ordered_batch(&lines, &ids);
+    front.stop();
+    a.stop();
+    b.stop();
+}
+
+#[test]
 fn all_shards_down_degrades_to_structured_errors_without_hanging() {
     // two bound-then-dropped ports: connects are refused immediately
     let dead_addr = |_| {
@@ -486,6 +596,110 @@ fn health_probe_on_the_ndjson_endpoint_reports_the_fleet() {
     let report = front.stop();
     assert_eq!(report.health_probes, 1, "a probe is not a connection");
     assert_eq!(report.connections, 0);
+    a.stop();
+    b.stop();
+}
+
+/// Reads until the router closes the connection or `wait` passes without
+/// a byte. Returns what arrived and whether the connection closed.
+fn read_until_close(stream: &mut TcpStream, wait: Duration) -> (String, bool) {
+    stream.set_read_timeout(Some(wait)).unwrap();
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let closed = loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break true,
+            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+            Err(_) => break false,
+        }
+    };
+    (String::from_utf8(bytes).unwrap(), closed)
+}
+
+/// Splits one `Content-Length` response off the front of `raw`:
+/// (head, body, rest).
+fn split_response(raw: &str) -> (&str, &str, &str) {
+    let (head, rest) = raw.split_once("\r\n\r\n").expect("a response head");
+    let length: usize = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .expect("a Content-Length header")
+        .parse()
+        .unwrap();
+    (head, &rest[..length], &rest[length..])
+}
+
+#[test]
+fn http_error_answer_closes_instead_of_parsing_the_body_as_a_request() {
+    let a = start_shard(Duration::from_millis(1), 1, "a");
+    let shards = vec![ShardState::new(0, a.addr.to_string())];
+    let front = start_http_router(shards);
+
+    // an unknown path with a 5-byte body, then a probe on the same
+    // connection: the body must not be read as the next request
+    let mut stream = TcpStream::connect(front.addr).unwrap();
+    stream
+        .write_all(
+            b"GET /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello\
+              GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .unwrap();
+    let (response, closed) = read_until_close(&mut stream, Duration::from_secs(5));
+    assert!(closed, "an error answer closes the connection: {response}");
+    assert_eq!(
+        response.matches("HTTP/1.1 ").count(),
+        1,
+        "exactly one response: {response}"
+    );
+    let (head, body, rest) = split_response(&response);
+    assert!(head.starts_with("HTTP/1.1 404 Not Found"), "{head}");
+    assert!(head.contains("Connection: close"), "{head}");
+    assert!(body.contains("unknown path"), "{body}");
+    assert!(rest.is_empty(), "nothing after the 404: {rest:?}");
+
+    front.stop();
+    a.stop();
+}
+
+#[test]
+fn http_keep_alive_serves_a_batch_then_the_fleet_health() {
+    let a = start_shard(Duration::from_millis(1), 1, "a");
+    let b = start_shard(Duration::from_millis(1), 1, "b");
+    let shards = vec![
+        ShardState::new(0, a.addr.to_string()),
+        ShardState::new(1, b.addr.to_string()),
+    ];
+    let front = start_http_router(shards);
+
+    let ids: Vec<String> = (0..2).map(|i| format!("ka-{i}")).collect();
+    let batch: String = ids.iter().map(|id| record(id) + "\n").collect();
+    let mut stream = TcpStream::connect(front.addr).unwrap();
+    write!(
+        stream,
+        "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{batch}\
+         GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        batch.len()
+    )
+    .unwrap();
+    let (response, closed) = read_until_close(&mut stream, Duration::from_secs(30));
+    assert!(closed, "the probe asked for a close: {response}");
+
+    let (head, body, rest) = split_response(&response);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+    let lines: Vec<String> = body.lines().map(str::to_string).collect();
+    let trailer = assert_ordered_batch(&lines, &ids);
+    assert!(trailer.contains("\"records\": 2"), "{trailer}");
+
+    let (head, body, rest) = split_response(rest);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert!(body.contains("\"role\": \"router\""), "{body}");
+    assert!(body.contains("\"shards\": 2"), "{body}");
+    assert!(rest.is_empty(), "{rest:?}");
+
+    let report = front.stop();
+    assert_eq!(report.connections, 1);
+    assert_eq!(report.records, 2);
     a.stop();
     b.stop();
 }

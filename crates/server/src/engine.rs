@@ -59,6 +59,7 @@ use busytime_core::InstanceFeatures;
 use busytime_instances::json::{self, JsonError, Value};
 
 use crate::machine::{SessionContext, SessionMachine};
+use crate::reactor::Session;
 
 /// What the engine does when a line fails to parse or solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

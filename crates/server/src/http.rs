@@ -1,15 +1,15 @@
 //! Minimal HTTP/1.1 plumbing shared by the listener and the shard router.
 //!
-//! The listener's HTTP mode ([`crate::listener::ListenMode::Http`]) and the
-//! router's health probes both speak the same deliberately small dialect:
-//! `Content-Length` bodies, keep-alive, nothing else. This module holds the
-//! server-side head/body helpers the listener always had, plus the
-//! client-side response reader and the [`parse_healthz`] decoder the router
-//! uses to score backends.
+//! The reactor's HTTP mode ([`crate::listener::ListenMode::Http`], on both
+//! `listen` and `route`) and the router's health probes speak the same
+//! deliberately small dialect: `Content-Length` bodies, keep-alive,
+//! nothing else. This module holds the request-head parser and the
+//! response writer the reactor frames requests with (it reads bodies
+//! itself, as they arrive), plus the client-side response reader and the
+//! [`parse_healthz`] decoder the router uses to score backends.
 
 use std::io::{BufRead, Read, Write};
 
-use busytime_core::cancel::CancelToken;
 use busytime_instances::json::{self, JsonError, Value};
 
 /// Upper bound on a request head (request line + headers).
@@ -33,100 +33,20 @@ pub struct HttpRequest {
     pub keep_alive: bool,
 }
 
-/// Why a request head could not be served.
-#[derive(Debug)]
-pub enum HttpError {
-    /// The bytes on the wire were not a request this dialect accepts; the
-    /// string is a human-readable reason suitable for a 400 body.
-    Malformed(String),
-    /// The transport failed underneath the parse.
-    Io(std::io::Error),
-}
-
-/// Reads one request head (request line + headers). `Ok(None)` = the
-/// client closed between requests, or the shutdown token fired while the
-/// connection was idle.
-pub fn read_http_head<R: BufRead>(
-    reader: &mut R,
-    shutdown: &CancelToken,
-) -> Result<Option<HttpRequest>, HttpError> {
-    let mut head = Vec::new();
-    // hard-bound the whole head read: `read_until` only returns at a
-    // delimiter or EOF, so without this `Take` a newline-free stream would
-    // grow `head` without limit before the size check below could ever run
-    let mut limited = reader.by_ref().take(MAX_HEAD_BYTES as u64 + 1);
-    loop {
-        match limited.read_until(b'\n', &mut head) {
-            Ok(0) => {
-                return if head.is_empty() {
-                    Ok(None)
-                } else if head.len() > MAX_HEAD_BYTES {
-                    Err(HttpError::Malformed("request head too large".into()))
-                } else {
-                    Err(HttpError::Malformed("truncated request head".into()))
-                };
-            }
-            Ok(_) => {
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-                if head.len()
-                    == head
-                        .iter()
-                        .take_while(|&&b| b == b'\r' || b == b'\n')
-                        .count()
-                {
-                    // tolerate leading blank lines between pipelined
-                    // requests (RFC 9112 §2.2)
-                    head.clear();
-                    continue;
-                }
-                if head.len() > MAX_HEAD_BYTES {
-                    return Err(HttpError::Malformed("request head too large".into()));
-                }
-                // single-line head ("GET /healthz HTTP/1.1\r\n") still
-                // needs its terminating blank line; keep reading
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shutdown.is_cancelled() {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-    parse_http_head(&head).map(Some)
-}
-
 /// Parses a complete request head (request line + headers) into an
-/// [`HttpRequest`].
-pub fn parse_http_head(head: &[u8]) -> Result<HttpRequest, HttpError> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| HttpError::Malformed("request head is not valid UTF-8".into()))?;
+/// [`HttpRequest`]. A head this dialect does not accept fails with a
+/// human-readable reason suitable for a 400 body.
+pub fn parse_http_head(head: &[u8]) -> Result<HttpRequest, String> {
+    let text = std::str::from_utf8(head).map_err(|_| "request head is not valid UTF-8")?;
     let mut lines = text.lines().filter(|l| !l.is_empty());
-    let request_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request".into()))?;
+    let request_line = lines.next().ok_or("empty request")?;
     let mut parts = request_line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => {
-            return Err(HttpError::Malformed(format!(
-                "malformed request line: {request_line:?}"
-            )))
-        }
+        _ => return Err(format!("malformed request line: {request_line:?}")),
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!(
-            "unsupported protocol version {version:?}"
-        )));
+        return Err(format!("unsupported protocol version {version:?}"));
     }
     let mut content_length = None;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close
@@ -140,14 +60,12 @@ pub fn parse_http_head(head: &[u8]) -> Result<HttpRequest, HttpError> {
             content_length = Some(
                 value
                     .parse::<usize>()
-                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?,
+                    .map_err(|_| format!("bad Content-Length {value:?}"))?,
             );
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return Err(HttpError::Malformed(
-                "Transfer-Encoding is not supported; send a Content-Length body".into(),
-            ));
+            return Err("Transfer-Encoding is not supported; send a Content-Length body".into());
         }
     }
     Ok(HttpRequest {
@@ -156,46 +74,6 @@ pub fn parse_http_head(head: &[u8]) -> Result<HttpRequest, HttpError> {
         content_length,
         keep_alive,
     })
-}
-
-/// Reads exactly `length` body bytes, polling the shutdown token across
-/// read timeouts. `Ok(None)` = shutdown fired mid-body.
-pub fn read_http_body<R: BufRead>(
-    reader: &mut R,
-    length: usize,
-    shutdown: &CancelToken,
-) -> std::io::Result<Option<Vec<u8>>> {
-    // grow with the bytes that actually arrive — allocating the claimed
-    // Content-Length up front would let a header alone (64 half-open
-    // requests × 64 MiB claims) pin gigabytes without sending a byte
-    let mut body = Vec::with_capacity(length.min(64 * 1024));
-    let mut chunk = [0u8; 64 * 1024];
-    while body.len() < length {
-        let want = (length - body.len()).min(chunk.len());
-        match reader.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("body ended after {} of {length} bytes", body.len()),
-                ));
-            }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shutdown.is_cancelled() {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(body))
 }
 
 /// Writes one complete response (status line, the three headers this

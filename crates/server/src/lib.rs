@@ -23,16 +23,20 @@
 //!   with true LRU eviction) deduplicates it. A [`engine::BatchSummary`]
 //!   (throughput + solved/s, p50/p99 solve latency, aggregate gap, cache
 //!   hits, deadline hits) comes back once the batch drains.
+//! * [`reactor`] — the readiness loop behind every socket connection of
+//!   `listen` and `route`: epoll I/O threads, sniffed health probes,
+//!   incremental HTTP/1.1 framing, the bounded outbox, timers, capacity
+//!   rejections and the drain, generic over a [`reactor::Service`] that
+//!   opens one [`reactor::Session`] per batch.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
 //!   `GET /healthz` mode, the same session engine driven per connection
-//!   from readiness-loop I/O threads, all of them multiplexed onto the *one*
-//!   process-wide executor (so
-//!   `--workers` bounds total solver parallelism no matter how many
-//!   connections are live), the feature cache shared across connections,
-//!   per-connection summary trailer lines, and graceful drain on
-//!   shutdown/idle-timeout.
-//! * [`http`] — the minimal HTTP/1.1 plumbing behind the listener's HTTP
+//!   by the reactor, all of them multiplexed onto the *one* process-wide
+//!   executor (so `--workers` bounds total solver parallelism no matter
+//!   how many connections are live), the feature cache shared across
+//!   connections, per-connection summary trailer lines, and graceful drain
+//!   on shutdown/idle-timeout.
+//! * [`http`] — the minimal HTTP/1.1 plumbing behind the reactor's HTTP
 //!   mode and health endpoint, including the client-side response reader
 //!   and [`http::parse_healthz`] decoder that `busytime-router` uses to
 //!   probe and score backend shards.
@@ -66,6 +70,7 @@ pub mod http;
 pub mod listener;
 mod machine;
 pub mod protocol;
+pub mod reactor;
 
 pub use engine::{
     serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, SharedFeatureCache,

@@ -16,9 +16,10 @@
 //!   `batch` and the benches: it reads one wave of lines from a `BufRead`,
 //!   feeds them, parks in [`SessionMachine::wait`] until the wave has
 //!   completed, then writes and flushes the wave's answers.
-//! * the [`crate::listener`] reactors: they feed socket bytes as they
-//!   arrive and pump again whenever a completion's `notify` wakes the poll
-//!   loop, so the I/O thread never blocks and never solves.
+//! * the [`crate::reactor`] threads, through the [`Session`] trait, for
+//!   `listen`: they feed socket bytes as they arrive and pump again
+//!   whenever a completion's `notify` wakes the poll loop, so the I/O
+//!   thread never blocks and never solves.
 //!
 //! # Waves
 //!
@@ -76,6 +77,7 @@ use crate::engine::{
     SharedFeatureCache,
 };
 use crate::protocol::{error_line, report_line, BatchRecord};
+use crate::reactor::{Notify, Session};
 
 /// Everything the machines of one driver share: the registry, the engine
 /// configuration, both caches, the executor and the shutdown token. The
@@ -464,7 +466,7 @@ struct Shared {
     /// Signalled once the inbox holds every completion `wait` needs.
     arrived: Condvar,
     /// The driver's wakeup, called after every posted completion.
-    notify: Arc<dyn Fn() + Send + Sync>,
+    notify: Notify,
 }
 
 impl Shared {
@@ -540,7 +542,7 @@ impl SessionMachine {
     /// executor workers whenever a completion lands in the inbox — it must
     /// be cheap and non-blocking (the listener posts a wake to the owning
     /// poll loop).
-    pub(crate) fn new(ctx: Arc<SessionContext>, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
+    pub(crate) fn new(ctx: Arc<SessionContext>, notify: Notify) -> Self {
         // the session's share of the executor budget, never more than it
         let width = match ctx.config.workers {
             0 => ctx.executor.workers(),
@@ -581,45 +583,6 @@ impl SessionMachine {
         self.chunk_size
     }
 
-    /// Buffers freshly-read bytes. Call `pump` afterwards to parse and
-    /// dispatch them. Ignored after [`SessionMachine::finish_input`].
-    pub(crate) fn feed(&mut self, bytes: &[u8]) {
-        if !self.eof {
-            self.inbuf.extend_from_slice(bytes);
-        }
-    }
-
-    /// Marks the client's end of batch (EOF, half-close, idle cut, or a
-    /// shutdown drain). Buffered complete lines — and a final unterminated
-    /// one, unless the shutdown token fired — are still parsed and
-    /// answered.
-    pub(crate) fn finish_input(&mut self) {
-        self.eof = true;
-    }
-
-    /// The batch is over: fully answered and summarized, or aborted.
-    pub(crate) fn is_done(&self) -> bool {
-        self.summary.is_some() || self.failed.is_some()
-    }
-
-    /// Records whose answers have not come back yet — the signal that an
-    /// idle wire does not mean an idle session.
-    pub(crate) fn has_inflight(&self) -> bool {
-        self.inflight > 0
-    }
-
-    /// The session's end, once [`SessionMachine::is_done`]: its summary,
-    /// or why it aborted ([`ErrorPolicy::FailFast`]).
-    pub(crate) fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
-        match self.failed.take() {
-            Some(failure) => Err(failure),
-            None => Ok(self
-                .summary
-                .take()
-                .expect("a finished machine has a summary")),
-        }
-    }
-
     /// Blocks until every in-flight record's completion is in the inbox:
     /// the blocking driver's one wakeup per wave.
     pub(crate) fn wait(&self) {
@@ -633,30 +596,6 @@ impl SessionMachine {
                 .unwrap_or_else(PoisonError::into_inner);
         }
         inbox.awaited = 0;
-    }
-
-    /// Drives the machine as far as it can go without blocking: drains
-    /// completions, emits ready answers (in input order) into `out`,
-    /// parses and dispatches the next wave when the current one is
-    /// complete, and records the summary once everything is answered.
-    /// `allow_parse = false` suspends parsing (outbox back-pressure) while
-    /// completions still drain.
-    ///
-    /// Returns `true` when bytes were appended to `out`.
-    pub(crate) fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) -> bool {
-        let before = out.len();
-        self.drain_inbox();
-        loop {
-            let mut progressed = self.drain_ready(out);
-            if allow_parse && self.can_parse() {
-                progressed |= self.parse_wave();
-            }
-            if !progressed {
-                break;
-            }
-        }
-        self.maybe_summarize();
-        out.len() > before
     }
 
     /// Moves posted completions into their slots.
@@ -871,6 +810,60 @@ impl SessionMachine {
         }
         let stats = std::mem::take(&mut self.stats);
         self.summary = Some(stats.summarize(self.started.elapsed(), self.width));
+    }
+}
+
+impl Session for SessionMachine {
+    /// Buffers freshly-read bytes; `pump` parses and dispatches them.
+    fn feed(&mut self, bytes: &[u8]) {
+        if !self.eof {
+            self.inbuf.extend_from_slice(bytes);
+        }
+    }
+
+    /// Buffered complete lines — and a final unterminated one, unless the
+    /// shutdown token fired — are still parsed and answered.
+    fn finish_input(&mut self) {
+        self.eof = true;
+    }
+
+    /// Drains completions, emits ready answers (in input order) into
+    /// `out`, parses and dispatches the next wave when the current one is
+    /// complete, and records the summary once everything is answered.
+    /// `allow_parse = false` suspends parsing while completions still
+    /// drain.
+    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+        self.drain_inbox();
+        loop {
+            let mut progressed = self.drain_ready(out);
+            if allow_parse && self.can_parse() {
+                progressed |= self.parse_wave();
+            }
+            if !progressed {
+                break;
+            }
+        }
+        self.maybe_summarize();
+    }
+
+    fn is_done(&self) -> bool {
+        self.summary.is_some() || self.failed.is_some()
+    }
+
+    /// Records whose answers have not come back yet.
+    fn has_inflight(&self) -> bool {
+        self.inflight > 0
+    }
+
+    /// The summary, or why the batch aborted ([`ErrorPolicy::FailFast`]).
+    fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
+        match self.failed.take() {
+            Some(failure) => Err(failure),
+            None => Ok(self
+                .summary
+                .take()
+                .expect("a finished machine has a summary")),
+        }
     }
 }
 

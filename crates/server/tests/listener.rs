@@ -30,8 +30,6 @@ struct Server {
 fn quiet_config() -> ListenConfig {
     ListenConfig {
         log: ConnLog::Quiet,
-        // quick poll so the tests' partial chunks flush promptly
-        read_timeout: Duration::from_millis(30),
         ..ListenConfig::default()
     }
 }

@@ -1,7 +1,8 @@
 //! Conformance across entry points: one corpus through the library
-//! `serve`, an in-process `Listener` over TCP, and HTTP `POST /solve` must
-//! produce the same response bytes (timing fields dropped) and the same
-//! trailer counts.
+//! `serve`, an in-process `Listener` over TCP, a Unix socket and HTTP
+//! `POST /solve`, and a `Router` over TCP and HTTP in front of two
+//! in-process shards must produce the same response bytes (timing fields
+//! dropped) and the same trailer counts.
 //!
 //! Every instance in the corpus is distinct, so no answer depends on how
 //! the listener's reads happen to split the input into waves: each solve
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use busytime::full_registry;
 use busytime::instances::Family;
+use busytime::router::{RouteConfig, Router, ShardState};
 use busytime::server::{
     serve, BatchSummary, ConnLog, ListenConfig, ListenMode, Listener, ServeConfig,
 };
@@ -168,6 +170,150 @@ fn serve_tcp_and_http_answer_with_the_same_bytes() {
 
     let expected: Vec<String> = served.iter().map(|l| strip_timing(l)).collect();
     for (name, body) in [("tcp", &tcp), ("http", &http)] {
+        let (lines, trailer) = split_trailer(body);
+        let lines: Vec<String> = lines.iter().map(|l| strip_timing(l)).collect();
+        assert_eq!(lines, expected, "{name} response lines differ from serve");
+        assert_eq!(
+            counts(&trailer),
+            counts(&summary),
+            "{name} trailer counts differ from serve"
+        );
+    }
+}
+
+/// Sends `input` as one NDJSON batch over a TCP connection and returns
+/// everything the server answers until it closes.
+fn ndjson_over_tcp(addr: std::net::SocketAddr, input: &str) -> String {
+    let mut stream = connect(addr);
+    stream.write_all(input.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut body = String::new();
+    stream.read_to_string(&mut body).unwrap();
+    body
+}
+
+/// Sends `input` as one `POST /solve` and returns the response body.
+fn http_solve(addr: std::net::SocketAddr, input: &str) -> String {
+    let mut stream = connect(addr);
+    write!(
+        stream,
+        "POST /solve HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{input}",
+        input.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    body.to_string()
+}
+
+/// Starts a router in `mode` in front of two fresh in-process shards, runs
+/// `exchange` against the router's address, then drains router and
+/// shards. Fresh shards keep every solve a cache miss.
+fn with_router(mode: ListenMode, exchange: impl FnOnce(std::net::SocketAddr) -> String) -> String {
+    let config = ListenConfig {
+        log: ConnLog::Quiet,
+        ..ListenConfig::default()
+    };
+    let mut shards = Vec::new();
+    let mut states = Vec::new();
+    for index in 0..2 {
+        let shard = Listener::bind(
+            &ListenMode::Tcp("127.0.0.1:0".into()),
+            Arc::new(full_registry()),
+            config.clone(),
+        )
+        .unwrap();
+        states.push(ShardState::new(
+            index,
+            shard.local_addr().unwrap().to_string(),
+        ));
+        let shutdown = shard.shutdown_token();
+        shards.push((shutdown, std::thread::spawn(move || shard.run())));
+    }
+    let config = RouteConfig {
+        quiet: true,
+        ..RouteConfig::default()
+    };
+    let router = Router::bind(&mode, states, config).unwrap();
+    let addr = router.local_addr().unwrap();
+    let shutdown = router.shutdown_token();
+    let handle = std::thread::spawn(move || router.run());
+    let response = exchange(addr);
+    shutdown.cancel();
+    handle.join().unwrap().unwrap();
+    for (shutdown, handle) in shards {
+        shutdown.cancel();
+        handle.join().unwrap().unwrap();
+    }
+    response
+}
+
+#[test]
+fn route_and_unix_answer_with_the_same_bytes_as_serve() {
+    let input = corpus();
+    let mut out = Vec::new();
+    let summary = serve(
+        input.as_bytes(),
+        &mut out,
+        &full_registry(),
+        &ServeConfig::default(),
+    )
+    .unwrap();
+    let expected: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(strip_timing)
+        .collect();
+
+    let mut bodies = vec![
+        (
+            "route over tcp",
+            with_router(ListenMode::Tcp("127.0.0.1:0".into()), |addr| {
+                ndjson_over_tcp(addr, &input)
+            }),
+        ),
+        (
+            "route over http",
+            with_router(ListenMode::Http("127.0.0.1:0".into()), |addr| {
+                http_solve(addr, &input)
+            }),
+        ),
+    ];
+    #[cfg(unix)]
+    {
+        use std::os::unix::net::UnixStream;
+
+        let path =
+            std::env::temp_dir().join(format!("busytime-conformance-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let config = ListenConfig {
+            log: ConnLog::Quiet,
+            ..ListenConfig::default()
+        };
+        let listener = Listener::bind(
+            &ListenMode::Unix(path.clone()),
+            Arc::new(full_registry()),
+            config,
+        )
+        .unwrap();
+        let shutdown = listener.shutdown_token();
+        let handle = std::thread::spawn(move || listener.run());
+        let mut stream = UnixStream::connect(&path).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream.write_all(input.as_bytes()).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut body = String::new();
+        stream.read_to_string(&mut body).unwrap();
+        shutdown.cancel();
+        handle.join().unwrap().unwrap();
+        bodies.push(("listen over unix", body));
+    }
+
+    for (name, body) in &bodies {
         let (lines, trailer) = split_trailer(body);
         let lines: Vec<String> = lines.iter().map(|l| strip_timing(l)).collect();
         assert_eq!(lines, expected, "{name} response lines differ from serve");
