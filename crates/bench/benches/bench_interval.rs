@@ -185,8 +185,18 @@ fn bench_family(c: &mut Criterion) {
         })
         .collect();
 
+    // the fused scan: one (start, end) sort, then the sweep, over buffers
+    // reused across iterations
+    let (mut pairs, mut ends) = (Vec::new(), Vec::new());
+    let mut fused = |family: &[Interval]| {
+        pairs.clear();
+        pairs.extend(family.iter().map(|iv| (iv.start, iv.end)));
+        pairs.sort_unstable();
+        FamilyScan::sorted(pairs.iter().copied(), &mut ends)
+    };
+
     // sanity outside the timing loop: the fused scan agrees
-    let scan = FamilyScan::scan(&family);
+    let scan = fused(&family);
     let reference = per_predicate(&family);
     assert_eq!(
         (
@@ -209,7 +219,7 @@ fn bench_family(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("fused-scan", "1k"),
         &family,
-        |b, family| b.iter(|| black_box(FamilyScan::scan(black_box(family)))),
+        |b, family| b.iter(|| black_box(fused(black_box(family)))),
     );
 
     group.bench_with_input(

@@ -38,6 +38,7 @@ use std::borrow::Cow;
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
 use crate::schedule::Schedule;
+use crate::view::{InstanceView, Part};
 
 /// Why a scheduler declined an instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,7 +126,19 @@ pub trait Scheduler {
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         self.schedule_with(inst, &CancelToken::never())
     }
+
+    /// Schedules one part of a prepared [`InstanceView`], reading whatever
+    /// structure the view already holds, and returns the schedule of
+    /// [`Part::instance`] with its cost when the scheduler computed that
+    /// cost anyway. Defaults to [`Scheduler::schedule_with`], with no cost.
+    fn schedule_part(&self, part: Part<'_>, cancel: &CancelToken) -> Costed {
+        Ok((self.schedule_with(part.instance(), cancel)?, None))
+    }
 }
+
+/// What [`Scheduler::schedule_part`] returns: a schedule, with its cost
+/// when already known.
+pub type Costed = Result<(Schedule, Option<i64>), SchedulerError>;
 
 impl<S: Scheduler + ?Sized> Scheduler for &S {
     fn name(&self) -> Cow<'static, str> {
@@ -140,6 +153,9 @@ impl<S: Scheduler + ?Sized> Scheduler for &S {
     }
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         (**self).schedule(inst)
+    }
+    fn schedule_part(&self, part: Part<'_>, cancel: &CancelToken) -> Costed {
+        (**self).schedule_part(part, cancel)
     }
 }
 
@@ -156,6 +172,9 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         (**self).schedule(inst)
+    }
+    fn schedule_part(&self, part: Part<'_>, cancel: &CancelToken) -> Costed {
+        (**self).schedule_part(part, cancel)
     }
 }
 
@@ -180,6 +199,18 @@ impl<S: Scheduler + Sync> Scheduler for Decomposed<S> {
         Cow::Owned(format!("Decomposed({})", self.inner.name()))
     }
 
+    /// Builds an [`InstanceView`] of `inst` and decomposes it; see
+    /// [`Scheduler::schedule_part`] below.
+    fn schedule_with(
+        &self,
+        inst: &Instance,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        Ok(self
+            .schedule_part(InstanceView::new(inst).whole(), cancel)?
+            .0)
+    }
+
     /// Every component runs under its **own child** of `cancel`: a cut
     /// parent (deadline, session teardown) reaches every component at its
     /// next cooperative check, while a component poisoning its own token
@@ -190,55 +221,41 @@ impl<S: Scheduler + Sync> Scheduler for Decomposed<S> {
     /// executor — dispatched largest-first so the fork's critical path is
     /// one big component, with results merged (and the first error
     /// surfaced) in original component order, so the outcome is identical
-    /// to the sequential pass.
-    fn schedule_with(
-        &self,
-        inst: &Instance,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, SchedulerError> {
-        let comps = inst.components();
-        let intra = if comps.len() >= 2 {
-            crate::pool::intra::active()
-        } else {
-            None
-        };
-        let scheds: Vec<Schedule> = match intra {
-            Some((exec, width)) => {
-                // children minted before dispatch, in component order, so
-                // cancel semantics do not depend on scheduling
-                let tokens: Vec<CancelToken> = comps.iter().map(|_| cancel.child()).collect();
-                let mut order: Vec<usize> = (0..comps.len()).collect();
-                order.sort_by_key(|&i| std::cmp::Reverse(comps[i].0.len()));
-                let mut slots: Vec<Option<Result<Schedule, SchedulerError>>> =
-                    comps.iter().map(|_| None).collect();
-                let ran = exec.par_map_with(width, &order, |&i| {
-                    (i, self.inner.schedule_with(&comps[i].0, &tokens[i]))
-                });
-                for (i, result) in ran {
-                    slots[i] = Some(result);
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every component dispatched"))
+    /// to the sequential pass. The cost is the components' sum (no machine
+    /// spans two), known when every component's is.
+    fn schedule_part(&self, part: Part<'_>, cancel: &CancelToken) -> Costed {
+        let view = part.view();
+        let count = view.component_count();
+        if count == 1 || !part.is_whole() {
+            return self.inner.schedule_part(part, &cancel.child());
+        }
+        // children minted before dispatch, in component order, so cancel
+        // semantics do not depend on scheduling
+        let tokens: Vec<CancelToken> = (0..count).map(|_| cancel.child()).collect();
+        let solve = |i: usize| self.inner.schedule_part(view.component(i), &tokens[i]);
+        let solved = match crate::pool::intra::active() {
+            Some((exec, width)) if count >= 2 => {
+                let mut order: Vec<usize> = (0..count).collect();
+                order.sort_by_key(|&i| std::cmp::Reverse(view.component(i).sorted_jobs().len()));
+                let mut ran = exec.par_map_with(width, &order, |&i| (i, solve(i)));
+                ran.sort_unstable_by_key(|&(i, _)| i);
+                ran.into_iter()
+                    .map(|(_, result)| result)
                     .collect::<Result<Vec<_>, _>>()?
             }
-            None => {
-                let mut scheds = Vec::with_capacity(comps.len());
-                for (sub, _) in &comps {
-                    scheds.push(self.inner.schedule_with(sub, &cancel.child())?);
-                }
-                scheds
-            }
+            _ => (0..count).map(solve).collect::<Result<Vec<_>, _>>()?,
         };
-        let mut raw = vec![0usize; inst.len()];
-        let mut offset = 0usize;
-        for ((_, ids), sched) in comps.iter().zip(&scheds) {
+        let mut raw = vec![0usize; part.instance().len()];
+        let (mut offset, mut cost) = (0usize, Some(0i64));
+        for ((schedule, known), comp) in solved.iter().zip(view.components()) {
+            let ids = comp.ids().expect("a component of a disconnected instance");
             for (local, &orig) in ids.iter().enumerate() {
-                raw[orig] = offset + sched.machine_of(local);
+                raw[orig] = offset + schedule.machine_of(local);
             }
-            offset += sched.machine_count();
+            offset += schedule.machine_count();
+            cost = cost.zip(*known).map(|(sum, c)| sum + c);
         }
-        Ok(Schedule::from_assignment(raw))
+        Ok((Schedule::from_assignment(raw), cost))
     }
 }
 

@@ -12,17 +12,18 @@
 //! connected component and summing ([`component_lower_bound`]) dominates
 //! both global bounds and is what experiments report as "LB".
 //!
-//! The per-component bounds aggregate over sorted `(start, end)` slices
-//! from one fused sweep ([`busytime_interval::family::for_each_component`])
-//! instead of materializing a cloned sub-[`Instance`] per component, and
-//! the δ-bound sorts its deltas in a per-thread scratch vector
+//! The per-component bounds aggregate over each component's sorted jobs
+//! in a [`crate::view::InstanceView`] (one sort per instance) instead of
+//! materializing a cloned sub-[`Instance`] per component, and the δ-bound
+//! sorts its deltas in a per-thread scratch vector
 //! ([`crate::pool::scratch`]) — on the serving hot path both run
-//! allocation-free.
+//! allocation-free. A solve's bound phase and the `auto` portfolio's
+//! optimality certificate read the same view, so the bound is computed
+//! once per solve.
 
-use busytime_interval::family;
-
-use crate::instance::Instance;
+use crate::instance::{Instance, JobId};
 use crate::pool::scratch;
+use crate::view::InstanceView;
 
 /// `⌈len(J) / g⌉` — the parallelism bound of Observation 1.1, rounded up
 /// (schedule costs are integral in the tick model).
@@ -56,17 +57,18 @@ pub fn lower_bound(inst: &Instance) -> i64 {
 /// the bounds add up. Always ≥ [`lower_bound`].
 pub fn component_lower_bound(inst: &Instance) -> i64 {
     let g = i64::from(inst.g());
-    let mut sum = 0i64;
-    family::for_each_component(inst.jobs(), |comp| sum += pair_lower_bound(comp, g));
-    sum
+    let view = InstanceView::new(inst);
+    view.components()
+        .map(|c| base_bound(c.sorted_jobs(), g))
+        .sum()
 }
 
-/// `max(⌈len/g⌉, span)` over one component's sorted `(start, end)` slice.
-fn pair_lower_bound(comp: &[(i64, i64)], g: i64) -> i64 {
-    let len: i64 = comp.iter().map(|&(s, e)| e - s).sum();
+/// `max(⌈len/g⌉, span)` over one component's sorted jobs.
+fn base_bound(comp: &[(i64, i64, JobId)], g: i64) -> i64 {
+    let len: i64 = comp.iter().map(|&(s, e, _)| e - s).sum();
     // one connected component: its span is reach − leftmost start
-    let reach = comp.iter().map(|&(_, e)| e).max().unwrap_or(0);
-    let span = comp.first().map_or(0, |&(s, _)| reach - s);
+    let reach = comp.iter().map(|&(_, e, _)| e).max().unwrap_or(0);
+    let span = comp.first().map_or(0, |&(s, _, _)| reach - s);
     let parallelism = len.div_euclid(g) + i64::from(len.rem_euclid(g) != 0);
     parallelism.max(span)
 }
@@ -96,34 +98,36 @@ pub fn clique_delta_bound(inst: &Instance) -> Option<i64> {
     }))
 }
 
-/// The δ-bound over one component's sorted `(start, end)` slice, or `None`
-/// when the component is not a clique. Sorted by `(start, end)`, the
-/// latest start is the last pair's.
-fn pair_delta_bound(comp: &[(i64, i64)], g: u32) -> Option<i64> {
+/// The δ-bound over one component's sorted jobs, or `None` when the
+/// component is not a clique. Sorted by `(start, end)`, the latest start
+/// is the last job's.
+fn delta_bound(comp: &[(i64, i64, JobId)], g: u32) -> Option<i64> {
     let t = comp.last()?.0;
-    let earliest_end = comp.iter().map(|&(_, e)| e).min()?;
+    let earliest_end = comp.iter().map(|&(_, e, _)| e).min()?;
     if t > earliest_end {
         return None;
     }
     Some(scratch::with(|arena| {
         let deltas = &mut arena.keys;
         deltas.clear();
-        deltas.extend(comp.iter().map(|&(s, e)| (t - s).max(e - t)));
+        deltas.extend(comp.iter().map(|&(s, e, _)| (t - s).max(e - t)));
         deltas.sort_unstable_by_key(|&d| std::cmp::Reverse(d));
         deltas.iter().step_by(g as usize).sum()
     }))
 }
 
+/// [`best_lower_bound`] of one component given as its sorted jobs: the
+/// component bound, improved by the δ-bound when the component is a
+/// clique.
+pub(crate) fn component_bound(comp: &[(i64, i64, JobId)], g: u32) -> i64 {
+    let base = base_bound(comp, i64::from(g));
+    delta_bound(comp, g).map_or(base, |d| base.max(d))
+}
+
 /// The strongest bound this crate offers: the component bound, improved by
 /// the δ-bound on components that are cliques.
 pub fn best_lower_bound(inst: &Instance) -> i64 {
-    let g = inst.g();
-    let mut sum = 0i64;
-    family::for_each_component(inst.jobs(), |comp| {
-        let base = pair_lower_bound(comp, i64::from(g));
-        sum += pair_delta_bound(comp, g).map_or(base, |d| base.max(d));
-    });
-    sum
+    InstanceView::new(inst).whole().lower_bound()
 }
 
 #[cfg(test)]
@@ -236,6 +240,20 @@ mod tests {
             Instance::from_pairs([(-50, 0), (0, 50), (-50, 0), (0, 50)], 3),
             Instance::from_pairs([(0, 0), (0, 0), (5, 5)], 1),
             Instance::new(vec![], 4),
+            // several components, some of them cliques, ids interleaved
+            Instance::from_pairs(
+                [
+                    (50, 60),
+                    (0, 10),
+                    (52, 58),
+                    (2, 8),
+                    (30, 31),
+                    (5, 6),
+                    (55, 70),
+                ],
+                2,
+            ),
+            Instance::from_pairs([(0, 3), (9, 9), (1, 4), (9, 9), (-7, -2), (2, 5)], 3),
         ];
         for inst in &cases {
             let component_ref: i64 = inst

@@ -73,6 +73,7 @@ pub mod render;
 pub mod schedule;
 pub mod solve;
 pub mod verify;
+pub mod view;
 
 pub use cancel::CancelToken;
 pub use instance::{Instance, JobId};

@@ -1254,6 +1254,8 @@ pub mod scratch {
         /// Interval-pair staging (canonical hashing, FirstFit's per-group
         /// saturated ranges).
         pub pairs: Vec<(i64, i64)>,
+        /// `(start, end, id)` staging: an instance view's sorted order.
+        pub jobs: Vec<(i64, i64, usize)>,
     }
 
     thread_local! {

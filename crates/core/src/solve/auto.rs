@@ -3,10 +3,11 @@
 //! Related work (Chang–Khuller–Mukherjee, *LP Rounding and Combinatorial
 //! Algorithms for Minimizing Active and Busy Time*) frames the paper's
 //! algorithms as a portfolio of structure-conditional solvers; `Auto` makes
-//! that operational. It detects the instance's class
-//! ([`InstanceFeatures`]), races the specialist with the best guarantee for
-//! that class against the [`FirstFit::paper`] general-purpose fallback and
-//! returns whichever schedule is cheaper. The arms are raced under child
+//! that operational. It reads the instance's class ([`InstanceFeatures`])
+//! and lower bound off the solve's [`InstanceView`], races the specialist
+//! with the best guarantee for that class against the [`FirstFit::paper`]
+//! general-purpose fallback and returns whichever schedule is cheaper,
+//! with its cost. The arms are raced under child
 //! [`CancelToken`]s: a specialist finishing with a certified-optimal
 //! schedule cancels the fallback arm (no wasted FirstFit run), and a
 //! portfolio-level deadline cuts both arms. The result is never worse than
@@ -17,13 +18,13 @@
 use std::borrow::Cow;
 
 use crate::algo::{
-    BoundedLength, CliqueScheduler, FirstFit, NextFitProper, Scheduler, SchedulerError,
+    BoundedLength, CliqueScheduler, Costed, FirstFit, NextFitProper, Scheduler, SchedulerError,
 };
-use crate::bounds;
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::solve::InstanceFeatures;
+use crate::view::{InstanceView, Part};
 
 /// Which specialist [`Auto`] dispatches to for an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,70 +135,78 @@ impl Scheduler for Auto {
         Cow::Borrowed("Auto")
     }
 
-    /// Detects structure, races the matching specialist against the
-    /// FirstFit fallback and returns the cheaper schedule (the specialist
-    /// wins ties). The arms share the portfolio's [`CancelToken`] through
-    /// per-arm children: a specialist that finishes with a *provably
-    /// optimal* schedule (cost equal to the certified lower bound) cancels
-    /// the fallback arm instead of letting it run to completion, and an
-    /// expired portfolio token makes the specialist's incumbent the final
-    /// answer without starting the fallback. Never fails on a valid
-    /// instance: a specialist error — class disagreement, or a cut
-    /// exhaustive segment with no incumbent — falls back to FirstFit
-    /// instead of surfacing.
+    /// Builds an [`InstanceView`] of `inst` and runs the portfolio race on
+    /// it; see [`Scheduler::schedule_part`] below.
     fn schedule_with(
         &self,
         inst: &Instance,
         cancel: &CancelToken,
     ) -> Result<Schedule, SchedulerError> {
-        self.race(inst, cancel).map(|(sched, _)| sched)
+        Ok(self
+            .schedule_part(InstanceView::new(inst).whole(), cancel)?
+            .0)
+    }
+
+    /// Reads the part's class and bound off the view, races the matching
+    /// specialist against the FirstFit fallback and returns the cheaper
+    /// schedule (the specialist wins ties) with its cost. The arms share
+    /// the portfolio's [`CancelToken`] through per-arm children: a
+    /// specialist that finishes with a *provably optimal* schedule (cost
+    /// equal to the certified lower bound) cancels the fallback arm
+    /// instead of letting it run to completion, and an expired portfolio
+    /// token makes the specialist's incumbent the final answer without
+    /// starting the fallback. Never fails on a valid instance: a
+    /// specialist error — class disagreement, or a cut exhaustive segment
+    /// with no incumbent — falls back to FirstFit instead of surfacing.
+    fn schedule_part(&self, part: Part<'_>, cancel: &CancelToken) -> Costed {
+        self.race(part, cancel).map(|(solved, _)| solved)
     }
 }
 
 impl Auto {
-    /// The portfolio race behind [`Scheduler::schedule_with`]; also reports
+    /// The portfolio race behind [`Scheduler::schedule_part`]; also reports
     /// whether the fallback arm was skipped (decided race or expired
     /// portfolio token), which the short-circuit tests assert on.
-    fn race(
-        &self,
-        inst: &Instance,
-        cancel: &CancelToken,
-    ) -> Result<(Schedule, bool), SchedulerError> {
-        let features = InstanceFeatures::detect(inst);
-        let choice = self.decide(&features);
-        let Some(specialist) = self.specialist(choice) else {
-            return Ok((FirstFit::paper().schedule_with(inst, cancel)?, false));
-        };
+    fn race(&self, part: Part<'_>, cancel: &CancelToken) -> Result<Raced, SchedulerError> {
+        let inst = part.instance();
         let fallback_arm = cancel.child();
-        match specialist.schedule_with(inst, &cancel.child()) {
-            Ok(spec) => {
-                if fallback_arm.is_cancelled() {
-                    // the portfolio deadline expired while the specialist
-                    // ran — its result is the incumbent; no bound needed
-                    return Ok((spec, true));
-                }
-                let spec_cost = spec.cost(inst);
-                // Certification uses the same bound as the report's gap
-                // (`gap == 1.0` ⇔ cost == best_lower_bound), so the two
-                // never disagree. The sweep it costs is repaid whenever it
-                // fires: the cancelled FirstFit arm is strictly more work.
-                if spec_cost <= bounds::best_lower_bound(inst) {
-                    // certified optimal: the race is decided, cancel the
-                    // losing arm rather than running FirstFit to completion
-                    fallback_arm.cancel();
-                    return Ok((spec, true));
-                }
-                let fallback = FirstFit::paper().schedule_with(inst, &fallback_arm)?;
-                if spec_cost <= fallback.cost(inst) {
-                    Ok((spec, false))
-                } else {
-                    Ok((fallback, false))
-                }
-            }
-            Err(_) => Ok((FirstFit::paper().schedule_with(inst, cancel)?, false)),
+        let spec = self
+            .specialist(self.decide(part.features()))
+            .and_then(|specialist| specialist.schedule_with(inst, &cancel.child()).ok());
+        let Some(spec) = spec else {
+            // no specialist for this class, or it refused: FirstFit alone
+            return Ok((
+                (FirstFit::paper().schedule_with(inst, cancel)?, None),
+                false,
+            ));
+        };
+        if fallback_arm.is_cancelled() {
+            // the portfolio deadline expired while the specialist ran —
+            // its result is the incumbent; no bound needed
+            return Ok(((spec, None), true));
+        }
+        let spec_cost = spec.cost(inst);
+        // Certification uses the same bound as the report's gap (`gap ==
+        // 1.0` ⇔ cost == best_lower_bound), so the two never disagree; the
+        // view computes it once, and the bound phase reads it back.
+        if spec_cost <= part.lower_bound() {
+            // certified optimal: the race is decided, cancel the losing
+            // arm rather than running FirstFit to completion
+            fallback_arm.cancel();
+            return Ok(((spec, Some(spec_cost)), true));
+        }
+        let fallback = FirstFit::paper().schedule_with(inst, &fallback_arm)?;
+        let fallback_cost = fallback.cost(inst);
+        if spec_cost <= fallback_cost {
+            Ok(((spec, Some(spec_cost)), false))
+        } else {
+            Ok(((fallback, Some(fallback_cost)), false))
         }
     }
 }
+
+/// A race's schedule with its cost, and whether the fallback was skipped.
+type Raced = ((Schedule, Option<i64>), bool);
 
 #[cfg(test)]
 mod tests {
@@ -275,9 +284,13 @@ mod tests {
         // 4 identical jobs, g = 2: the clique specialist hits the δ-bound
         // exactly (cost 20 = lower bound), so the FirstFit arm is cancelled
         let inst = Instance::from_pairs([(0, 10); 4], 2);
-        let (sched, skipped) = Auto::new().race(&inst, &CancelToken::never()).unwrap();
+        let view = InstanceView::new(&inst);
+        let ((sched, cost), skipped) = Auto::new()
+            .race(view.whole(), &CancelToken::never())
+            .unwrap();
         assert!(skipped, "provably optimal specialist must cancel the race");
         assert_eq!(sched.cost(&inst), 20);
+        assert_eq!(cost, Some(20));
     }
 
     #[test]
@@ -285,8 +298,12 @@ mod tests {
         // no specialist certificate here: bounded-length dispatch with a
         // strictly positive gap keeps the fallback arm alive
         let inst = Instance::from_pairs([(0, 2), (1, 2), (100, 101)], 2);
-        let (sched, skipped) = Auto::new().race(&inst, &CancelToken::never()).unwrap();
+        let view = InstanceView::new(&inst);
+        let ((sched, cost), skipped) = Auto::new()
+            .race(view.whole(), &CancelToken::never())
+            .unwrap();
         sched.validate(&inst).unwrap();
+        assert_eq!(cost, Some(sched.cost(&inst)));
         if sched.cost(&inst) > crate::bounds::best_lower_bound(&inst) {
             assert!(!skipped, "an undecided race must not skip the fallback");
         }

@@ -2,16 +2,18 @@
 //!
 //! The paper's algorithms are *structure-conditional*: their guarantees hold
 //! on specific instance classes (proper families §3.1, bounded lengths
-//! §3.2, cliques Appendix A). [`InstanceFeatures::detect`] measures every
-//! class membership the portfolio cares about in one pass, so dispatch
-//! logic ([`crate::solve::Auto`]) and reports ([`crate::solve::SolveReport`])
-//! share a single, cheap (`O(n log n)`) detection step — one fused
-//! [`FamilyScan`] sweep (a single `(start, end)` sort reused for every
-//! aggregate) rather than a sort per predicate.
+//! §3.2, cliques Appendix A). [`InstanceFeatures`] measures every class
+//! membership the portfolio cares about in one pass per connected
+//! component, so dispatch logic ([`crate::solve::Auto`]) and reports
+//! ([`crate::solve::SolveReport`]) share a single, cheap (`O(n log n)`)
+//! detection step: a solve's [`crate::view::InstanceView`] sorts the jobs
+//! once, runs one fused [`FamilyScan::sorted`] sweep per component, and
+//! combines the components' features into the instance's.
 
 use busytime_interval::FamilyScan;
 
 use crate::instance::Instance;
+use crate::view::InstanceView;
 
 /// Structural facts about an instance, as detected by
 /// [`InstanceFeatures::detect`].
@@ -41,12 +43,17 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Runs every detector on `inst` via one fused [`FamilyScan`] sweep.
+    /// Runs every detector on `inst`: the features of a fresh
+    /// [`InstanceView`].
     pub fn detect(inst: &Instance) -> Self {
-        let scan = FamilyScan::scan(inst.jobs());
+        InstanceView::new(inst).whole().features().clone()
+    }
+
+    /// The features of a family with parallelism `g` from its fused scan.
+    pub(crate) fn from_scan(scan: &FamilyScan, g: u32) -> Self {
         InstanceFeatures {
             jobs: scan.len,
-            g: inst.g(),
+            g,
             proper: scan.proper,
             clique: scan.len > 0 && scan.clique,
             components: scan.components,
@@ -56,6 +63,26 @@ impl InstanceFeatures {
             span: scan.span,
             total_len: scan.total_len,
         }
+    }
+
+    /// The features of a disconnected instance from those of its
+    /// components. Components are pairwise disjoint and far apart, so no
+    /// job contains another across them and no point meets two of them:
+    /// properness is the conjunction, and two or more are no clique.
+    pub(crate) fn combine<'f>(mut parts: impl Iterator<Item = &'f InstanceFeatures>) -> Self {
+        let mut all = parts.next().expect("at least one component").clone();
+        for f in parts {
+            all.jobs += f.jobs;
+            all.proper &= f.proper;
+            all.clique = false;
+            all.components += f.components;
+            all.max_overlap = all.max_overlap.max(f.max_overlap);
+            all.min_len = all.min_len.min(f.min_len);
+            all.max_len = all.max_len.max(f.max_len);
+            all.span += f.span;
+            all.total_len += f.total_len;
+        }
+        all
     }
 
     /// True iff the interval graph is connected (or empty).
@@ -158,6 +185,20 @@ mod tests {
             Instance::from_pairs([(0, 0), (0, 5), (5, 5), (5, 9)], 1),
             Instance::from_pairs([(0, 1), (1, 2), (2, 3), (10, 11)], 4),
             Instance::new(vec![], 2),
+            // several components, some of them cliques, ids interleaved
+            Instance::from_pairs(
+                [
+                    (50, 60),
+                    (0, 10),
+                    (52, 58),
+                    (2, 8),
+                    (30, 31),
+                    (5, 6),
+                    (55, 70),
+                ],
+                2,
+            ),
+            Instance::from_pairs([(0, 3), (9, 9), (1, 4), (9, 9), (-7, -2), (2, 5)], 3),
         ];
         for inst in &cases {
             let f = InstanceFeatures::detect(inst);

@@ -24,6 +24,17 @@
 //! trait remains the low-level extension point — anything implementing it
 //! can be registered or passed directly.
 //!
+//! One solve computes each structural fact once. The pipeline builds one
+//! [`crate::view::InstanceView`]: a single `(start, end, id)` sort with
+//! the connected components as ranges of it. The `detect` phase combines
+//! the components' features, [`Decomposed`] hands each component to the
+//! solver through [`Scheduler::schedule_part`], [`Auto`] reads each
+//! component's features and lower bound off the view and returns the
+//! winning arm's cost, the `bound` phase sums the components' bounds, and
+//! the report reuses the race's cost. Validation alone stays independent
+//! of the view: [`Schedule::validate`] re-derives everything from the
+//! instance.
+//!
 //! ```
 //! use busytime_core::{Instance, solve::SolveRequest};
 //!
@@ -44,11 +55,11 @@ pub use registry::{owned_name, SolverEntry, SolverFactory, SolverRegistry};
 use std::time::{Duration, Instant};
 
 use crate::algo::{Decomposed, Scheduler, SchedulerError};
-use crate::bounds;
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
 use crate::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint, WarmStart};
 use crate::schedule::{Schedule, ScheduleViolation};
+use crate::view::InstanceView;
 
 /// The near-match edit budget used when a [`SolutionCache`] warm-starts a
 /// miss: cached entries whose job multiset differs by at most this many
@@ -276,7 +287,7 @@ pub struct SolveReport {
     pub cost: i64,
     /// Machines used.
     pub machines: usize,
-    /// The strongest lower bound of [`bounds::best_lower_bound`].
+    /// The strongest lower bound of [`crate::bounds::best_lower_bound`].
     pub lower_bound: i64,
     /// `cost / lower_bound` — an upper bound on the true approximation
     /// ratio achieved. When the bound is 0 this is `1.0` only if the cost
@@ -793,13 +804,16 @@ impl<'a> SolveRequest<'a> {
         // phase the solve was "cut in"
         let mut cut_phase: Option<&'static str> = None;
 
-        // detect
+        // detect — the view sorts the jobs once, and every later phase
+        // reads its components, features and bounds; with precomputed
+        // features the sort waits for the first phase that needs it
         let t = Instant::now();
         let cached = precomputed.is_some();
-        let features = match precomputed {
-            Some(f) => f,
-            None => InstanceFeatures::detect(inst),
+        let view = match precomputed {
+            Some(f) => InstanceView::with_features(inst, f),
+            None => InstanceView::new(inst),
         };
+        let features = view.whole().features().clone();
         phases.push(PhaseStat {
             name: "detect",
             duration: t.elapsed(),
@@ -856,7 +870,7 @@ impl<'a> SolveRequest<'a> {
 
         // schedule — the token rides along into every solver loop
         let t = Instant::now();
-        let schedule = solver.schedule_with(inst, &token)?;
+        let (schedule, cost) = solver.schedule_part(view.whole(), &token)?;
         phases.push(PhaseStat {
             name: "schedule",
             duration: t.elapsed(),
@@ -879,7 +893,7 @@ impl<'a> SolveRequest<'a> {
 
         // bound
         let t = Instant::now();
-        let lower_bound = bounds::best_lower_bound(inst);
+        let lower_bound = view.whole().lower_bound();
         phases.push(PhaseStat {
             name: "bound",
             duration: t.elapsed(),
@@ -889,7 +903,9 @@ impl<'a> SolveRequest<'a> {
             cut_phase = Some("bound");
         }
 
-        let cost = schedule.cost(inst);
+        // the solver's own cost when it computed one (the `auto` race
+        // does), else one sweep over the schedule
+        let cost = cost.unwrap_or_else(|| schedule.cost(inst));
         // a zero bound is only vacuously optimal when the cost is zero
         // too (empty / all-zero-length instances); a positive cost over a
         // zero bound must not claim gap 1.0 (it serializes as JSON null)

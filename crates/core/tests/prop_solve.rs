@@ -1,9 +1,12 @@
 //! Property tests for the unified solve pipeline: portfolio dominance,
 //! registry round-trips, and report invariants.
 
-use busytime_core::algo::{FirstFit, Scheduler};
-use busytime_core::solve::{SolveOptions, SolveRequest, SolverRegistry, ValidationLevel};
-use busytime_core::{bounds, Instance};
+use busytime_core::algo::{BoundedLength, CliqueScheduler, FirstFit, NextFitProper, Scheduler};
+use busytime_core::solve::{
+    Auto, AutoChoice, InstanceFeatures, ParallelPolicy, SolveOptions, SolveRequest, SolverRegistry,
+    ValidationLevel,
+};
+use busytime_core::{bounds, Instance, Schedule};
 use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -23,8 +26,77 @@ fn arb_clique_instance(max_n: usize) -> impl Strategy<Value = Instance> {
         .prop_map(|(pairs, g)| Instance::from_pairs(pairs, g))
 }
 
+/// Up to six far-apart clusters (each may split further), jobs shuffled
+/// across clusters so every component's ids interleave with the others'.
+fn arb_many_components() -> impl Strategy<Value = Instance> {
+    (
+        proptest::collection::vec((0i64..6, 0i64..40, 0i64..25, 0u32..1000), 1..60),
+        1u32..4,
+    )
+        .prop_map(|(mut jobs, g)| {
+            jobs.sort_by_key(|&(_, _, _, key)| key);
+            let pairs = jobs.into_iter().map(|(cluster, s, len, _)| {
+                let s = cluster * 1000 + s;
+                (s, s + len)
+            });
+            Instance::from_pairs(pairs, g)
+        })
+}
+
+/// `auto` with decomposition, the route it took before solves shared one
+/// instance view: `Instance::components()` clones each component, and
+/// each component is detected, bounded and raced on its own.
+fn reference_auto(inst: &Instance) -> (Schedule, i64) {
+    let mut raw = vec![0usize; inst.len()];
+    let (mut offset, mut bound) = (0usize, 0i64);
+    for (sub, ids) in inst.components() {
+        let features = InstanceFeatures::detect(&sub);
+        let lower_bound = bounds::best_lower_bound(&sub);
+        bound += lower_bound;
+        let specialist: Option<Box<dyn Scheduler>> = match Auto::new().decide(&features) {
+            AutoChoice::Clique => Some(Box::new(CliqueScheduler::new())),
+            AutoChoice::Proper => Some(Box::new(NextFitProper::new())),
+            AutoChoice::BoundedLength => Some(Box::new(BoundedLength::first_fit())),
+            AutoChoice::General => None,
+        };
+        let fallback = || FirstFit::paper().schedule(&sub).unwrap();
+        let sched = match specialist.map(|s| s.schedule(&sub)) {
+            Some(Ok(spec)) if spec.cost(&sub) <= lower_bound => spec,
+            Some(Ok(spec)) => {
+                let ff = fallback();
+                if spec.cost(&sub) <= ff.cost(&sub) {
+                    spec
+                } else {
+                    ff
+                }
+            }
+            _ => fallback(),
+        };
+        for (local, &orig) in ids.iter().enumerate() {
+            raw[orig] = offset + sched.machine_of(local);
+        }
+        offset += sched.machine_count();
+    }
+    (Schedule::from_assignment(raw), bound)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The instance view changes no answer: on many-component instances,
+    /// `auto`'s assignment, bound, features and cost equal the reference
+    /// route's, sequential or forked.
+    #[test]
+    fn view_matches_component_route(inst in arb_many_components()) {
+        let (expected, bound) = reference_auto(&inst);
+        for parallel in [ParallelPolicy::Off, ParallelPolicy::On] {
+            let report = SolveRequest::new(&inst).solver("auto").parallel(parallel).solve().unwrap();
+            prop_assert_eq!(&report.schedule, &expected);
+            prop_assert_eq!(report.cost, expected.cost(&inst));
+            prop_assert_eq!(report.lower_bound, bound);
+            prop_assert_eq!(&report.features, &InstanceFeatures::detect(&inst));
+        }
+    }
 
     /// (a) The `Auto` portfolio never returns a schedule costlier than
     /// `FirstFit::paper()` — FirstFit is its built-in safety net.
@@ -86,11 +158,22 @@ proptest! {
     }
 
     /// The report's lower bound matches the bounds module (single source of
-    /// truth, no drift between the pipeline and `bounds`).
+    /// truth, no drift between the pipeline and `bounds`), and its cost —
+    /// carried from the `auto` race when it computed one — is the
+    /// schedule's.
     #[test]
     fn report_bound_matches_bounds_module(inst in arb_instance(30)) {
-        let report = SolveRequest::new(&inst).solver("first-fit").solve().unwrap();
-        prop_assert_eq!(report.lower_bound, bounds::best_lower_bound(&inst));
+        for solver in ["first-fit", "auto"] {
+            for decompose in [true, false] {
+                let report = SolveRequest::new(&inst)
+                    .solver(solver)
+                    .decompose(decompose)
+                    .solve()
+                    .unwrap();
+                prop_assert_eq!(report.lower_bound, bounds::best_lower_bound(&inst));
+                prop_assert_eq!(report.cost, report.schedule.cost(&inst));
+            }
+        }
     }
 
     /// Strict validation accepts every honest solver on every instance.

@@ -1,6 +1,6 @@
 //! JSON import/export of instances and schedules.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use busytime_core::{Instance, Schedule};
@@ -118,8 +118,46 @@ pub fn schedule_from_json(input: &str) -> Result<ScheduleFile, JsonError> {
     })
 }
 
-/// Parses an instance file from JSON.
+/// Parses an instance file from JSON: the zero-copy scanner first, and
+/// the owned parser for whatever it declines (so every error message is
+/// the owned parser's).
 pub fn instance_from_json(input: &str) -> Result<InstanceFile, JsonError> {
+    match scan_instance_file(input) {
+        Some(file) => Ok(file),
+        None => parse_instance_file(input),
+    }
+}
+
+/// Reads an instance file without building a [`Value`] tree, with the
+/// [`json::scan`] primitives. Declines (`None`) on anything the owned
+/// parser might read differently or reject: escaped strings, float or
+/// out-of-range numbers, object-valued fields, duplicate or missing keys,
+/// more than eight keys, `g: 0`, `start > end` and trailing characters.
+fn scan_instance_file(input: &str) -> Option<InstanceFile> {
+    use json::scan::{self, store};
+    let (mut name, mut comment, mut g, mut jobs) = (None, None, None, None);
+    let end = scan::object::<8>(input, scan::skip_ws(input, 0), |key, pos| match key {
+        "name" => scan::string_borrowed(input, pos).map(|read| store(&mut name, read)),
+        "comment" => scan::string_borrowed(input, pos).map(|read| store(&mut comment, read)),
+        "g" => scan::positive_u32(input, pos).map(|read| store(&mut g, read)),
+        "jobs" => scan::job_pairs(input, pos, |s, c| (s, c)).map(|read| store(&mut jobs, read)),
+        _ => scan::skip_simple_value(input, pos, 8),
+    })?;
+    if scan::skip_ws(input, end) != input.len() {
+        return None;
+    }
+    let (name, comment) = (name?.to_string(), comment?.to_string());
+    Some(InstanceFile {
+        name,
+        comment,
+        g: g?,
+        jobs: jobs?,
+    })
+}
+
+/// The owned route of [`instance_from_json`]: a [`Value`] tree, then
+/// field by field.
+fn parse_instance_file(input: &str) -> Result<InstanceFile, JsonError> {
     let value = json::parse(input)?;
     let jobs = value
         .field("jobs")?
@@ -160,13 +198,10 @@ pub fn write_instance(path: &Path, file: &InstanceFile) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads an instance file from disk (buffered).
+/// Reads an instance file from disk in one read, with no buffered copy.
 pub fn read_instance(path: &Path) -> std::io::Result<InstanceFile> {
-    let f = std::fs::File::open(path)?;
-    let mut r = BufReader::new(f);
-    let mut buf = String::new();
-    r.read_to_string(&mut buf)?;
-    instance_from_json(&buf).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    let text = std::fs::read_to_string(path)?;
+    instance_from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// A schedule export: assignment plus the cost it was computed with, so
@@ -232,6 +267,80 @@ mod tests {
         let back = read_instance(&path).unwrap();
         assert_eq!(back, file);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scanner_agrees_with_owned_parser() {
+        // (input, whether the zero-copy scanner reads it itself): either
+        // way, the result must be the owned parser's, error text included
+        let rows: [(&str, bool); 16] = [
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [[0, 4], [1, 5]]}"#,
+                true,
+            ),
+            (
+                r#"{"jobs": [[-3, 0]], "g": 1, "comment": "", "name": "x"}"#,
+                true,
+            ),
+            (r#"  {"name":"a","comment":"b","g":2,"jobs":[]}  "#, true),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [], "x": [1, "y", null]}"#,
+                true,
+            ),
+            (
+                r#"{"name": "a\"q", "comment": "b", "g": 2, "jobs": [[0, 1]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "tab\tnl\n", "g": 2, "jobs": []}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [[0, 4.0], [1e3, 2000]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2.0, "jobs": [[0, 1]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "g": 3, "jobs": []}"#,
+                false,
+            ),
+            (r#"{"name": "a", "comment": "b", "jobs": [[0, 1]]}"#, false),
+            (
+                r#"{"name": "a", "comment": "b", "g": 0, "jobs": [[0, 1]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [[5, 1]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": []} x"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [], "meta": {"k": 1}}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": 2, "jobs": [[0, 1, 2]]}"#,
+                false,
+            ),
+            (
+                r#"{"name": "a", "comment": "b", "g": -1, "jobs": []}"#,
+                false,
+            ),
+        ];
+        for (input, fast) in rows {
+            assert_eq!(scan_instance_file(input).is_some(), fast, "{input}");
+            assert_eq!(
+                instance_from_json(input),
+                parse_instance_file(input),
+                "{input}"
+            );
+        }
     }
 
     #[test]

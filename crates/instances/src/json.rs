@@ -1,10 +1,17 @@
-//! A minimal JSON reader/writer used by [`crate::io`].
+//! A minimal JSON reader/writer used by [`crate::io`] and the NDJSON
+//! serving protocol.
 //!
 //! The build environment vendors no `serde`, and the formats this crate
-//! exchanges are tiny and fixed (instance and schedule files), so a small
-//! recursive-descent parser over a [`Value`] tree is all that is needed.
-//! Strict on structure (trailing garbage, duplicate keys and truncation are
-//! errors), permissive on whitespace.
+//! exchanges are small and fixed (instance and schedule files, request
+//! records). Two readers share them:
+//!
+//! * [`parse`], a recursive-descent parser into an owned [`Value`] tree:
+//!   the semantic reference, strict on structure (trailing garbage,
+//!   duplicate keys and truncation are errors), permissive on whitespace;
+//! * [`scan`], borrowing cursors that read the hot shapes — an instance
+//!   file, a request record, a jobs array — without building a tree, and
+//!   decline whatever needs [`parse`]. Instance files of tens of thousands
+//!   of jobs read several times faster this way.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -355,9 +362,10 @@ pub fn write_string(out: &mut String, s: &str) {
 /// the owned parser — callers then fall back to [`parse`], so the fast
 /// path can never accept what the owned parser rejects or vice versa.
 ///
-/// All functions take the full text plus a byte offset and return the new
-/// offset on success; whitespace/structure handling between values stays
-/// with the caller.
+/// Readers take the full text plus a byte offset and return the new
+/// offset on success; whitespace and structure between values stay with
+/// the caller, or with [`scan::object`], which walks one object and hands
+/// each field's value to a reader.
 pub mod scan {
     /// Advances past JSON whitespace (space, tab, CR, LF).
     pub fn skip_ws(s: &str, mut pos: usize) -> usize {
@@ -416,11 +424,108 @@ pub mod scan {
         s[pos..i].parse::<i64>().ok().map(|n| (n, i))
     }
 
+    /// Reads a strict integer that is a valid parallelism `g`: in `u32`
+    /// and at least 1. Declines otherwise, leaving the owned parser to
+    /// normalize or reject it.
+    pub fn positive_u32(s: &str, pos: usize) -> Option<(u32, usize)> {
+        let (n, next) = int_strict(s, pos)?;
+        let n = u32::try_from(n).ok().filter(|&n| n >= 1)?;
+        Some((n, next))
+    }
+
+    /// Walks the object at `pos`, handing each field's key and value
+    /// offset to `field`, which reads the value and returns the offset
+    /// past it. Returns the offset past the closing `}`. Declines on
+    /// malformed structure, on a repeated key (an owned-parser error) and
+    /// past `N` keys (the repeat check scans a fixed array).
+    pub fn object<'s, const N: usize>(
+        s: &'s str,
+        pos: usize,
+        mut field: impl FnMut(&'s str, usize) -> Option<usize>,
+    ) -> Option<usize> {
+        let bytes = s.as_bytes();
+        if bytes.get(pos) != Some(&b'{') {
+            return None;
+        }
+        let mut pos = skip_ws(s, pos + 1);
+        if bytes.get(pos) == Some(&b'}') {
+            return Some(pos + 1);
+        }
+        let mut seen: [&str; N] = [""; N];
+        for nkeys in 0..N {
+            let (key, next) = string_borrowed(s, pos)?;
+            if seen[..nkeys].contains(&key) {
+                return None;
+            }
+            seen[nkeys] = key;
+            pos = skip_ws(s, next);
+            if bytes.get(pos) != Some(&b':') {
+                return None;
+            }
+            pos = skip_ws(s, field(key, skip_ws(s, pos + 1))?);
+            match bytes.get(pos)? {
+                b',' => pos = skip_ws(s, pos + 1),
+                b'}' => return Some(pos + 1),
+                _ => return None,
+            }
+        }
+        None
+    }
+
+    /// Stores a read value in `slot` and passes its end offset on: the
+    /// glue between a reader and an [`object`] field callback.
+    pub fn store<T>(slot: &mut Option<T>, (value, next): (T, usize)) -> usize {
+        *slot = Some(value);
+        next
+    }
+
     /// Matches an exact literal (`true`, `false`, `null`) at `pos`.
     pub fn literal(s: &str, pos: usize, lit: &str) -> Option<usize> {
         s.as_bytes()[pos..]
             .starts_with(lit.as_bytes())
             .then(|| pos + lit.len())
+    }
+
+    /// Reads a `[[start, end], …]` jobs array of strict-integer pairs with
+    /// `start ≤ end`, building each job with `job`. Declines on float
+    /// endpoints, malformed pairs and `start > end` (the owned parser's
+    /// errors, or its float normalization).
+    pub fn job_pairs<T>(
+        s: &str,
+        pos: usize,
+        job: impl Fn(i64, i64) -> T,
+    ) -> Option<(Vec<T>, usize)> {
+        let bytes = s.as_bytes();
+        if bytes.get(pos) != Some(&b'[') {
+            return None;
+        }
+        let mut pos = skip_ws(s, pos + 1);
+        let mut jobs = Vec::new();
+        if bytes.get(pos) == Some(&b']') {
+            return Some((jobs, pos + 1));
+        }
+        loop {
+            if bytes.get(pos) != Some(&b'[') {
+                return None;
+            }
+            let (start, p) = int_strict(s, skip_ws(s, pos + 1))?;
+            pos = skip_ws(s, p);
+            if bytes.get(pos) != Some(&b',') {
+                return None;
+            }
+            let (end, p) = int_strict(s, skip_ws(s, pos + 1))?;
+            pos = skip_ws(s, p);
+            if bytes.get(pos) != Some(&b']') || start > end {
+                return None;
+            }
+            jobs.push(job(start, end));
+            pos = skip_ws(s, pos + 1);
+            match bytes.get(pos)? {
+                b',' => pos = skip_ws(s, pos + 1),
+                b']' => return Some((jobs, pos + 1)),
+                _ => return None,
+            }
+        }
     }
 
     /// Skips one value the fast path does not need, *without* accepting

@@ -1,27 +1,17 @@
-//! Fused sort+sweep statistics over a whole interval family.
+//! Fused sweep statistics over a whole interval family.
 //!
-//! [`FamilyScan::scan`] computes every aggregate the solve pipeline's
+//! [`FamilyScan::sorted`] computes every aggregate the solve pipeline's
 //! feature detector needs — clique number, span, component count, the
-//! proper/clique class predicates and the length statistics — from **one**
-//! sort of `(start, end)` pairs plus one sort of end keys, instead of the
-//! six independent sorting passes the naive per-predicate route takes
-//! (`is_proper`, `is_clique`, `connected_components`, `max_overlap`,
-//! `span`, and the length scans each re-sorted or re-scanned the family).
-//!
-//! [`for_each_component`] exposes the same single-sort sweep as a visitor
-//! over per-component `(start, end)` slices, so lower bounds can aggregate
-//! per component without materializing sub-instances.
-//!
-//! Both entry points stage their sort buffers in a per-thread scratch
-//! arena that is reset, not freed, between calls — on a worker thread
-//! serving batched records the sorts run allocation-free after warm-up.
-
-use std::cell::RefCell;
-
-use crate::interval::Interval;
+//! proper/clique class predicates and the length statistics — in linear
+//! passes over `(start, end)` pairs the caller sorted once, plus one sort
+//! of end keys, instead of the six independent sorting passes the naive
+//! per-predicate route takes (`is_proper`, `is_clique`,
+//! `connected_components`, `max_overlap`, `span`, and the length scans
+//! each re-sorted or re-scanned the family). `busytime_core`'s instance
+//! view owns that one sort and runs the sweep per connected component.
 
 /// Aggregate statistics of an interval family, computed in one fused
-/// sweep by [`FamilyScan::scan`].
+/// sweep by [`FamilyScan::sorted`].
 ///
 /// Field semantics match the naive single-purpose routines exactly:
 /// `max_overlap` is [`crate::sweep::max_overlap`], `span` is
@@ -51,164 +41,98 @@ pub struct FamilyScan {
     pub total_len: i64,
 }
 
-/// Reusable sort buffers, one set per thread (reset, not freed).
-#[derive(Default)]
-struct ScanBufs {
-    pairs: Vec<(i64, i64)>,
-    ends: Vec<i64>,
-}
-
-thread_local! {
-    static BUFS: RefCell<ScanBufs> = RefCell::new(ScanBufs::default());
-}
-
-/// Runs `f` with the thread's scratch buffers; a reentrant call (possible
-/// only if a visitor closure calls back into this module) falls back to
-/// fresh buffers instead of panicking on the borrow.
-fn with_bufs<R>(f: impl FnOnce(&mut ScanBufs) -> R) -> R {
-    BUFS.with(|bufs| match bufs.try_borrow_mut() {
-        Ok(mut bufs) => f(&mut bufs),
-        Err(_) => f(&mut ScanBufs::default()),
-    })
-}
-
 impl FamilyScan {
-    /// Scans `intervals` in one fused pass: one `(start, end)` sort (for
-    /// proper / components / span), one end-key sort (for the clique
-    /// number, via a two-pointer merge), and linear passes for the rest.
-    pub fn scan(intervals: &[Interval]) -> FamilyScan {
-        if intervals.is_empty() {
-            return FamilyScan {
-                len: 0,
-                max_overlap: 0,
-                span: 0,
-                components: 0,
-                proper: true,
-                clique: true,
-                min_len: 0,
-                max_len: 0,
-                total_len: 0,
-            };
-        }
-        // Linear pass: length stats and the Helly clique test
-        // (`max start ≤ min end`).
-        let mut min_len = i64::MAX;
-        let mut max_len = i64::MIN;
-        let mut total_len = 0i64;
+    /// The sweep over a family given as `(start, end)` pairs **sorted
+    /// ascending**: one end-key sort in `ends` (cleared first) for the
+    /// clique number, and linear passes for the rest.
+    pub fn sorted<I>(pairs: I, ends: &mut Vec<i64>) -> FamilyScan
+    where
+        I: Iterator<Item = (i64, i64)> + Clone,
+    {
+        // Linear pass: length stats, the Helly clique test (`max start ≤
+        // min end`), properness, and components and span, which share one
+        // reach sweep: a gap in coverage is exactly a component boundary
+        // (closed intervals touching at a point both connect and merge
+        // measure-contiguously).
+        let mut scan = FamilyScan {
+            len: 0,
+            max_overlap: 0,
+            span: 0,
+            components: 0,
+            proper: true,
+            clique: true,
+            min_len: i64::MAX,
+            max_len: i64::MIN,
+            total_len: 0,
+        };
         let mut max_start = i64::MIN;
         let mut min_end = i64::MAX;
-        for iv in intervals {
-            let len = iv.len();
-            min_len = min_len.min(len);
-            max_len = max_len.max(len);
-            total_len += len;
-            max_start = max_start.max(iv.start);
-            min_end = min_end.min(iv.end);
-        }
-
-        with_bufs(|bufs| {
-            bufs.pairs.clear();
-            bufs.pairs
-                .extend(intervals.iter().map(|iv| (iv.start, iv.end)));
-            bufs.pairs.sort_unstable();
-            bufs.ends.clear();
-            bufs.ends.extend(intervals.iter().map(Interval::dkey_hi));
-            bufs.ends.sort_unstable();
-
-            // Proper: sorted by (start, end), distinct neighbours must be
-            // strictly increasing in both coordinates.
-            let proper = bufs
-                .pairs
-                .windows(2)
-                .all(|w| w[0] == w[1] || (w[0].0 < w[1].0 && w[0].1 < w[1].1));
-
-            // Components and span share one reach sweep: a gap in coverage
-            // is exactly a component boundary (closed intervals touching at
-            // a point both connect and merge measure-contiguously).
-            let mut components = 0usize;
-            let mut span = 0i64;
-            let mut run_start = 0i64;
-            let mut reach = 0i64;
-            for &(s, e) in &bufs.pairs {
-                if components == 0 || s > reach {
-                    if components > 0 {
-                        span += reach - run_start;
-                    }
-                    components += 1;
-                    run_start = s;
-                    reach = e;
-                } else {
-                    reach = reach.max(e);
+        let (mut run_start, mut reach) = (0i64, 0i64);
+        let mut prev: Option<(i64, i64)> = None;
+        ends.clear();
+        for (s, e) in pairs.clone() {
+            let len = e - s;
+            scan.len += 1;
+            scan.min_len = scan.min_len.min(len);
+            scan.max_len = scan.max_len.max(len);
+            scan.total_len += len;
+            max_start = max_start.max(s);
+            min_end = min_end.min(e);
+            // sorted by (start, end), distinct neighbours must be strictly
+            // increasing in both coordinates
+            if let Some(p) = prev {
+                scan.proper &= p == (s, e) || (p.0 < s && p.1 < e);
+            }
+            prev = Some((s, e));
+            if scan.components == 0 || s > reach {
+                if scan.components > 0 {
+                    scan.span += reach - run_start;
                 }
-            }
-            span += reach - run_start;
-
-            // Clique number by two pointers: active count at the i-th start
-            // (ascending) is (i + 1) − #{ends below it}; the maximum over
-            // all starts is ω. Start keys are even, end keys odd, so strict
-            // comparison is exact.
-            let mut max_overlap = 0usize;
-            let mut closed = 0usize;
-            for (i, &(s, _)) in bufs.pairs.iter().enumerate() {
-                let lo = 2 * s;
-                while closed < bufs.ends.len() && bufs.ends[closed] < lo {
-                    closed += 1;
-                }
-                max_overlap = max_overlap.max(i + 1 - closed);
-            }
-
-            FamilyScan {
-                len: intervals.len(),
-                max_overlap,
-                span,
-                components,
-                proper,
-                clique: max_start <= min_end,
-                min_len,
-                max_len,
-                total_len,
-            }
-        })
-    }
-}
-
-/// Visits each connected component of the family as a slice of
-/// `(start, end)` pairs **sorted by `(start, end)`**, components ordered by
-/// leftmost start. One sort, no sub-family materialization; original ids
-/// are not preserved (use [`crate::sweep::connected_components`] when ids
-/// matter).
-pub fn for_each_component(intervals: &[Interval], mut f: impl FnMut(&[(i64, i64)])) {
-    if intervals.is_empty() {
-        return;
-    }
-    with_bufs(|bufs| {
-        bufs.pairs.clear();
-        bufs.pairs
-            .extend(intervals.iter().map(|iv| (iv.start, iv.end)));
-        bufs.pairs.sort_unstable();
-        let mut from = 0usize;
-        let mut reach = bufs.pairs[0].1;
-        for i in 1..bufs.pairs.len() {
-            let (s, e) = bufs.pairs[i];
-            if s > reach {
-                f(&bufs.pairs[from..i]);
-                from = i;
-                reach = e;
+                scan.components += 1;
+                (run_start, reach) = (s, e);
             } else {
                 reach = reach.max(e);
             }
+            ends.push(2 * e + 1);
         }
-        f(&bufs.pairs[from..]);
-    });
+        if scan.len == 0 {
+            (scan.min_len, scan.max_len) = (0, 0);
+            return scan;
+        }
+        scan.span += reach - run_start;
+        scan.clique = max_start <= min_end;
+        ends.sort_unstable();
+
+        // Clique number by two pointers: active count at the i-th start
+        // (ascending) is (i + 1) − #{ends below it}; the maximum over all
+        // starts is ω. Start keys are even, end keys odd (the doubled keys
+        // of `Interval::dkey_lo`/`dkey_hi`), so strict comparison is exact.
+        let mut closed = 0usize;
+        for (i, (s, _)) in pairs.enumerate() {
+            while closed < ends.len() && ends[closed] < 2 * s {
+                closed += 1;
+            }
+            scan.max_overlap = scan.max_overlap.max(i + 1 - closed);
+        }
+        scan
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
     use crate::{relations, span, sweep, total_len};
 
     fn iv(s: i64, c: i64) -> Interval {
         Interval::new(s, c)
+    }
+
+    /// The fused sweep over a freshly sorted copy of `intervals`.
+    fn scan(intervals: &[Interval]) -> FamilyScan {
+        let mut pairs: Vec<(i64, i64)> = intervals.iter().map(|iv| (iv.start, iv.end)).collect();
+        pairs.sort_unstable();
+        FamilyScan::sorted(pairs.into_iter(), &mut Vec::new())
     }
 
     /// The naive multi-pass route the fused scan replaces.
@@ -228,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_family() {
-        let scan = FamilyScan::scan(&[]);
+        let scan = scan(&[]);
         assert_eq!(scan, naive(&[]));
         assert!(scan.proper);
         assert!(scan.clique);
@@ -249,7 +173,7 @@ mod tests {
             vec![iv(0, 4), iv(2, 6), iv(3, 5), iv(20, 21)], // mixed
         ];
         for family in &families {
-            assert_eq!(FamilyScan::scan(family), naive(family), "family {family:?}");
+            assert_eq!(scan(family), naive(family), "family {family:?}");
         }
     }
 
@@ -273,50 +197,7 @@ mod tests {
                     iv(s, s + len)
                 })
                 .collect();
-            assert_eq!(
-                FamilyScan::scan(&family),
-                naive(&family),
-                "round {round}: {family:?}"
-            );
+            assert_eq!(scan(&family), naive(&family), "round {round}: {family:?}");
         }
-    }
-
-    #[test]
-    fn component_visitor_matches_id_based_decomposition() {
-        let family = [iv(0, 2), iv(1, 4), iv(6, 8), iv(8, 9), iv(20, 21)];
-        let mut seen: Vec<Vec<(i64, i64)>> = Vec::new();
-        for_each_component(&family, |comp| seen.push(comp.to_vec()));
-        let expected: Vec<Vec<(i64, i64)>> = sweep::connected_components(&family)
-            .iter()
-            .map(|ids| {
-                let mut pairs: Vec<(i64, i64)> = ids
-                    .iter()
-                    .map(|&i| (family[i].start, family[i].end))
-                    .collect();
-                pairs.sort_unstable();
-                pairs
-            })
-            .collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn component_visitor_empty_family() {
-        let mut calls = 0;
-        for_each_component(&[], |_| calls += 1);
-        assert_eq!(calls, 0);
-    }
-
-    #[test]
-    fn reentrant_scan_inside_visitor() {
-        // a visitor that re-enters the module must not panic on the
-        // thread-local borrow
-        let family = [iv(0, 2), iv(10, 12)];
-        let mut inner = Vec::new();
-        for_each_component(&family, |comp| {
-            let sub: Vec<Interval> = comp.iter().map(|&(s, e)| iv(s, e)).collect();
-            inner.push(FamilyScan::scan(&sub).max_overlap);
-        });
-        assert_eq!(inner, vec![1, 1]);
     }
 }

@@ -26,8 +26,7 @@
 //!   exact measure (the paper's `span`).
 //! * [`sweep`] — static sweep-line routines (max overlap, overlap profile).
 //! * [`family`] — [`FamilyScan`]: every family aggregate the feature
-//!   detector needs from one fused sort+sweep, plus a per-component
-//!   visitor over `(start, end)` slices.
+//!   detector needs from one fused sweep over pairs sorted once.
 //! * [`profile`] — [`OverlapProfile`]: a dynamic step function of active-job
 //!   counts with range-max queries; the feasibility oracle for FirstFit.
 //! * [`relations`] — instance-class predicates: proper / clique / laminar /

@@ -127,15 +127,6 @@ impl BatchRecord {
         /// over a fixed array — keep it cheap).
         const MAX_KEYS: usize = 24;
 
-        let bytes = line.as_bytes();
-        let mut pos = scan::skip_ws(line, 0);
-        if bytes.get(pos) != Some(&b'{') {
-            return None;
-        }
-        pos = scan::skip_ws(line, pos + 1);
-
-        let mut seen: [&str; MAX_KEYS] = [""; MAX_KEYS];
-        let mut nkeys = 0usize;
         let mut id = None;
         let mut input: Option<RecordInput> = None;
         let mut solver = None;
@@ -147,102 +138,82 @@ impl BatchRecord {
         let mut cache = None;
         let mut parallel = None;
 
-        if bytes.get(pos) == Some(&b'}') {
-            pos += 1;
-        } else {
-            loop {
-                let (key, next) = scan::string_borrowed(line, pos)?;
-                if nkeys == MAX_KEYS || seen[..nkeys].contains(&key) {
-                    return None; // owned parser rejects duplicate keys
+        let start = scan::skip_ws(line, 0);
+        let end = scan::object::<MAX_KEYS>(line, start, |key, pos| match key {
+            "id" => {
+                if let Some(p) = scan::literal(line, pos, "null") {
+                    return Some(p); // null id means no id
                 }
-                seen[nkeys] = key;
-                nkeys += 1;
-                pos = scan::skip_ws(line, next);
-                if bytes.get(pos) != Some(&b':') {
-                    return None;
-                }
-                pos = scan::skip_ws(line, pos + 1);
-                match key {
-                    "id" => {
-                        if let Some(p) = scan::literal(line, pos, "null") {
-                            pos = p; // null id means no id
-                        } else {
-                            let (v, p) = scan::string_borrowed(line, pos)?;
-                            id = Some(v.to_string());
-                            pos = p;
-                        }
-                    }
-                    "instance" => {
-                        let (inst, p) = fast_inline_instance(line, pos)?;
-                        input = Some(RecordInput::Inline(inst));
-                        pos = p;
-                    }
-                    "solver" => {
-                        // null `solver` is an owned-parser error — decline
-                        let (v, p) = scan::string_borrowed(line, pos)?;
-                        solver = Some(v.to_string());
-                        pos = p;
-                    }
-                    "seed" => (seed, pos) = fast_opt_int(line, pos)?,
-                    "max_jobs" => (max_jobs, pos) = fast_opt_int(line, pos)?,
-                    "deadline_ms" => (deadline_ms, pos) = fast_opt_int(line, pos)?,
-                    "decompose" => {
-                        if let Some(p) = scan::literal(line, pos, "null") {
-                            pos = p;
-                        } else if let Some(p) = scan::literal(line, pos, "true") {
-                            decompose = Some(true);
-                            pos = p;
-                        } else if let Some(p) = scan::literal(line, pos, "false") {
-                            decompose = Some(false);
-                            pos = p;
-                        } else {
-                            return None;
-                        }
-                    }
-                    "validation" => {
-                        let (v, p) = scan::string_borrowed(line, pos)?;
-                        validation = Some(match v {
-                            "skip" => ValidationLevel::Skip,
-                            "basic" => ValidationLevel::Basic,
-                            "strict" => ValidationLevel::Strict,
-                            _ => return None,
-                        });
-                        pos = p;
-                    }
-                    "cache" => {
-                        if let Some(p) = scan::literal(line, pos, "null") {
-                            pos = p; // null cache means server default
-                        } else {
-                            let (v, p) = scan::string_borrowed(line, pos)?;
-                            cache = Some(v.parse::<CachePolicy>().ok()?);
-                            pos = p;
-                        }
-                    }
-                    "parallel" => {
-                        if let Some(p) = scan::literal(line, pos, "null") {
-                            pos = p; // null parallel means server default
-                        } else {
-                            let (v, p) = scan::string_borrowed(line, pos)?;
-                            parallel = Some(ParallelPolicy::parse(v)?);
-                            pos = p;
-                        }
-                    }
-                    // unknown client metadata — and `generator` records,
-                    // whose object value makes the skip decline
-                    _ => pos = scan::skip_simple_value(line, pos, 8)?,
-                }
-                pos = scan::skip_ws(line, pos);
-                match bytes.get(pos)? {
-                    b',' => pos = scan::skip_ws(line, pos + 1),
-                    b'}' => {
-                        pos += 1;
-                        break;
-                    }
-                    _ => return None,
+                let (v, p) = scan::string_borrowed(line, pos)?;
+                id = Some(v.to_string());
+                Some(p)
+            }
+            "instance" => {
+                let (inst, p) = fast_inline_instance(line, pos)?;
+                input = Some(RecordInput::Inline(inst));
+                Some(p)
+            }
+            "solver" => {
+                // null `solver` is an owned-parser error — decline
+                let (v, p) = scan::string_borrowed(line, pos)?;
+                solver = Some(v.to_string());
+                Some(p)
+            }
+            "seed" => fast_opt_int(line, pos).map(|(v, p)| {
+                seed = v;
+                p
+            }),
+            "max_jobs" => fast_opt_int(line, pos).map(|(v, p)| {
+                max_jobs = v;
+                p
+            }),
+            "deadline_ms" => fast_opt_int(line, pos).map(|(v, p)| {
+                deadline_ms = v;
+                p
+            }),
+            "decompose" => {
+                if let Some(p) = scan::literal(line, pos, "null") {
+                    Some(p)
+                } else if let Some(p) = scan::literal(line, pos, "true") {
+                    decompose = Some(true);
+                    Some(p)
+                } else {
+                    let p = scan::literal(line, pos, "false")?;
+                    decompose = Some(false);
+                    Some(p)
                 }
             }
-        }
-        if scan::skip_ws(line, pos) != line.len() {
+            "validation" => {
+                let (v, p) = scan::string_borrowed(line, pos)?;
+                validation = Some(match v {
+                    "skip" => ValidationLevel::Skip,
+                    "basic" => ValidationLevel::Basic,
+                    "strict" => ValidationLevel::Strict,
+                    _ => return None,
+                });
+                Some(p)
+            }
+            "cache" => {
+                if let Some(p) = scan::literal(line, pos, "null") {
+                    return Some(p); // null cache means server default
+                }
+                let (v, p) = scan::string_borrowed(line, pos)?;
+                cache = Some(v.parse::<CachePolicy>().ok()?);
+                Some(p)
+            }
+            "parallel" => {
+                if let Some(p) = scan::literal(line, pos, "null") {
+                    return Some(p); // null parallel means server default
+                }
+                let (v, p) = scan::string_borrowed(line, pos)?;
+                parallel = Some(ParallelPolicy::parse(v)?);
+                Some(p)
+            }
+            // unknown client metadata — and `generator` records, whose
+            // object value makes the skip decline
+            _ => scan::skip_simple_value(line, pos, 8),
+        })?;
+        if scan::skip_ws(line, end) != line.len() {
             return None; // trailing garbage is an owned-parser error
         }
         Some(BatchRecord {
@@ -429,94 +400,15 @@ fn fast_opt_int<T: TryFrom<i64>>(line: &str, pos: usize) -> Option<(Option<T>, u
 /// endpoints, which only the owned parser can normalize.
 fn fast_inline_instance(line: &str, pos: usize) -> Option<(Instance, usize)> {
     use json::scan;
-    let bytes = line.as_bytes();
-    if bytes.get(pos) != Some(&b'{') {
-        return None;
-    }
-    let mut pos = scan::skip_ws(line, pos + 1);
-    let mut seen: [&str; 8] = [""; 8];
-    let mut nkeys = 0usize;
-    let mut g: Option<u32> = None;
-    let mut jobs: Option<Vec<Interval>> = None;
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-    } else {
-        loop {
-            let (key, next) = scan::string_borrowed(line, pos)?;
-            if nkeys == seen.len() || seen[..nkeys].contains(&key) {
-                return None;
-            }
-            seen[nkeys] = key;
-            nkeys += 1;
-            pos = scan::skip_ws(line, next);
-            if bytes.get(pos) != Some(&b':') {
-                return None;
-            }
-            pos = scan::skip_ws(line, pos + 1);
-            match key {
-                "g" => {
-                    let (n, p) = scan::int_strict(line, pos)?;
-                    let value = u32::try_from(n).ok()?;
-                    if value == 0 {
-                        return None;
-                    }
-                    g = Some(value);
-                    pos = p;
-                }
-                "jobs" => (jobs, pos) = fast_job_pairs(line, pos).map(|(j, p)| (Some(j), p))?,
-                _ => pos = scan::skip_simple_value(line, pos, 8)?,
-            }
-            pos = scan::skip_ws(line, pos);
-            match bytes.get(pos)? {
-                b',' => pos = scan::skip_ws(line, pos + 1),
-                b'}' => {
-                    pos += 1;
-                    break;
-                }
-                _ => return None,
-            }
+    let (mut g, mut jobs) = (None, None);
+    let end = scan::object::<8>(line, pos, |key, pos| match key {
+        "g" => scan::positive_u32(line, pos).map(|read| scan::store(&mut g, read)),
+        "jobs" => {
+            scan::job_pairs(line, pos, Interval::new).map(|read| scan::store(&mut jobs, read))
         }
-    }
-    Some((Instance::new(jobs?, g?), pos))
-}
-
-/// Zero-copy read of a `[[start, end], …]` jobs array of strict-integer
-/// pairs with `start ≤ end`.
-fn fast_job_pairs(line: &str, pos: usize) -> Option<(Vec<Interval>, usize)> {
-    use json::scan;
-    let bytes = line.as_bytes();
-    if bytes.get(pos) != Some(&b'[') {
-        return None;
-    }
-    let mut pos = scan::skip_ws(line, pos + 1);
-    let mut jobs = Vec::new();
-    if bytes.get(pos) == Some(&b']') {
-        return Some((jobs, pos + 1));
-    }
-    loop {
-        if bytes.get(pos) != Some(&b'[') {
-            return None;
-        }
-        pos = scan::skip_ws(line, pos + 1);
-        let (s, p) = scan::int_strict(line, pos)?;
-        pos = scan::skip_ws(line, p);
-        if bytes.get(pos) != Some(&b',') {
-            return None;
-        }
-        pos = scan::skip_ws(line, pos + 1);
-        let (c, p) = scan::int_strict(line, pos)?;
-        pos = scan::skip_ws(line, p);
-        if bytes.get(pos) != Some(&b']') || s > c {
-            return None;
-        }
-        jobs.push(Interval::new(s, c));
-        pos = scan::skip_ws(line, pos + 1);
-        match bytes.get(pos)? {
-            b',' => pos = scan::skip_ws(line, pos + 1),
-            b']' => return Some((jobs, pos + 1)),
-            _ => return None,
-        }
-    }
+        _ => scan::skip_simple_value(line, pos, 8),
+    })?;
+    Some((Instance::new(jobs?, g?), end))
 }
 
 fn opt_bool(value: &Value, key: &str) -> Result<Option<bool>, JsonError> {
