@@ -6,9 +6,9 @@
 //! the cache on only the first occurrence of each instance pays for a
 //! solve — the other 392 records are served from the LRU at lookup speed
 //! (canonical-hash probe + assignment remap). The interesting read is the
-//! on/off ratio: hit records skip parse-side feature detection *and* the
-//! solver dispatch entirely, so `on` should clear the batch several times
-//! faster than `off`. The `distinct`/`distinct-off` pair runs 400
+//! on/off ratio: hit records skip the whole solve pipeline (detection
+//! included) and the executor, so `on` should clear the batch several
+//! times faster than `off`. The `distinct`/`distinct-off` pair runs 400
 //! all-distinct records with and without the cache, pinning down the
 //! overhead a miss-only workload pays for the bookkeeping — canonical
 //! hashing plus validate-on-insert, a few percent of the solve cost.

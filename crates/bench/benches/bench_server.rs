@@ -21,7 +21,7 @@ const BATCH: usize = 1000;
 fn batch_input() -> String {
     let mut input = String::with_capacity(BATCH * 64);
     for i in 0..BATCH {
-        // distinct seeds: every record is a fresh instance (no feature-cache
+        // distinct seeds: every record is a fresh instance (no solution-cache
         // shortcut), sizes staggered so worker stealing has skew to balance
         let n = 20 + (i % 5) * 10;
         input.push_str(&format!(

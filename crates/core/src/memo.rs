@@ -204,26 +204,6 @@ impl CanonicalInstance {
     }
 }
 
-/// The order-invariant content hash of an instance without building the
-/// full [`CanonicalInstance`] (used by feature caches that only need the
-/// key, not the permutation).
-pub fn canonical_hash(inst: &Instance) -> u64 {
-    crate::pool::scratch::with(|arena| {
-        let pairs = &mut arena.pairs;
-        pairs.clear();
-        pairs.extend(inst.jobs().iter().map(|iv| (iv.start, iv.end)));
-        pairs.sort_unstable();
-        let mut h = Fnv::new();
-        h.write_u64(pairs.len() as u64);
-        h.write_u64(u64::from(inst.g()));
-        for &(s, e) in pairs.iter() {
-            h.write_u64(s as u64);
-            h.write_u64(e as u64);
-        }
-        h.finish()
-    })
-}
-
 /// FNV-1a over the sorted job coordinates and `g` — deterministic across
 /// processes and platforms, unlike `DefaultHasher`.
 fn hash_content(sorted_jobs: &[Interval], g: u32) -> u64 {
@@ -374,8 +354,8 @@ const WARM_SCAN_LIMIT: usize = 256;
 
 /// A process-wide LRU memo of validated [`SolveReport`]s keyed by
 /// [`CanonicalInstance`] + [`SolveFingerprint`]. Clones share one cache
-/// (`Arc<Mutex<…>>`), mirroring the PR 5 `SharedFeatureCache`; a capacity
-/// of 0 disables it entirely (every operation is a no-op).
+/// (`Arc<Mutex<…>>`), so a server hands one handle to every session; a
+/// capacity of 0 disables it entirely (every operation is a no-op).
 ///
 /// ```
 /// use busytime_core::memo::{CanonicalInstance, SolutionCache, SolveFingerprint};
@@ -692,11 +672,15 @@ mod tests {
         }
     }
 
+    fn hash(inst: &Instance) -> u64 {
+        CanonicalInstance::of(inst).hash()
+    }
+
     #[test]
     fn canonical_hash_is_permutation_invariant() {
         let a = Instance::from_pairs([(0, 4), (1, 5), (6, 9)], 2);
         let b = Instance::from_pairs([(6, 9), (0, 4), (1, 5)], 2);
-        assert_eq!(canonical_hash(&a), canonical_hash(&b));
+        assert_eq!(hash(&a), hash(&b));
         // equality ignores the per-caller permutation: permuted-identical
         // instances share one canonical form
         assert_eq!(CanonicalInstance::of(&a), CanonicalInstance::of(&b));
@@ -711,8 +695,8 @@ mod tests {
         let a = Instance::from_pairs([(0, 4), (1, 5)], 2);
         let g3 = Instance::from_pairs([(0, 4), (1, 5)], 3);
         let other = Instance::from_pairs([(0, 4), (1, 6)], 2);
-        assert_ne!(canonical_hash(&a), canonical_hash(&g3));
-        assert_ne!(canonical_hash(&a), canonical_hash(&other));
+        assert_ne!(hash(&a), hash(&g3));
+        assert_ne!(hash(&a), hash(&other));
     }
 
     #[test]
@@ -806,6 +790,32 @@ mod tests {
         assert!(cache
             .lookup(&CanonicalInstance::of(&instances[1]), &fp("first-fit"))
             .is_some());
+    }
+
+    #[test]
+    fn duplicate_insert_refreshes_instead_of_duplicating() {
+        // two sessions can race miss → solve → insert on one instance: the
+        // second insert must refresh the entry (report and recency), not
+        // store a twin that spends a capacity slot
+        let cache = SolutionCache::new(3);
+        let canons: Vec<CanonicalInstance> = (0..4)
+            .map(|i| CanonicalInstance::of(&Instance::from_pairs([(i, i + 4)], 2)))
+            .collect();
+        let report = |i: usize| report_for(&canons[i].to_instance(), "first-fit");
+        cache.insert(&canons[0], &fp("first-fit"), &report(0));
+        cache.insert(&canons[1], &fp("first-fit"), &report(1));
+        let mut newer = report(0);
+        newer.requested = "newer".into();
+        cache.insert(&canons[0], &fp("first-fit"), &newer);
+        assert_eq!(cache.stats().entries, 2);
+        // the refresh made entry 1 the least recently used
+        cache.insert(&canons[2], &fp("first-fit"), &report(2));
+        cache.insert(&canons[3], &fp("first-fit"), &report(3));
+        assert!(cache.lookup(&canons[1], &fp("first-fit")).is_none());
+        let hit = cache
+            .lookup(&canons[0], &fp("first-fit"))
+            .expect("refreshed");
+        assert_eq!(hit.requested, "newer");
     }
 
     #[test]

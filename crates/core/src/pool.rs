@@ -1251,8 +1251,7 @@ pub mod scratch {
         pub ids: Vec<usize>,
         /// Coordinate staging (sorted deltas, keys).
         pub keys: Vec<i64>,
-        /// Interval-pair staging (canonical hashing, FirstFit's per-group
-        /// saturated ranges).
+        /// Interval-pair staging (FirstFit's per-group saturated ranges).
         pub pairs: Vec<(i64, i64)>,
         /// `(start, end, id)` staging: an instance view's sorted order.
         pub jobs: Vec<(i64, i64, usize)>,

@@ -57,13 +57,14 @@ use std::time::{Duration, Instant};
 use crate::algo::{Decomposed, Scheduler, SchedulerError};
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
-use crate::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint, WarmStart};
+use crate::memo::WarmStart;
 use crate::schedule::{Schedule, ScheduleViolation};
 use crate::view::InstanceView;
 
-/// The near-match edit budget used when a [`SolutionCache`] warm-starts a
-/// miss: cached entries whose job multiset differs by at most this many
-/// insertions/deletions may seed the exact solver's incumbent.
+/// The near-match edit budget serving layers pass to
+/// [`crate::memo::SolutionCache::warm_hint`] on a miss: cached entries whose
+/// job multiset differs by at most this many insertions/deletions may seed
+/// the exact solver's incumbent.
 pub const WARM_EDIT_BUDGET: usize = 2;
 
 /// How much checking [`SolveRequest::solve`] performs on the produced
@@ -163,9 +164,8 @@ pub struct SolveOptions {
     pub deadline: Option<Duration>,
     /// A machine-grouping hint from a cached near-match solution,
     /// consumed by solvers that accept a starting incumbent (currently
-    /// `exact-bb`); other solvers ignore it. Usually injected by the
-    /// pipeline from an attached [`SolutionCache`] rather than set by
-    /// hand.
+    /// `exact-bb`); other solvers ignore it. Usually a serving layer's
+    /// [`crate::memo::SolutionCache::warm_hint`] rather than set by hand.
     pub warm_start: Option<WarmStart>,
     /// Intra-instance parallelism policy (default
     /// [`ParallelPolicy::Auto`]). Deliberately excluded from the
@@ -312,13 +312,13 @@ pub struct SolveReport {
     /// The pipeline phase during which the deadline expiry was first
     /// observed (`Some` iff `deadline_hit`).
     pub cut_phase: Option<&'static str>,
-    /// True iff this report was served from a [`SolutionCache`] rather
-    /// than solved fresh (the assignment is remapped to the caller's job
-    /// order; everything else is the original solve verbatim).
+    /// True iff this report was served from a
+    /// [`crate::memo::SolutionCache`] rather than solved fresh (the
+    /// assignment is remapped to the caller's job order; everything else is
+    /// the original solve verbatim).
     pub cached: bool,
     /// True iff the solve started from a near-match warm-start hint
-    /// ([`SolveOptions::warm_start`]) — set whenever a hint was attached,
-    /// whether injected by an attached cache or supplied by the caller.
+    /// ([`SolveOptions::warm_start`]) — set whenever a hint was attached.
     pub warm_started: bool,
 }
 
@@ -535,8 +535,6 @@ pub struct SolveRequest<'a> {
     options: SolveOptions,
     precomputed: Option<InstanceFeatures>,
     cancel: Option<CancelToken>,
-    cache: Option<SolutionCache>,
-    cache_policy: CachePolicy,
 }
 
 impl<'a> SolveRequest<'a> {
@@ -548,8 +546,6 @@ impl<'a> SolveRequest<'a> {
             options: SolveOptions::default(),
             precomputed: None,
             cancel: None,
-            cache: None,
-            cache_policy: CachePolicy::default(),
         }
     }
 
@@ -650,57 +646,15 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Attaches a shared [`SolutionCache`]: under the request's
-    /// [`CachePolicy`] (default [`CachePolicy::ReadWrite`]) the solve is
-    /// served from the cache when an equivalent solve — same canonical
-    /// instance, solver, seed and decomposition — is stored, warm-started
-    /// from a near match when the solver is exact, and inserted after a
-    /// clean fresh solve.
-    ///
-    /// ```
-    /// use busytime_core::{memo::SolutionCache, Instance, SolveRequest};
-    ///
-    /// let cache = SolutionCache::new(64);
-    /// let inst = Instance::from_pairs([(0, 4), (1, 5), (6, 9)], 2);
-    /// let cold = SolveRequest::new(&inst)
-    ///     .solution_cache(cache.clone())
-    ///     .solve()
-    ///     .unwrap();
-    /// assert!(!cold.cached);
-    /// // a permuted copy of the instance is the same canonical instance
-    /// let permuted = Instance::from_pairs([(6, 9), (1, 5), (0, 4)], 2);
-    /// let hit = SolveRequest::new(&permuted)
-    ///     .solution_cache(cache)
-    ///     .solve()
-    ///     .unwrap();
-    /// assert!(hit.cached);
-    /// assert_eq!(hit.cost, cold.cost);
-    /// hit.schedule.validate(&permuted).unwrap();
-    /// ```
-    pub fn solution_cache(mut self, cache: SolutionCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Sets how the attached [`SolutionCache`] participates in this solve
-    /// (default [`CachePolicy::ReadWrite`]); without an attached cache the
-    /// policy is inert.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Supplies a machine-grouping warm-start hint directly (the
-    /// cache-independent form of [`SolveOptions::warm_start`]).
+    /// Supplies a machine-grouping warm-start hint
+    /// ([`SolveOptions::warm_start`]).
     pub fn warm_start(mut self, warm: WarmStart) -> Self {
         self.options.warm_start = Some(warm);
         self
     }
 
     /// Supplies already-detected features for this instance, skipping the
-    /// detect phase (its `PhaseStat` is recorded as `cached`). Serving
-    /// layers solving many identical instances use this to pay detection
-    /// once per distinct instance.
+    /// detect phase (its `PhaseStat` is recorded as `cached`).
     ///
     /// The caller must have obtained `features` from
     /// [`InstanceFeatures::detect`] on an equal instance; stale features
@@ -722,11 +676,9 @@ impl<'a> SolveRequest<'a> {
         let SolveRequest {
             inst,
             choice,
-            mut options,
+            options,
             precomputed,
             cancel,
-            cache,
-            cache_policy,
         } = self;
         let started = Instant::now();
         let mut phases: Vec<PhaseStat> = Vec::new();
@@ -757,40 +709,6 @@ impl<'a> SolveRequest<'a> {
         };
         let _intra = (intra_width >= 2)
             .then(|| crate::pool::intra::enter(&crate::pool::Executor::global(), intra_width));
-
-        // solution-cache consult: an exact hit short-circuits the whole
-        // pipeline; on a miss, a near match may still warm-start an exact
-        // solver's incumbent
-        let memo_key = match &cache {
-            Some(_) if cache_policy != CachePolicy::Off => {
-                let solver = match &choice {
-                    SolverChoice::Named(key) => registry
-                        .get(key)
-                        .map(|e| e.key().to_string())
-                        .unwrap_or_else(|| key.clone()),
-                    SolverChoice::Custom(s) => owned_name(&**s),
-                };
-                Some((
-                    CanonicalInstance::of(inst),
-                    SolveFingerprint {
-                        solver,
-                        seed: options.seed,
-                        decompose: options.decompose,
-                    },
-                ))
-            }
-            _ => None,
-        };
-        if let (Some(cache), Some((canon, fp))) = (&cache, &memo_key) {
-            if cache_policy.read_enabled() {
-                if let Some(report) = cache.lookup(canon, fp) {
-                    return Ok(report);
-                }
-                if options.warm_start.is_none() && fp.solver.starts_with("exact") {
-                    options.warm_start = cache.warm_hint(canon, WARM_EDIT_BUDGET);
-                }
-            }
-        }
 
         // the cooperative token every solver loop polls: the caller's
         // token (if any), tightened by the request's own deadline
@@ -936,7 +854,7 @@ impl<'a> SolveRequest<'a> {
             }
         }
 
-        let report = SolveReport {
+        Ok(SolveReport {
             requested,
             solver: solver_name,
             auto_choice,
@@ -953,13 +871,7 @@ impl<'a> SolveRequest<'a> {
             cut_phase,
             cached: false,
             warm_started: options.warm_start.is_some(),
-        };
-        if let (Some(cache), Some((canon, fp))) = (&cache, &memo_key) {
-            if cache_policy.write_enabled() {
-                cache.insert(canon, fp, &report);
-            }
-        }
-        Ok(report)
+        })
     }
 }
 

@@ -79,9 +79,9 @@ impl<'a> InstanceView<'a> {
         }
     }
 
-    /// A view whose whole-instance features are already known (a feature
-    /// cache hit). `features` must come from [`InstanceFeatures::detect`]
-    /// on an equal instance.
+    /// A view whose whole-instance features are already known (passed in
+    /// through [`crate::SolveRequest::features`]). `features` must come
+    /// from [`InstanceFeatures::detect`] on an equal instance.
     pub fn with_features(inst: &'a Instance, features: InstanceFeatures) -> Self {
         let view = InstanceView::new(inst);
         let _ = view.whole.features.set(features);

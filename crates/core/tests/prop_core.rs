@@ -280,7 +280,7 @@ proptest! {
 }
 
 proptest! {
-    /// The canonical content hash (the solution/feature cache key) is
+    /// The canonical content hash (the solution cache key) is
     /// invariant under any permutation of the job list, the canonical
     /// forms compare equal, and remapping a canonical assignment back to
     /// the shuffled order round-trips through a valid schedule.
@@ -289,7 +289,7 @@ proptest! {
         inst in arb_instance(30),
         seed in 0u64..1_000,
     ) {
-        use busytime_core::memo::{canonical_hash, CanonicalInstance};
+        use busytime_core::memo::CanonicalInstance;
 
         // deterministic Fisher–Yates driven by the proptest-drawn seed
         let mut order: Vec<usize> = (0..inst.len()).collect();
@@ -305,16 +305,15 @@ proptest! {
             order.iter().map(|&i| inst.job(i)).collect(),
             inst.g(),
         );
-        prop_assert_eq!(canonical_hash(&inst), canonical_hash(&shuffled));
-        prop_assert_eq!(CanonicalInstance::of(&inst), CanonicalInstance::of(&shuffled));
+        let (canon, twin) = (CanonicalInstance::of(&inst), CanonicalInstance::of(&shuffled));
+        prop_assert_eq!(canon.hash(), twin.hash());
+        prop_assert_eq!(&canon, &twin);
 
         // a schedule computed on the original maps through canonical form
         // into a valid schedule of the shuffled copy
         let sched = FirstFit::paper().schedule(&inst).unwrap();
-        let canon = CanonicalInstance::of(&inst);
         let canonical_assign = canon.assignment_to_canonical(sched.assignment());
-        let shuffled_assign =
-            CanonicalInstance::of(&shuffled).assignment_to_original(&canonical_assign);
+        let shuffled_assign = twin.assignment_to_original(&canonical_assign);
         let remapped = busytime_core::Schedule::from_assignment(shuffled_assign);
         prop_assert_eq!(remapped.validate(&shuffled), Ok(()));
         prop_assert_eq!(remapped.cost(&shuffled), sched.cost(&inst));
@@ -324,16 +323,17 @@ proptest! {
     /// `g`, changes the key (so permuted repeats hit, edits do not).
     #[test]
     fn canonical_hash_discriminates_edits(inst in arb_instance(30), pick in 0usize..64) {
-        use busytime_core::memo::canonical_hash;
+        use busytime_core::memo::CanonicalInstance;
 
+        let hash = |inst: &Instance| CanonicalInstance::of(inst).hash();
         let mut jobs: Vec<Interval> = inst.jobs().to_vec();
         let k = pick % jobs.len();
         jobs[k] = Interval::new(jobs[k].start, jobs[k].end + 1);
         let nudged = Instance::new(jobs, inst.g());
-        prop_assert_ne!(canonical_hash(&inst), canonical_hash(&nudged));
+        prop_assert_ne!(hash(&inst), hash(&nudged));
 
         let regeared = Instance::new(inst.jobs().to_vec(), inst.g() + 1);
-        prop_assert_ne!(canonical_hash(&inst), canonical_hash(&regeared));
+        prop_assert_ne!(hash(&inst), hash(&regeared));
     }
 }
 

@@ -6,7 +6,7 @@
 //! `busytime-server`, whose records may carry a `generator` object instead
 //! of inline jobs. A spec is tiny and hashable, so repeated records
 //! naming the same spec produce equal instances (and hit the server's
-//! feature cache).
+//! solution cache).
 
 use busytime_core::Instance;
 

@@ -54,7 +54,7 @@ pub struct RouteConfig {
     /// connections get a polite structured rejection.
     pub max_conns: usize,
     /// Pin each client connection to one shard instead of balancing
-    /// per record. Sticky mode keeps a shard's feature cache hot for a
+    /// per record. Sticky mode keeps a shard's solution cache hot for a
     /// client that re-sends similar instances; per-record mode (default)
     /// spreads one big batch across the whole fleet.
     pub sticky: bool,
@@ -828,8 +828,6 @@ fn route_session(
         solved_per_s: 0.0,
         p50_solve: Duration::ZERO,
         p99_solve: Duration::ZERO,
-        cache_hits: 0,
-        cache_misses: 0,
         solution_cache_hits: 0,
         solution_cache_misses: 0,
         workers: 0,

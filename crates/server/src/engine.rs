@@ -13,23 +13,20 @@
 //! * the [`crate::listener`] reactors, which feed socket bytes as they
 //!   arrive and never block.
 //!
-//! Feature detection runs on the worker that solves the record; the
-//! hash-keyed [`SharedFeatureCache`] deduplicates it across records, and a
-//! long-lived listener shares one cache across connections. Every session
-//! submits to the same persistent worker pool, so concurrent sessions
-//! share one worker budget instead of multiplying it.
+//! Every session submits to the same persistent worker pool, so concurrent
+//! sessions share one worker budget instead of multiplying it.
 //!
-//! Above the feature cache sits the *solution* cache
+//! The session's one cache is the *solution* cache
 //! ([`busytime_core::SolutionCache`]): before a record is dispatched to the
 //! executor at all, the session looks its canonical instance + solve
 //! fingerprint up and, on a hit, streams the cached validated report
 //! (assignment remapped to the record's own job order, `cached: true`)
-//! without occupying a worker. Misses are solved as usual and written back;
+//! without occupying a worker. Misses are solved as usual — the solve
+//! pipeline detects the instance's features itself — and written back;
 //! exact solves additionally ask the cache for a near-match warm start
 //! ([`busytime_core::solve::WARM_EDIT_BUDGET`]). Per-record `cache` policies
 //! (`off`/`read`/`write`/`readwrite`) gate both directions, and the
-//! [`crate::listener`] shares one cache handle across connections the same
-//! way it shares the feature cache.
+//! [`crate::listener`] shares one cache handle across connections.
 //!
 //! Deadlines: each record's budget (its `deadline_ms`, else the batch
 //! default) arms a [`busytime_core::CancelToken`] when a worker picks the
@@ -46,16 +43,14 @@
 //! session's input, so a drain answers the lines already read and then
 //! summarizes.
 
-use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use busytime_core::cancel::CancelToken;
-use busytime_core::memo::{CanonicalInstance, SolutionCache};
+use busytime_core::memo::SolutionCache;
 use busytime_core::pool::{self, Executor};
 use busytime_core::solve::{SolveOptions, SolverRegistry, REPORT_SCHEMA_VERSION};
-use busytime_core::InstanceFeatures;
 use busytime_instances::json::{self, JsonError, Value};
 
 use crate::machine::{SessionContext, SessionMachine};
@@ -188,10 +183,6 @@ pub struct BatchSummary {
     pub p50_solve: Duration,
     /// 99th-percentile per-record solve latency.
     pub p99_solve: Duration,
-    /// Feature-cache hits (records whose instance was already detected).
-    pub cache_hits: usize,
-    /// Feature-cache misses (distinct instances detected).
-    pub cache_misses: usize,
     /// Solution-cache hits: records answered straight from the memo
     /// (validated cached report, assignment remapped to the record's job
     /// order) without dispatching a solve. Excluded from
@@ -244,9 +235,9 @@ impl BatchSummary {
             "{{\"schema_version\": {REPORT_SCHEMA_VERSION}, \"records\": {}, \"solved\": {}, \
              \"errors\": {}, \"total_cost\": {}, \"total_lower_bound\": {}, \
              \"aggregate_gap\": {gap}, \"wall_ms\": {:.3}, \"throughput_per_s\": {:.3}, \
-             \"solved_per_s\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"solution_cache_hits\": {}, \"solution_cache_misses\": {}, \
-             \"workers\": {}, \"deadline_hits\": {}}}",
+             \"solved_per_s\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
+             \"solution_cache_hits\": {}, \"solution_cache_misses\": {}, \"workers\": {}, \
+             \"deadline_hits\": {}}}",
             self.records,
             self.solved,
             self.errors,
@@ -257,8 +248,6 @@ impl BatchSummary {
             self.solved_per_s,
             self.p50_solve.as_secs_f64() * 1e3,
             self.p99_solve.as_secs_f64() * 1e3,
-            self.cache_hits,
-            self.cache_misses,
             self.solution_cache_hits,
             self.solution_cache_misses,
             self.workers,
@@ -330,8 +319,6 @@ impl BatchSummary {
             solved_per_s: num("solved_per_s")?,
             p50_solve: millis("p50_ms")?,
             p99_solve: millis("p99_ms")?,
-            cache_hits: count("cache_hits")?,
-            cache_misses: count("cache_misses")?,
             solution_cache_hits: count("solution_cache_hits")?,
             solution_cache_misses: count("solution_cache_misses")?,
             workers: count("workers")?,
@@ -377,8 +364,6 @@ impl BatchSummary {
         self.wall = self.wall.max(other.wall);
         self.throughput += other.throughput;
         self.solved_per_s += other.solved_per_s;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.solution_cache_hits += other.solution_cache_hits;
         self.solution_cache_misses += other.solution_cache_misses;
         self.workers += other.workers;
@@ -404,144 +389,15 @@ impl std::fmt::Display for BatchSummary {
             f,
             "solve latency: p50 {:.2} ms, p99 {:.2} ms (unaffected records) | \
              aggregate gap ≤ {:.3} | deadline hits: {} | \
-             feature cache: {} hits / {} misses | \
              solution cache: {} hits / {} misses",
             self.p50_solve.as_secs_f64() * 1e3,
             self.p99_solve.as_secs_f64() * 1e3,
             self.aggregate_gap,
             self.deadline_hits,
-            self.cache_hits,
-            self.cache_misses,
             self.solution_cache_hits,
             self.solution_cache_misses,
         )
     }
-}
-
-/// Hash-keyed, recency-aware feature cache; buckets hold entry ids so a
-/// hash collision degrades to an equality scan, never a wrong answer.
-///
-/// Bounded by true LRU eviction: every hit (and insert) stamps the entry
-/// with a monotone recency tick, and once the capacity is reached the
-/// least-recently-used entry is evicted — so a hot instance survives any
-/// amount of churn by cold ones. (The original epoch-reset policy dropped
-/// the *whole* cache at capacity, wiping hot entries along with cold.)
-struct FeatureCache {
-    cap: usize,
-    /// Monotone recency clock, bumped on every hit and insert.
-    tick: u64,
-    next_id: u64,
-    /// Entry id → entry.
-    entries: HashMap<u64, CacheEntry>,
-    /// Instance hash → ids of the entries with that hash.
-    buckets: HashMap<u64, Vec<u64>>,
-    /// Recency tick → entry id; the first entry is the eviction victim.
-    order: BTreeMap<u64, u64>,
-}
-
-struct CacheEntry {
-    key: u64,
-    tick: u64,
-    /// The instance in canonical (order-invariant) form: permuted-identical
-    /// instances share one entry, keyed and compared canonically. (The
-    /// original cache hashed and compared jobs *in record order*, so the
-    /// same instance with its jobs shuffled was detected — and stored —
-    /// twice.)
-    canon: CanonicalInstance,
-    features: InstanceFeatures,
-}
-
-impl Default for FeatureCache {
-    fn default() -> Self {
-        FeatureCache::with_capacity(Self::CAP)
-    }
-}
-
-impl FeatureCache {
-    /// Distinct instances retained before LRU eviction kicks in.
-    const CAP: usize = 4096;
-
-    fn with_capacity(cap: usize) -> Self {
-        FeatureCache {
-            cap: cap.max(1),
-            tick: 0,
-            next_id: 0,
-            entries: HashMap::new(),
-            buckets: HashMap::new(),
-            order: BTreeMap::new(),
-        }
-    }
-
-    /// The id of the entry caching `canon`, recency-bumped, if present.
-    fn find_and_touch(&mut self, canon: &CanonicalInstance) -> Option<u64> {
-        let id = *self
-            .buckets
-            .get(&canon.hash())?
-            .iter()
-            .find(|&&id| self.entries.get(&id).is_some_and(|e| e.canon == *canon))?;
-        self.touch(id);
-        Some(id)
-    }
-
-    fn get(&mut self, canon: &CanonicalInstance) -> Option<InstanceFeatures> {
-        let id = self.find_and_touch(canon)?;
-        Some(self.entries[&id].features.clone())
-    }
-
-    /// Moves `id` to the most-recently-used position.
-    fn touch(&mut self, id: u64) {
-        let entry = self.entries.get_mut(&id).expect("entry for cached id");
-        self.order.remove(&entry.tick);
-        self.tick += 1;
-        entry.tick = self.tick;
-        self.order.insert(self.tick, id);
-    }
-
-    fn insert(&mut self, canon: CanonicalInstance, features: InstanceFeatures) {
-        // another session may have inserted the same instance between this
-        // session's miss and its detection finishing: refresh the recency
-        // instead of duplicating the entry
-        if self.find_and_touch(&canon).is_some() {
-            return;
-        }
-        let key = canon.hash();
-        while self.entries.len() >= self.cap {
-            let (_, id) = self.order.pop_first().expect("order tracks entries");
-            let victim = self.entries.remove(&id).expect("entry for LRU id");
-            let bucket = self.buckets.get_mut(&victim.key).expect("bucket for entry");
-            bucket.retain(|&b| b != id);
-            if bucket.is_empty() {
-                self.buckets.remove(&victim.key);
-            }
-        }
-        self.tick += 1;
-        self.next_id += 1;
-        let id = self.next_id;
-        self.entries.insert(
-            id,
-            CacheEntry {
-                key,
-                tick: self.tick,
-                canon,
-                features,
-            },
-        );
-        self.buckets.entry(key).or_default().push(id);
-        self.order.insert(self.tick, id);
-    }
-}
-
-/// A lock-guarded [`InstanceFeatures`] cache shared across batch sessions.
-///
-/// Clones share storage, so a listener hands one handle to every
-/// connection and a repeated instance is detected once *process-wide*, not
-/// once per connection — the cross-batch reuse a long-lived server wants.
-/// The lock is held only for lookups and inserts (never during detection),
-/// and the LRU eviction of the underlying cache caps memory while keeping
-/// hot instances resident through cold churn.
-#[derive(Clone, Default)]
-pub struct SharedFeatureCache {
-    inner: Arc<Mutex<FeatureCache>>,
 }
 
 /// Lock tolerating poisoning, for mutexes whose contents are always valid
@@ -551,33 +407,6 @@ pub(crate) fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl SharedFeatureCache {
-    /// A fresh, empty cache handle.
-    pub fn new() -> Self {
-        SharedFeatureCache::default()
-    }
-
-    /// A cache handle retaining at most `cap` distinct instances before
-    /// LRU eviction (clamped to at least one); tests pin small capacities
-    /// to exercise churn.
-    pub fn with_capacity(cap: usize) -> Self {
-        SharedFeatureCache {
-            inner: Arc::new(Mutex::new(FeatureCache::with_capacity(cap))),
-        }
-    }
-
-    pub(crate) fn lookup(&self, canon: &CanonicalInstance) -> Option<InstanceFeatures> {
-        // poison-tolerant: cached features are immutable once inserted, so
-        // the data stays sound; at worst an interrupted insert costs a
-        // re-detection
-        lock_ignoring_poison(&self.inner).get(canon)
-    }
-
-    pub(crate) fn insert(&self, canon: CanonicalInstance, features: InstanceFeatures) {
-        lock_ignoring_poison(&self.inner).insert(canon, features);
-    }
 }
 
 /// The nearest-rank `pct`-th percentile of an ascending sample.
@@ -598,8 +427,8 @@ pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
 /// wave's answers in input order, and repeats until the input ends. The
 /// machine does all parsing, caching, dispatch and settling, so the answers
 /// are the bytes the [`crate::listener`] sends for the same records.
-/// [`serve`] wraps one session with private caches around stdin-style
-/// streams.
+/// [`serve`] wraps one session with a private solution cache around
+/// stdin-style streams.
 ///
 /// Drain contract: once the token installed by [`BatchSession::cancel`]
 /// fires, the session reads nothing more, answers every line it already
@@ -610,7 +439,6 @@ pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
 pub struct BatchSession<'a> {
     registry: &'a SolverRegistry,
     config: &'a ServeConfig,
-    cache: SharedFeatureCache,
     solutions: SolutionCache,
     cancel: CancelToken,
     /// `None` = resolve [`Executor::global`] lazily at [`BatchSession::run`]
@@ -620,26 +448,17 @@ pub struct BatchSession<'a> {
 }
 
 impl<'a> BatchSession<'a> {
-    /// A session over `registry`/`config` with a private feature cache, no
-    /// cancellation (runs to EOF), and the process-wide
+    /// A session over `registry`/`config` with a private solution cache,
+    /// no cancellation (runs to EOF), and the process-wide
     /// [`Executor::global`] as its pool.
     pub fn new(registry: &'a SolverRegistry, config: &'a ServeConfig) -> Self {
         BatchSession {
             registry,
             config,
-            cache: SharedFeatureCache::new(),
             solutions: SolutionCache::new(config.solution_cache),
             cancel: CancelToken::never(),
             executor: None,
         }
-    }
-
-    /// Uses `cache` instead of a private one — hand clones of one handle
-    /// to many sessions and repeated instances are detected once
-    /// process-wide.
-    pub fn cache(mut self, cache: SharedFeatureCache) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// Uses `solutions` as the session's [`SolutionCache`] instead of the
@@ -684,7 +503,6 @@ impl<'a> BatchSession<'a> {
         let ctx = SessionContext {
             registry: Arc::new(self.registry.clone()),
             config: self.config.clone(),
-            cache: self.cache.clone(),
             solutions: self.solutions.clone(),
             executor: self.executor.clone().unwrap_or_else(Executor::global),
             cancel: self.cancel.clone(),
@@ -811,16 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_instances_hit_the_feature_cache() {
-        let line = r#"{"generator": {"family": "proper", "n": 16, "seed": 4}}"#;
-        let input = format!("{line}\n{line}\n{line}\n");
-        let (lines, summary) = run(&input, &ServeConfig::default());
-        assert_eq!(lines.len(), 3);
-        assert_eq!(summary.cache_misses, 1);
-        assert_eq!(summary.cache_hits, 2);
-    }
-
-    #[test]
     fn repeated_records_hit_the_solution_cache() {
         // chunk_size 1 so the first record's solve lands in the cache
         // before the later records are parsed
@@ -882,25 +690,6 @@ mod tests {
         assert_eq!(summary.solution_cache_hits, 0);
         assert_eq!(summary.solution_cache_misses, 0);
         assert!(lines[1].contains("\"cached\": false"), "{}", lines[1]);
-    }
-
-    #[test]
-    fn permuted_identical_instances_share_one_feature_detection() {
-        // regression: the feature-cache key used to hash jobs in record
-        // order, so the same instance with its jobs shuffled was detected
-        // twice
-        let a = r#"{"instance": {"g": 2, "jobs": [[0, 4], [1, 5], [6, 9]]}}"#;
-        let b = r#"{"instance": {"g": 2, "jobs": [[6, 9], [1, 5], [0, 4]]}}"#;
-        let input = format!("{a}\n{b}\n");
-        let config = ServeConfig {
-            // solution caching off so both records reach feature detection
-            solution_cache: 0,
-            ..ServeConfig::default()
-        };
-        let (lines, summary) = run(&input, &config);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(summary.cache_misses, 1);
-        assert_eq!(summary.cache_hits, 1);
     }
 
     #[test]
@@ -1158,80 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_carries_detections_across_sessions() {
-        let registry = SolverRegistry::with_defaults();
-        let config = ServeConfig::default();
-        let cache = SharedFeatureCache::new();
-        let line = r#"{"generator": {"family": "proper", "n": 16, "seed": 4}}"#;
-        let input = format!("{line}\n");
-
-        let mut out = Vec::new();
-        let first = BatchSession::new(&registry, &config)
-            .cache(cache.clone())
-            .run(input.as_bytes(), &mut out)
-            .unwrap();
-        assert_eq!((first.cache_hits, first.cache_misses), (0, 1));
-
-        let mut out = Vec::new();
-        let second = BatchSession::new(&registry, &config)
-            .cache(cache)
-            .run(input.as_bytes(), &mut out)
-            .unwrap();
-        assert_eq!(
-            (second.cache_hits, second.cache_misses),
-            (1, 0),
-            "the second session must reuse the first session's detection"
-        );
-    }
-
-    #[test]
-    fn lru_cache_keeps_a_hot_key_through_churn() {
-        // regression for the epoch-reset eviction this cache replaced: a
-        // hot instance touched between inserts used to be wiped whenever
-        // the fill crossed capacity; true LRU must keep it resident
-        let cache = SharedFeatureCache::with_capacity(4);
-        let hot = Instance::from_pairs([(0, 4), (1, 5)], 2);
-        let hot_canon = CanonicalInstance::of(&hot);
-        cache.insert(hot_canon.clone(), InstanceFeatures::detect(&hot));
-        for i in 0..16i64 {
-            assert!(
-                cache.lookup(&hot_canon).is_some(),
-                "hot entry evicted at churn step {i}"
-            );
-            let cold = Instance::from_pairs([(10 + i, 13 + i), (11 + i, 14 + i)], 2);
-            cache.insert(
-                CanonicalInstance::of(&cold),
-                InstanceFeatures::detect(&cold),
-            );
-        }
-        assert!(
-            cache.lookup(&hot_canon).is_some(),
-            "hot entry must survive churn past capacity"
-        );
-        // the capacity bound still holds: the earliest cold entry is gone
-        let first_cold = Instance::from_pairs([(10, 13), (11, 14)], 2);
-        assert!(
-            cache.lookup(&CanonicalInstance::of(&first_cold)).is_none(),
-            "LRU victim must have been evicted"
-        );
-    }
-
-    #[test]
-    fn duplicate_insert_refreshes_instead_of_duplicating() {
-        // two sessions can race miss → detect → insert on one instance;
-        // the second insert must not spend a capacity slot
-        let cache = SharedFeatureCache::with_capacity(2);
-        let a = Instance::from_pairs([(0, 4)], 2);
-        let b = Instance::from_pairs([(1, 5)], 2);
-        let (ca, cb) = (CanonicalInstance::of(&a), CanonicalInstance::of(&b));
-        cache.insert(ca.clone(), InstanceFeatures::detect(&a));
-        cache.insert(cb.clone(), InstanceFeatures::detect(&b));
-        cache.insert(ca.clone(), InstanceFeatures::detect(&a));
-        assert!(cache.lookup(&cb).is_some());
-        assert!(cache.lookup(&ca).is_some());
-    }
-
-    #[test]
     fn session_runs_on_a_provided_executor() {
         let registry = SolverRegistry::with_defaults();
         let config = ServeConfig::default();
@@ -1365,8 +1080,6 @@ mod tests {
             solved_per_s: solved as f64 / wall.as_secs_f64(),
             p50_solve: percentile(&sorted, 50.0),
             p99_solve: percentile(&sorted, 99.0),
-            cache_hits: 0,
-            cache_misses: solved,
             solution_cache_hits: 0,
             solution_cache_misses: 0,
             workers: 1,

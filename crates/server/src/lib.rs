@@ -17,12 +17,11 @@
 //!   [`engine::BatchSession`] over any `BufRead`/`Write` pair
 //!   ([`engine::serve`] is the stdin-shaped wrapper): records parse in
 //!   waves, solution-cache hits answer at parse time, and the rest solve
-//!   on the persistent process-wide [`busytime_core::pool::Executor`].
-//!   Feature detection runs on the worker that solves the record, and a
-//!   hash-keyed [`engine::SharedFeatureCache`] (shareable across sessions,
-//!   with true LRU eviction) deduplicates it. A [`engine::BatchSummary`]
-//!   (throughput + solved/s, p50/p99 solve latency, aggregate gap, cache
-//!   hits, deadline hits) comes back once the batch drains.
+//!   on the persistent process-wide [`busytime_core::pool::Executor`],
+//!   each through one `SolveRequest` pipeline that detects its features
+//!   once. A [`engine::BatchSummary`] (throughput + solved/s, p50/p99
+//!   solve latency, aggregate gap, solution-cache hits, deadline hits)
+//!   comes back once the batch drains.
 //! * [`reactor`] — the readiness loop behind every socket connection of
 //!   `listen` and `route`: epoll I/O threads, sniffed health probes,
 //!   incremental HTTP/1.1 framing, the bounded outbox, timers, capacity
@@ -33,7 +32,7 @@
 //!   `GET /healthz` mode, the same session engine driven per connection
 //!   by the reactor, all of them multiplexed onto the *one* process-wide
 //!   executor (so `--workers` bounds total solver parallelism no matter
-//!   how many connections are live), the feature cache shared across
+//!   how many connections are live), the solution cache shared across
 //!   connections, per-connection summary trailer lines, and graceful drain
 //!   on shutdown/idle-timeout.
 //! * [`http`] — the minimal HTTP/1.1 plumbing behind the reactor's HTTP
@@ -73,8 +72,7 @@ pub mod protocol;
 pub mod reactor;
 
 pub use engine::{
-    serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, SharedFeatureCache,
-    DEFAULT_SOLUTION_CACHE,
+    serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, DEFAULT_SOLUTION_CACHE,
 };
 pub use http::{parse_healthz, HealthSnapshot};
 pub use listener::{ConnLog, ListenConfig, ListenMode, ListenReport, Listener};

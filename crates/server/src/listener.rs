@@ -5,9 +5,9 @@
 //! Every connection speaks exactly the stdin protocol of `busytime-cli
 //! serve`: NDJSON request records in, one response line per record, in
 //! input order — followed by one [`BatchSummary`] JSON line once the
-//! client half-closes its write side. All connections share the
-//! process-wide [`SharedFeatureCache`] and solution cache, and submit
-//! their solves to one persistent [`busytime_core::pool::Executor`] — by
+//! client half-closes its write side. All connections share one
+//! [`SolutionCache`] and submit their solves to one persistent
+//! [`busytime_core::pool::Executor`] — by
 //! default the process-wide `Executor::global`, sized via `--workers` /
 //! `BUSYTIME_WORKERS`. The worker budget is therefore a true *process*
 //! cap: no matter how many connections are live, at most `workers` solver
@@ -53,7 +53,7 @@ use busytime_core::pool::Executor;
 use busytime_core::solve::{SolverRegistry, REPORT_SCHEMA_VERSION};
 use busytime_instances::json;
 
-use crate::engine::{lock_ignoring_poison, BatchSummary, ServeConfig, SharedFeatureCache};
+use crate::engine::{lock_ignoring_poison, BatchSummary, ServeConfig};
 use crate::machine::{SessionContext, SessionMachine};
 use crate::reactor::{self, Endpoint, Gauges, Notify, Service};
 
@@ -211,7 +211,6 @@ pub struct Listener {
     registry: Arc<SolverRegistry>,
     config: ListenConfig,
     shutdown: CancelToken,
-    cache: SharedFeatureCache,
     solutions: SolutionCache,
     /// `None` = resolve [`Executor::global`] lazily in [`Listener::run`] —
     /// binding with a pinned pool must not materialize the global one.
@@ -233,7 +232,6 @@ impl Listener {
             registry,
             config,
             shutdown: CancelToken::never(),
-            cache: SharedFeatureCache::new(),
             solutions,
             executor: None,
         })
@@ -267,13 +265,6 @@ impl Listener {
         self.shutdown.clone()
     }
 
-    /// The cross-connection feature cache (shared with every session this
-    /// listener spawns) — exposed so embedders can pre-warm or share it
-    /// wider than one listener.
-    pub fn feature_cache(&self) -> SharedFeatureCache {
-        self.cache.clone()
-    }
-
     /// The cross-connection [`SolutionCache`] (shared with every session
     /// this listener spawns, sized by [`ServeConfig::solution_cache`]) — a
     /// record solved on one connection is a cache hit on the next.
@@ -290,7 +281,6 @@ impl Listener {
         let ctx = Arc::new(SessionContext {
             registry: self.registry,
             config: self.config.serve.clone(),
-            cache: self.cache,
             solutions: self.solutions,
             executor: self.executor.unwrap_or_else(Executor::global),
             cancel: self.shutdown.clone(),

@@ -26,24 +26,24 @@
 //! Records are parsed in *waves* of at most the chunk size
 //! ([`crate::ServeConfig::chunk_size`]), and the next wave is parsed only
 //! once every solve of the current one has completed. Solution-cache hits
-//! and feature-cache counts therefore do not depend on timing: a record
-//! repeated after a completed wave is a lookup hit, and duplicates within a
-//! wave count one feature-cache miss plus hits.
+//! and misses therefore do not depend on timing: a record repeated after a
+//! completed wave is a lookup hit, and each copy of an instance repeated
+//! within one wave is a miss that is solved.
 //!
 //! # Runner chains
 //!
 //! A wave's solves go into the session's run queue. At most `width` runner
-//! jobs serve it on the executor: each pops a record, detects its features
-//! (the shared feature cache deduplicates detection across records and
-//! connections), solves it, posts the completion and notifies the driver.
+//! jobs serve it on the executor: each pops a record, solves it through the
+//! [`SolveRequest`] pipeline, posts the completion and notifies the driver.
 //! A runner keeps going while no other submission's job waits on the
 //! executor; otherwise it requeues itself at the back of the pool's queue
 //! (the pool's yield rule), so concurrent sessions share the workers at
 //! record granularity. The queue and the runner count sit under one lock,
 //! so a chain cannot end while work is being queued behind it.
 //!
-//! Feature detection runs before the record's budget is armed: detection
-//! time is charged to the batch, never to the record.
+//! Feature detection is the pipeline's `detect` phase, so it runs after the
+//! record's budget is armed: its time counts toward the record's
+//! `deadline_ms`, its reported `detect` phase and the summary's p50/p99.
 //!
 //! Lines are consumed by advancing a cursor over the input buffer; the
 //! consumed prefix is compacted away once per wave, so a batch that
@@ -70,23 +70,21 @@ use busytime_core::cancel::CancelToken;
 use busytime_core::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint};
 use busytime_core::pool::Executor;
 use busytime_core::solve::{SolveError, SolverRegistry, WARM_EDIT_BUDGET};
-use busytime_core::{Instance, InstanceFeatures, SolveReport, SolveRequest};
+use busytime_core::{Instance, SolveReport, SolveRequest};
 
 use crate::engine::{
     lock_ignoring_poison, percentile, BatchSummary, ErrorPolicy, ServeConfig, ServeError,
-    SharedFeatureCache,
 };
 use crate::protocol::{error_line, report_line, BatchRecord};
 use crate::reactor::{Notify, Session};
 
 /// Everything the machines of one driver share: the registry, the engine
-/// configuration, both caches, the executor and the shutdown token. The
-/// listener builds one per listener and hands it to every connection's
+/// configuration, the solution cache, the executor and the shutdown token.
+/// The listener builds one per listener and hands it to every connection's
 /// machine; [`crate::engine::BatchSession`] builds one per run.
 pub(crate) struct SessionContext {
     pub(crate) registry: Arc<SolverRegistry>,
     pub(crate) config: ServeConfig,
-    pub(crate) cache: SharedFeatureCache,
     pub(crate) solutions: SolutionCache,
     pub(crate) executor: Executor,
     /// The shutdown token: once it fires the machine answers its buffered
@@ -101,7 +99,7 @@ struct SolveItem {
     record: BatchRecord,
     inst: Instance,
     /// Canonical (order-invariant) form of `inst`, computed once at parse
-    /// time: the key into both the feature cache and the solution cache.
+    /// time: the solution-cache key.
     canon: CanonicalInstance,
     /// The record's effective cache policy (`record.cache`, defaulting to
     /// read-write).
@@ -113,11 +111,8 @@ struct SolveItem {
     fingerprint: Option<SolveFingerprint>,
     /// A solution-cache hit, resolved at parse time: the cached report
     /// (assignment already remapped to this record's job order,
-    /// `cached: true`). Hit records skip feature detection and never reach
-    /// the executor.
+    /// `cached: true`). Hit records never reach the executor.
     hit: Option<SolveReport>,
-    /// Filled at parse time on a feature-cache hit, else by the runner.
-    features: Option<InstanceFeatures>,
     /// Effective solve budget: the record's `deadline_ms`, else the
     /// batch-level default. Armed onto the record's token when a runner
     /// picks the record up, so the clock starts at pickup, not when the
@@ -149,8 +144,6 @@ struct SessionStats {
     errors: usize,
     total_cost: i64,
     total_lower_bound: i64,
-    cache_hits: usize,
-    cache_misses: usize,
     solution_cache_hits: usize,
     solution_cache_misses: usize,
     deadline_hits: usize,
@@ -182,8 +175,6 @@ impl SessionStats {
             wall,
             p50_solve: percentile(&self.latencies, 50.0),
             p99_solve: percentile(&self.latencies, 99.0),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
             solution_cache_hits: self.solution_cache_hits,
             solution_cache_misses: self.solution_cache_misses,
             workers,
@@ -231,7 +222,7 @@ fn prepare_record(
         None
     };
     // consult the solution cache *before* dispatch: a hit is answered at
-    // lookup speed and never costs a worker (or a feature detection)
+    // lookup speed and never costs a worker
     let mut hit = None;
     if let Some(fp) = &fingerprint {
         if policy.read_enabled() {
@@ -251,24 +242,15 @@ fn prepare_record(
         policy,
         fingerprint,
         hit,
-        features: None,
         budget,
     }
 }
 
-/// The runner side of one record: features through the shared cache, then
-/// the solve under a child of the session token armed with the record's
-/// budget, then the solution-cache write-back.
-fn solve_item(ctx: &SessionContext, mut item: SolveItem) -> Outcome {
+/// The runner side of one record: the solve (detection included) under a
+/// child of the session token armed with the record's budget, then the
+/// solution-cache write-back.
+fn solve_item(ctx: &SessionContext, item: SolveItem) -> Outcome {
     let config = &ctx.config;
-    let features = match item.features.take() {
-        Some(features) => features,
-        None => ctx.cache.lookup(&item.canon).unwrap_or_else(|| {
-            let features = InstanceFeatures::detect(&item.inst);
-            ctx.cache.insert(item.canon.clone(), features.clone());
-            features
-        }),
-    };
     let token = match item.budget {
         Some(budget) => ctx.cancel.child_after(budget),
         None => ctx.cancel.child(),
@@ -295,7 +277,6 @@ fn solve_item(ctx: &SessionContext, mut item: SolveItem) -> Outcome {
                 .as_deref()
                 .unwrap_or(&config.default_solver),
         )
-        .features(features)
         .cancel(token.clone())
         .solve_with(&ctx.registry);
     // the cache itself refuses cut or truncated reports and re-validates
@@ -706,14 +687,11 @@ impl SessionMachine {
 
     /// Parses up to one wave of buffered records into new slots: bad lines
     /// and solution-cache hits are ready at once, solves go to the run
-    /// queue. Counts the wave's feature-cache hits and misses at parse
-    /// time: a hit per instance the shared cache already holds, one miss
-    /// per distinct fresh instance, hits for its repeats within the wave.
+    /// queue.
     fn parse_wave(&mut self) -> bool {
         let ctx = Arc::clone(&self.shared.ctx);
         let mut records = 0;
         let mut solves: Vec<(usize, Box<SolveItem>)> = Vec::new();
-        let mut fresh: Vec<CanonicalInstance> = Vec::new();
         while records < self.chunk_size {
             let Some(range) = self.take_line() else { break };
             self.line_no += 1;
@@ -739,14 +717,6 @@ impl SessionMachine {
                     match item.hit.take() {
                         Some(report) => (id, SlotState::Ready(Box::new(Answer::Hit(report)))),
                         None => {
-                            if let Some(features) = ctx.cache.lookup(&item.canon) {
-                                self.stats.cache_hits += 1;
-                                item.features = Some(features);
-                            } else if fresh.contains(&item.canon) {
-                                self.stats.cache_hits += 1; // repeated within this wave
-                            } else {
-                                fresh.push(item.canon.clone());
-                            }
                             solves.push((self.next_seq, Box::new(item)));
                             (id, SlotState::InFlight)
                         }
@@ -770,7 +740,6 @@ impl SessionMachine {
         self.inbuf.drain(..self.consumed);
         self.scanned -= self.consumed;
         self.consumed = 0;
-        self.stats.cache_misses += fresh.len();
         self.submit(solves);
         records > 0
     }
@@ -929,7 +898,6 @@ mod tests {
             registry: Arc::new(registry),
             solutions: SolutionCache::new(config.solution_cache),
             config,
-            cache: SharedFeatureCache::new(),
             executor,
             cancel: cancel.clone(),
         };

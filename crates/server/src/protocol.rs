@@ -308,7 +308,7 @@ impl BatchRecord {
 
     /// Materializes the record's instance (generates when described by
     /// spec). Equal inputs materialize equal instances, which is what the
-    /// server's feature cache keys on.
+    /// server's solution cache keys on.
     pub fn instance(&self) -> Instance {
         match &self.input {
             RecordInput::Inline(inst) => inst.clone(),

@@ -78,8 +78,8 @@
 //! batch engine of [`server`]: NDJSON in (one `SolveRequest`-shaped record
 //! per line, instance inline or by generator spec), one report line per
 //! record in input order, solved on the persistent process-wide
-//! [`core::pool::Executor`]. Feature detection runs on the worker that
-//! solves the record, and a shared cache deduplicates it. From a shell:
+//! [`core::pool::Executor`]. A repeated instance is answered from the
+//! solution cache without a solve. From a shell:
 //!
 //! ```text
 //! $ echo '{"instance": {"g": 2, "jobs": [[0, 4], [1, 5], [6, 9]]}}' \
@@ -94,9 +94,9 @@
 //! session engine as [`server::BatchSession`], all multiplexed onto the
 //! *one* process-wide executor (`--workers` is a true process cap,
 //! whatever the connection count), each ending with a
-//! [`server::BatchSummary`] trailer line;
-//! instance-feature detections are shared across connections via
-//! [`server::SharedFeatureCache`]; per-record `deadline_ms` budgets act
+//! [`server::BatchSummary`] trailer line; one
+//! [`core::SolutionCache`] is shared across connections; per-record
+//! `deadline_ms` budgets act
 //! as request timeouts; and SIGINT/SIGTERM drain in-flight batches before
 //! exiting.
 //!

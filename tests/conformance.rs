@@ -1,8 +1,8 @@
-//! Conformance across entry points: one corpus through the library
-//! `serve`, an in-process `Listener` over TCP, a Unix socket and HTTP
-//! `POST /solve`, and a `Router` over TCP and HTTP in front of two
-//! in-process shards must produce the same response bytes (timing fields
-//! dropped) and the same trailer counts.
+//! Conformance across entry points: one corpus through a direct
+//! `SolveRequest` per record, the library `serve`, an in-process `Listener`
+//! over TCP, a Unix socket and HTTP `POST /solve`, and a `Router` over TCP
+//! and HTTP in front of two in-process shards must produce the same
+//! response bytes (timing fields dropped) and the same trailer counts.
 //!
 //! Every instance in the corpus is distinct, so no answer depends on how
 //! the listener's reads happen to split the input into waves: each solve
@@ -13,12 +13,17 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use busytime::core::solve::{SolveOptions, SolveRequest};
 use busytime::full_registry;
 use busytime::instances::Family;
 use busytime::router::{RouteConfig, Router, ShardState};
+use busytime::server::protocol::report_line;
 use busytime::server::{
-    serve, BatchSummary, ConnLog, ListenConfig, ListenMode, Listener, ServeConfig,
+    serve, BatchRecord, BatchSummary, ConnLog, ListenConfig, ListenMode, Listener, ServeConfig,
 };
+
+mod common;
+use common::strip_host_dependent;
 
 /// One record per generator family, a few inline instances, a malformed
 /// and a blank line, a record cut by `deadline_ms: 0`, a 12-job `exact-bb`
@@ -49,25 +54,6 @@ fn corpus() -> String {
         .map(String::from),
     );
     lines.join("\n") + "\n"
-}
-
-/// `line` without its timing fields: `total_ms` and each phase's `ms`.
-fn strip_timing(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    loop {
-        let next = ["\"total_ms\": ", "\"ms\": "]
-            .iter()
-            .filter_map(|key| rest.find(key).map(|at| (at, key.len())))
-            .min();
-        let Some((at, len)) = next else {
-            out.push_str(rest);
-            return out;
-        };
-        out.push_str(&rest[..at]);
-        rest = rest[at + len..].trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
-        rest = rest.strip_prefix(", ").unwrap_or(rest);
-    }
 }
 
 /// Starts an in-process listener in `mode` on an ephemeral port, runs
@@ -106,7 +92,7 @@ fn split_trailer(body: &str) -> (Vec<String>, BatchSummary) {
 }
 
 /// The trailer fields that must agree across entry points.
-fn counts(s: &BatchSummary) -> [i64; 10] {
+fn counts(s: &BatchSummary) -> [i64; 8] {
     [
         s.records as i64,
         s.solved as i64,
@@ -114,8 +100,6 @@ fn counts(s: &BatchSummary) -> [i64; 10] {
         s.deadline_hits as i64,
         s.total_cost,
         s.total_lower_bound,
-        s.cache_hits as i64,
-        s.cache_misses as i64,
         s.solution_cache_hits as i64,
         s.solution_cache_misses as i64,
     ]
@@ -145,6 +129,40 @@ fn serve_tcp_and_http_answer_with_the_same_bytes() {
     assert!(served[served.len() - 2].contains("\"requested\": \"exact-bb\""));
     assert!(served[served.len() - 2].contains("\"ok\": true"));
 
+    // the library answers every record that parses with the served bytes:
+    // a direct `SolveRequest` under the record's solver, overrides and
+    // deadline (`apply_overrides` carries `deadline_ms` as the deadline)
+    let registry = full_registry();
+    let records = input
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    let mut compared = 0;
+    for ((index, raw), served_line) in records.zip(&served) {
+        let Ok(record) = BatchRecord::parse(raw) else {
+            continue;
+        };
+        let inst = record.instance();
+        let report = SolveRequest::new(&inst)
+            .solver(record.solver.as_deref().unwrap_or("auto"))
+            .options(record.apply_overrides(SolveOptions::default()))
+            .solve_with(&registry)
+            .expect("every corpus record that parses solves");
+        let line = index + 1;
+        let direct = report_line(line, record.id.as_deref(), &report);
+        assert_eq!(
+            strip_host_dependent(&direct),
+            strip_host_dependent(served_line),
+            "library answer differs from serve on line {line}"
+        );
+        compared += 1;
+    }
+    assert_eq!(
+        compared,
+        served.len() - 1,
+        "every record but the malformed one"
+    );
+
     let tcp = with_listener(ListenMode::Tcp("127.0.0.1:0".into()), |addr| {
         let mut stream = connect(addr);
         stream.write_all(input.as_bytes()).unwrap();
@@ -168,10 +186,10 @@ fn serve_tcp_and_http_answer_with_the_same_bytes() {
         body.to_string()
     });
 
-    let expected: Vec<String> = served.iter().map(|l| strip_timing(l)).collect();
+    let expected: Vec<String> = served.iter().map(|l| strip_host_dependent(l)).collect();
     for (name, body) in [("tcp", &tcp), ("http", &http)] {
         let (lines, trailer) = split_trailer(body);
-        let lines: Vec<String> = lines.iter().map(|l| strip_timing(l)).collect();
+        let lines: Vec<String> = lines.iter().map(|l| strip_host_dependent(l)).collect();
         assert_eq!(lines, expected, "{name} response lines differ from serve");
         assert_eq!(
             counts(&trailer),
@@ -264,7 +282,7 @@ fn route_and_unix_answer_with_the_same_bytes_as_serve() {
     let expected: Vec<String> = String::from_utf8(out)
         .unwrap()
         .lines()
-        .map(strip_timing)
+        .map(strip_host_dependent)
         .collect();
 
     let mut bodies = vec![
@@ -315,7 +333,7 @@ fn route_and_unix_answer_with_the_same_bytes_as_serve() {
 
     for (name, body) in &bodies {
         let (lines, trailer) = split_trailer(body);
-        let lines: Vec<String> = lines.iter().map(|l| strip_timing(l)).collect();
+        let lines: Vec<String> = lines.iter().map(|l| strip_host_dependent(l)).collect();
         assert_eq!(lines, expected, "{name} response lines differ from serve");
         assert_eq!(
             counts(&trailer),

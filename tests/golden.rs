@@ -16,6 +16,9 @@ use busytime::exact::{ExactBB, ExactDp};
 use busytime::instances::clique::random_clique;
 use busytime::instances::random::{uniform, LengthDist};
 
+mod common;
+use common::strip_host_dependent;
+
 fn golden_instance() -> busytime::Instance {
     uniform(64, 120, LengthDist::Uniform(3, 40), 3, 0xBEEF)
 }
@@ -70,40 +73,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// A report line with everything host- or clock-dependent removed: the
-/// phase `ms` values and `total_ms` read 0, and the schedule detail's
-/// ` (parallel width N)` suffix (present only on hosts with two or more
-/// idle workers) is dropped.
-fn strip_host_dependent(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    loop {
-        let ms = rest.find("\"ms\": ");
-        let total = rest.find("\"total_ms\": ");
-        let width = rest.find(" (parallel width ");
-        let Some((at, key)) = [
-            ms.map(|i| (i, "\"ms\": ")),
-            total.map(|i| (i, "\"total_ms\": ")),
-            width.map(|i| (i, " (parallel width ")),
-        ]
-        .into_iter()
-        .flatten()
-        .min_by_key(|&(i, _)| i) else {
-            out.push_str(rest);
-            return out;
-        };
-        out.push_str(&rest[..at]);
-        let after = &rest[at + key.len()..];
-        if key.starts_with(' ') {
-            rest = &after[after.find(')').expect("closed width note") + 1..];
-        } else {
-            out.push_str(key);
-            out.push('0');
-            rest = after.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
-        }
-    }
 }
 
 /// Inline SplitMix64, so the corpus below does not depend on any
@@ -234,15 +203,4 @@ fn golden_report_digests() {
         .collect();
     let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
     assert_eq!(got, expected, "report digests drifted; now:\n{table}");
-}
-
-#[test]
-fn strip_host_dependent_drops_only_timing() {
-    let line = "{\"phases\": [{\"name\": \"schedule\", \"ms\": 12.345, \"detail\": \
-                \"3 machines (parallel width 2)\"}], \"total_ms\": 0.250, \"cost\": 7}";
-    assert_eq!(
-        strip_host_dependent(line),
-        "{\"phases\": [{\"name\": \"schedule\", \"ms\": 0, \"detail\": \
-         \"3 machines\"}], \"total_ms\": 0, \"cost\": 7}"
-    );
 }
