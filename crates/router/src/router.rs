@@ -14,35 +14,38 @@
 //! `line` via [`reline_output`] (no re-parse, no re-serialize) and held
 //! in a small reorder buffer until every earlier record has answered.
 //!
-//! Failure model: a broken shard write or a shard that dies mid-batch
-//! orphans its unanswered records; orphans are re-dispatched to a healthy
-//! shard with their original `line` stamps, so the client still sees every
-//! record answered exactly once, in order. Only when no healthy shard
-//! remains does a record answer as a structured error line.
+//! Failure model: a shard stream that breaks, ends early or makes no write
+//! progress for the write timeout orphans its unanswered records; orphans
+//! are re-dispatched to a healthy shard with their original `line` stamps,
+//! so the client still sees every record answered exactly once, in order.
+//! A record is re-dispatched at most three times. Only when no
+//! healthy shard remains, or a record has spent its retries, does it
+//! answer as a structured error line.
 //!
 //! Connections are served by the listener's [readiness
 //! reactor](busytime_server::reactor): accepting, sniffing, health probes,
 //! HTTP framing, capacity rejections, the bounded outbox and the drain
 //! cost no thread, exactly as on `listen`. The router is the reactor's
-//! routing [`Service`]: a connection's batch runs the fan-out/fan-in
-//! engine below on one session thread, which reads the bytes the reactor
-//! feeds it through a pipe and answers into a buffer the reactor drains
-//! when woken. Each shard stream the session opens adds one reader thread,
-//! scoped to the batch.
+//! routing [`Service`]: a connection's batch is a `RouteMachine`, one
+//! single-threaded session that owns its shard streams as nonblocking
+//! sockets watched by the connection's reactor. Fan-out, in-order fan-in,
+//! orphan retry and the trailer merge all run there, so a routed batch
+//! costs no thread either; the router's own threads are the prober and,
+//! in `--spawn` mode, the shard monitors.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
 use busytime_core::solve::REPORT_SCHEMA_VERSION;
 use busytime_instances::json::{self, Value};
 use busytime_server::protocol::error_line;
-use busytime_server::reactor::{self, Endpoint, Gauges, Notify, Service, Session};
+use busytime_server::reactor::{
+    self, Endpoint, Gauges, Interest, Notify, Service, Session, Sources,
+};
 use busytime_server::{reline_output, BatchSummary, ListenConfig, ListenMode, ServeError};
 
 use crate::shard::{connect, lock, pick, ShardState};
@@ -61,21 +64,6 @@ pub struct RouteConfig {
     /// How often the background prober refreshes every shard's
     /// `/healthz` snapshot.
     pub probe_interval: Duration,
-    /// Per-probe budget (connect + request + response).
-    pub probe_timeout: Duration,
-    /// Budget for opening a shard connection on the dispatch path.
-    pub connect_timeout: Duration,
-    /// Read timeout on shard streams: the cadence at which a shard reader
-    /// notices shutdown and starts its drain budget. Client reads need
-    /// none; the reactor reacts to readable sockets.
-    pub read_timeout: Duration,
-    /// Write timeout towards shards, and the longest a client's outbox
-    /// may make no write progress before the connection is aborted: a
-    /// peer that stops reading for this long is treated as gone.
-    pub write_timeout: Duration,
-    /// How many times an orphaned record may chase a new shard after the
-    /// client's batch is fully read before answering as an error.
-    pub retry_rounds: usize,
     /// Suppress per-connection stderr log lines.
     pub quiet: bool,
 }
@@ -86,11 +74,6 @@ impl Default for RouteConfig {
             max_conns: 0,
             sticky: false,
             probe_interval: Duration::from_millis(500),
-            probe_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(60),
-            retry_rounds: 3,
             quiet: false,
         }
     }
@@ -108,8 +91,8 @@ pub struct RouteReport {
     pub records: usize,
     /// Records re-dispatched after a shard broke under them.
     pub retried: usize,
-    /// Records answered with a router-side error because no healthy shard
-    /// remained.
+    /// Records the router answered itself with an error line: no healthy
+    /// shard remained, or the record spent its re-dispatches.
     pub failed: usize,
     /// One-shot `GET /healthz` probes answered on the NDJSON endpoint.
     pub health_probes: usize,
@@ -129,15 +112,34 @@ impl std::fmt::Display for RouteReport {
     }
 }
 
-/// Answer bytes a routed session may queue ahead of the reactor's pump;
-/// past this its writers wait, so the outbox overshoots its cap by at
-/// most this much.
-const PIPE_CAP: usize = 64 * 1024;
+/// Budget of one `/healthz` probe: connect, request and response.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How long a shard reader keeps draining responses after shutdown is
+/// Budget of opening a shard stream, the one blocking call a routed
+/// session makes on its reactor thread.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long a shard stream may make no write progress, while its session
+/// reads its answers, before the shard counts as dead: the listener's
+/// default write timeout, which also bounds a client that stops reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How many times one record may be re-dispatched after shards broke
+/// under it before it answers as an error.
+const MAX_RETRIES: usize = 3;
+
+/// How long a session keeps waiting for shard answers after shutdown is
 /// signalled — in-flight solves finish cooperatively on the shard, and
 /// cutting their answers off here would orphan records for no reason.
 const SHARD_DRAIN_BUDGET: Duration = Duration::from_secs(10);
+
+/// Bytes one pump reads off one shard stream; level-triggered polling
+/// re-reports the rest. It bounds how far past its cap one pump can push a
+/// client's outbox.
+const LINK_READ_BUDGET: usize = 32 * 1024;
+
+/// The router-side error of a record no shard could take.
+const NO_SHARD: &str = "no healthy shard available to solve this record";
 
 /// The shard-routing front-end; see the [module docs](self) for the wire
 /// and failure contracts.
@@ -188,17 +190,15 @@ impl Router {
     }
 
     /// Accepts and routes connections until the shutdown token fires,
-    /// then drains every live connection, joins every session thread and
-    /// returns the aggregate report. The caller's thread runs reactor 0;
-    /// a background prober keeps every shard's health snapshot fresh for
-    /// the whole run.
+    /// then drains every live connection and returns the aggregate
+    /// report. The caller's thread runs reactor 0; a background prober
+    /// keeps every shard's health snapshot fresh for the whole run.
     pub fn run(self) -> std::io::Result<RouteReport> {
         let service = Arc::new(RouteService {
             shards: self.shards,
             config: self.config,
             shutdown: self.shutdown.clone(),
             report: Mutex::default(),
-            sessions: Mutex::default(),
         });
         let prober = {
             let service = Arc::clone(&service);
@@ -206,14 +206,10 @@ impl Router {
         };
         let limits = ListenConfig {
             max_conns: service.config.max_conns,
-            write_timeout: service.config.write_timeout,
             ..ListenConfig::default()
         };
         let counts = reactor::run(self.endpoint, Arc::clone(&service), &limits, self.shutdown);
         service.shutdown.cancel();
-        for handle in std::mem::take(&mut *lock(&service.sessions)) {
-            let _ = handle.join();
-        }
         let _ = prober.join();
         let counts = counts?;
         let mut report = lock(&service.report).clone();
@@ -237,7 +233,7 @@ fn run_prober(service: &RouteService) {
             if shard.addr().is_empty() {
                 continue;
             }
-            let _ = shard.check(service.config.probe_timeout);
+            let _ = shard.check(PROBE_TIMEOUT);
         }
         let mut slept = Duration::ZERO;
         while slept < service.config.probe_interval && !service.shutdown.is_cancelled() {
@@ -248,16 +244,13 @@ fn run_prober(service: &RouteService) {
     }
 }
 
-/// The router as the reactor's [`Service`]: every session routes one
-/// batch across the fleet on its own thread.
+/// The router as the reactor's [`Service`]: every session is a
+/// [`RouteMachine`] over the fleet.
 struct RouteService {
     shards: Vec<Arc<ShardState>>,
     config: RouteConfig,
     shutdown: CancelToken,
     report: Mutex<RouteReport>,
-    /// Session threads not known to have finished; [`Router::run`] joins
-    /// them all.
-    sessions: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl RouteService {
@@ -269,33 +262,32 @@ impl RouteService {
 }
 
 impl Service for RouteService {
-    type Session = RouteSession;
+    type Session = RouteMachine;
     const NOUN: &'static str = "router";
 
-    fn open(&self, notify: Notify) -> RouteSession {
-        let pipe = Arc::new(Pipe {
-            state: Mutex::default(),
-            stir: Condvar::new(),
-            notify,
-        });
-        let (theirs, shards) = (Arc::clone(&pipe), self.shards.clone());
-        let (config, shutdown) = (self.config.clone(), self.shutdown.clone());
-        let handle = std::thread::spawn(move || {
-            // a panic must still end the session, or its connection (and
-            // the drain) would wait for it forever
-            let done = catch_unwind(AssertUnwindSafe(|| {
-                route_session(&theirs, &shards, &config, &shutdown)
-            }));
-            lock(&theirs.state).done = Some(done);
-            (theirs.notify)();
-        });
-        let mut sessions = lock(&self.sessions);
-        sessions.retain(|session| !session.is_finished());
-        sessions.push(handle);
-        RouteSession {
-            pipe,
+    /// Shard answers wake the reactor through the watched streams, so the
+    /// machine needs no `notify`.
+    fn open(&self, _: Notify, sources: Sources) -> RouteMachine {
+        RouteMachine {
+            shards: self.shards.clone(),
+            sticky: self.config.sticky,
+            shutdown: self.shutdown.clone(),
+            sources,
+            input: Vec::new(),
+            line_no: 0,
+            eof: false,
+            records: HashMap::new(),
+            next_seq: 0,
+            fanin: Fanin::new(Vec::new()),
+            links: Vec::new(),
+            pinned: None,
+            orphans: Vec::new(),
+            trailers: Vec::new(),
+            untallied: (0, 0),
+            stats: SessionStats::default(),
+            started: Instant::now(),
+            drain_until: None,
             end: None,
-            stats: None,
         }
     }
 
@@ -327,8 +319,8 @@ impl Service for RouteService {
         )
     }
 
-    fn settle(&self, conn_id: usize, peer: &str, session: &RouteSession, _: &BatchSummary) {
-        let Some(stats) = &session.stats else { return };
+    fn settle(&self, conn_id: usize, peer: &str, session: &RouteMachine, _: &BatchSummary) {
+        let stats = &session.stats;
         {
             let mut report = lock(&self.report);
             report.records += stats.records;
@@ -351,215 +343,7 @@ impl Service for RouteService {
 }
 
 // ---------------------------------------------------------------------------
-// The thread-backed session: a pipe between the reactor and
-// `route_session`
-// ---------------------------------------------------------------------------
-
-/// The byte pipe between the reactor and one session thread.
-struct Pipe {
-    state: Mutex<PipeState>,
-    /// Wakes the session's threads: input arrived or ended, answers may
-    /// flow again, the session was dropped, or a shard reader orphaned
-    /// records.
-    stir: Condvar,
-    /// Wakes the reactor: answers arrived, or the batch ended.
-    notify: Notify,
-}
-
-#[derive(Default)]
-struct PipeState {
-    /// Client bytes fed and not yet read by the session thread.
-    input: Vec<u8>,
-    /// The client's end of batch.
-    eof: bool,
-    /// The reactor dropped the session: input ends, answers are
-    /// discarded.
-    gone: bool,
-    /// Orphans wait for re-dispatch; the session thread's blocked read
-    /// returns so it can take them.
-    stirred: bool,
-    /// Answer lines not yet pumped into the reactor's outbox.
-    output: Vec<u8>,
-    /// The reactor's outbox is over its cap: answers wait in their
-    /// writers.
-    held: bool,
-    /// The session thread's end: its counters and the merged trailer, or
-    /// its panic.
-    done: Option<std::thread::Result<(SessionStats, BatchSummary)>>,
-}
-
-impl Pipe {
-    /// Changes the state under the lock, then wakes every waiter to
-    /// re-check it.
-    fn update(&self, change: impl FnOnce(&mut PipeState)) {
-        change(&mut lock(&self.state));
-        self.stir.notify_all();
-    }
-}
-
-/// One connection's routed batch, as the reactor sees it: the session
-/// thread reads what [`Session::feed`] hands it and answers through the
-/// pipe.
-struct RouteSession {
-    pipe: Arc<Pipe>,
-    /// How the session thread ended, once pumped out of the pipe.
-    end: Option<Result<BatchSummary, ServeError>>,
-    /// The session thread's counters, read by [`Service::settle`].
-    stats: Option<SessionStats>,
-}
-
-impl Session for RouteSession {
-    fn feed(&mut self, bytes: &[u8]) {
-        self.pipe.update(|state| {
-            if !state.eof {
-                state.input.extend_from_slice(bytes);
-            }
-        });
-    }
-
-    fn finish_input(&mut self) {
-        self.pipe.update(|state| state.eof = true);
-    }
-
-    /// `allow_parse = false` holds the next answer back in its writer, as
-    /// does a full pipe. The shard reader that writes it stalls, and
-    /// back-pressure reaches the shards and the dispatcher, as through a
-    /// slow client socket.
-    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
-        let mut state = lock(&self.pipe.state);
-        if allow_parse && (state.held || state.output.len() >= PIPE_CAP) {
-            self.pipe.stir.notify_all();
-        }
-        out.append(&mut state.output);
-        state.held = !allow_parse;
-        if let Some(done) = state.done.take() {
-            self.end = Some(match done {
-                Ok((stats, trailer)) => {
-                    self.stats = Some(stats);
-                    Ok(trailer)
-                }
-                Err(_) => Err(ServeError::Io(std::io::Error::other(
-                    "the routing session panicked",
-                ))),
-            });
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.end.is_some()
-    }
-
-    /// Busy until the batch ends: the router cuts no idle connection.
-    fn has_inflight(&self) -> bool {
-        self.end.is_none()
-    }
-
-    fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
-        self.end.take().expect("a finished session has an end")
-    }
-}
-
-impl Drop for RouteSession {
-    /// The client is gone (or the write timeout fired): the session
-    /// thread sees its input end and its answers are discarded, as a
-    /// client that stopped reading always was.
-    fn drop(&mut self) {
-        self.pipe.update(|state| {
-            state.gone = true;
-            state.output.clear();
-        });
-    }
-}
-
-/// The session thread's end of the client input.
-struct PipeReader<'a> {
-    pipe: &'a Pipe,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for PipeReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.fill_buf()?.read(out)?;
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for PipeReader<'_> {
-    /// Blocks until the reactor feeds bytes or ends the input. Fails with
-    /// `WouldBlock` when a shard reader stirred the pipe and with
-    /// `BrokenPipe` once the session is dropped.
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            let mut state = lock(&self.pipe.state);
-            loop {
-                if state.gone {
-                    return Err(std::io::ErrorKind::BrokenPipe.into());
-                }
-                if !state.input.is_empty() || state.eof {
-                    break;
-                }
-                if std::mem::take(&mut state.stirred) {
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                state = self
-                    .pipe
-                    .stir
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            std::mem::swap(&mut self.buf, &mut state.input);
-        }
-        Ok(&self.buf[self.pos..])
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.pos += n;
-    }
-}
-
-/// The session thread's answer sink: each flushed line goes to the
-/// reactor in one piece.
-struct PipeWriter<'a> {
-    pipe: &'a Pipe,
-    line: Vec<u8>,
-}
-
-impl Write for PipeWriter<'_> {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.line.extend_from_slice(bytes);
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut state = lock(&self.pipe.state);
-        while (state.held || state.output.len() >= PIPE_CAP) && !state.gone {
-            state = self
-                .pipe
-                .stir
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if state.gone {
-            return Err(std::io::ErrorKind::BrokenPipe.into());
-        }
-        // a non-empty output already has a wake on its way
-        let wake = state.output.is_empty();
-        state.output.append(&mut self.line);
-        drop(state);
-        if wake {
-            (self.pipe.notify)();
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The routed batch session: fan-out, in-order fan-in, orphan retry,
-// merged trailer
+// The routed batch: fan-out, in-order fan-in, orphan retry, merged trailer
 // ---------------------------------------------------------------------------
 
 /// Per-session counters bubbled up into the [`RouteReport`].
@@ -570,19 +354,17 @@ struct SessionStats {
     failed: usize,
 }
 
-/// One client record in flight: its fan-in slot, its original input line
-/// (for restamping), and the raw bytes to (re)send.
-#[derive(Clone, Debug)]
+/// One client record not yet answered.
+#[derive(Debug)]
 struct Pending {
-    /// 0-based dispatch order — the fan-in emission key.
-    seq: usize,
     /// 1-based client input line — what the response must be stamped
     /// with, wherever it is solved.
     orig_line: usize,
-    /// The record's id, for router-side error lines.
-    id: Option<String>,
-    /// The record line as received (no trailing newline).
+    /// The record line as received (trimmed, no newline); its id is read
+    /// only if the router answers it with an error line.
     raw: String,
+    /// Re-dispatches so far.
+    retries: usize,
 }
 
 /// The reorder buffer: responses arrive tagged with their dispatch `seq`
@@ -591,9 +373,6 @@ struct Fanin<W: Write> {
     next: usize,
     ready: BTreeMap<usize, String>,
     writer: W,
-    /// The client stopped reading (write error); responses are still
-    /// consumed in order so the session drains, just not written.
-    client_gone: bool,
 }
 
 impl<W: Write> Fanin<W> {
@@ -602,7 +381,6 @@ impl<W: Write> Fanin<W> {
             next: 0,
             ready: BTreeMap::new(),
             writer,
-            client_gone: false,
         }
     }
 
@@ -610,19 +388,15 @@ impl<W: Write> Fanin<W> {
     fn push(&mut self, seq: usize, text: String) {
         self.ready.insert(seq, text);
         while let Some(text) = self.ready.remove(&self.next) {
-            if !self.client_gone {
-                let wrote = writeln!(self.writer, "{text}").and_then(|_| self.writer.flush());
-                if wrote.is_err() {
-                    self.client_gone = true;
-                }
-            }
+            // the writer is an in-memory buffer
+            let _ = writeln!(self.writer, "{text}");
             self.next += 1;
         }
     }
 
     /// Defensive hole-fill: any dispatched seq that never produced a
-    /// response (a bug or an unwinnable race, not a normal path) answers
-    /// as a structured error so the client never counts short.
+    /// response (a bug, not a normal path) answers as a structured error
+    /// so the client never counts short.
     fn finish(&mut self, total: usize, meta: &[(usize, Option<String>)]) -> usize {
         let mut holes = 0;
         for (seq, (orig_line, id)) in meta.iter().enumerate().take(total).skip(self.next) {
@@ -642,201 +416,466 @@ impl<W: Write> Fanin<W> {
     }
 }
 
-/// The cross-thread state of one routed session, passed by copy into
-/// scoped reader threads.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    shards: &'a [Arc<ShardState>],
-    config: &'a RouteConfig,
-    shutdown: &'a CancelToken,
-    /// Per-shard queues of dispatched-but-unanswered records, in send
-    /// order (a shard answers in order, so the front is always the record
-    /// its next response belongs to).
-    pendings: &'a [Mutex<VecDeque<Pending>>],
-    fanin: &'a Mutex<Fanin<PipeWriter<'a>>>,
-    /// Records reclaimed from dead shards awaiting re-dispatch.
-    orphans: &'a Mutex<Vec<Pending>>,
-    /// Summary trailers collected from shards, merged at session end.
-    trailers: &'a Mutex<Vec<BatchSummary>>,
-    /// Answer counts from shards that died before sending a trailer, so
-    /// the merged trailer still accounts for every record.
-    untallied: &'a Mutex<Untallied>,
-    /// The client pipe; a shard reader that orphans records stirs it.
-    pipe: &'a Pipe,
-}
-
-#[derive(Default)]
-struct Untallied {
+/// One shard stream of a routed batch: a nonblocking socket watched by
+/// the connection's reactor.
+struct Link {
+    shard: Arc<ShardState>,
+    stream: TcpStream,
+    /// Dispatched and unanswered seqs in send order: a shard answers in
+    /// order, so the front is the record its next response line answers.
+    pending: VecDeque<usize>,
+    /// Request bytes queued for the shard; `sent` of them are written.
+    out: Vec<u8>,
+    sent: usize,
+    /// Since when writes have blocked while the session reads answers.
+    stalled: Option<Instant>,
+    /// Response bytes not yet taken as lines.
+    input: Vec<u8>,
+    /// Answers taken, for the merged trailer if the shard dies before
+    /// sending its own.
     answered: usize,
     answered_ok: usize,
+    got_trailer: bool,
+    /// The stream is half-closed: the shard ends this batch, answers its
+    /// tail, sends its trailer and closes.
+    half_closed: bool,
+    /// The interest the reactor watches the stream with.
+    watched: Option<Interest>,
 }
 
-/// Routes one client batch: reads records off the pipe, fans them out
-/// across healthy shards, restores input order on the way back, retries
-/// orphans, and returns the session's counters with one merged
-/// [`BatchSummary`] trailer. Never fails — every failure mode degrades to
-/// structured error lines on the wire.
-fn route_session(
-    pipe: &Pipe,
-    shards: &[Arc<ShardState>],
-    config: &RouteConfig,
-    shutdown: &CancelToken,
-) -> (SessionStats, BatchSummary) {
-    let started = Instant::now();
-    let mut stats = SessionStats::default();
-    let mut client = PipeReader {
-        pipe,
-        buf: Vec::new(),
-        pos: 0,
-    };
-    let fanin = Mutex::new(Fanin::new(PipeWriter {
-        pipe,
-        line: Vec::new(),
-    }));
-    let pendings: Vec<Mutex<VecDeque<Pending>>> = (0..shards.len())
-        .map(|_| Mutex::new(VecDeque::new()))
-        .collect();
-    let orphans = Mutex::new(Vec::new());
-    let trailers = Mutex::new(Vec::new());
-    let untallied = Mutex::new(Untallied::default());
-    let ctx = Ctx {
-        shards,
-        config,
-        shutdown,
-        pendings: &pendings,
-        fanin: &fanin,
-        orphans: &orphans,
-        trailers: &trailers,
-        untallied: &untallied,
-        pipe,
-    };
+impl Link {
+    fn open(shard: Arc<ShardState>) -> std::io::Result<Link> {
+        let stream = connect(&shard.addr(), CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(Link {
+            shard,
+            stream,
+            pending: VecDeque::new(),
+            out: Vec::new(),
+            sent: 0,
+            stalled: None,
+            input: Vec::new(),
+            answered: 0,
+            answered_ok: 0,
+            got_trailer: false,
+            half_closed: false,
+            watched: None,
+        })
+    }
 
-    // (orig_line, id) per seq, for hole-filling after the threads join
-    let mut seq_meta: Vec<(usize, Option<String>)> = Vec::new();
-
-    std::thread::scope(|scope| {
-        let mut streams: Vec<Option<TcpStream>> = (0..shards.len()).map(|_| None).collect();
-        let mut pinned: Option<usize> = None;
-        let mut orig_line = 0usize;
-        let mut buf = Vec::new();
-        let mut take_record =
-            |buf: &[u8],
-             streams: &mut [Option<TcpStream>],
-             pinned: &mut Option<usize>,
-             stats: &mut SessionStats,
-             seq_meta: &mut Vec<(usize, Option<String>)>| {
-                orig_line += 1;
-                let text = String::from_utf8_lossy(buf);
-                let text = text.trim();
-                if text.is_empty() {
-                    // blank lines consume a line number but produce no
-                    // response — mirroring the listener's engine exactly
-                    return;
+    /// Reads up to [`LINK_READ_BUDGET`] bytes; `false` once the stream
+    /// has ended.
+    fn fill(&mut self) -> bool {
+        let mut chunk = [0u8; 16 * 1024];
+        let mut budget = LINK_READ_BUDGET;
+        while budget > 0 {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.input.extend_from_slice(&chunk[..n]);
+                    budget = budget.saturating_sub(n);
                 }
-                let seq = seq_meta.len();
-                let id = extract_id(text);
-                seq_meta.push((orig_line, id.clone()));
-                stats.records += 1;
-                let pending = Pending {
-                    seq,
-                    orig_line,
-                    id,
-                    raw: text.to_string(),
-                };
-                dispatch(scope, ctx, pending, streams, pinned, stats);
-            };
-        loop {
-            // a shard may have died since the last record: reclaim its
-            // orphans onto healthy shards before (not after) blocking on
-            // the client again
-            drain_orphans(scope, ctx, &mut streams, &mut pinned, &mut stats);
-            match client.read_until(b'\n', &mut buf) {
-                Ok(0) => {
-                    // a final unterminated line is a record, unless a
-                    // drain ended the input
-                    if !buf.is_empty() && !shutdown.is_cancelled() {
-                        take_record(&buf, &mut streams, &mut pinned, &mut stats, &mut seq_meta);
-                    }
-                    break;
-                }
-                Ok(_) => {
-                    if buf.ends_with(b"\n") {
-                        take_record(&buf, &mut streams, &mut pinned, &mut stats, &mut seq_meta);
-                        buf.clear();
-                    }
-                    // no trailing newline = EOF mid-line; the next read
-                    // returns Ok(0) and the partial line is taken there
-                }
-                // stirred: orphans wait for the top of the loop
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if shutdown.is_cancelled() {
-                        break;
-                    }
-                }
-                Err(_) => break, // the session was dropped
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => return false,
             }
         }
-        // client EOF: half-close every shard stream so each shard ends
-        // its batch, answers its tail, sends its trailer and closes —
-        // which is what makes the reader threads return
-        for stream in streams.iter().flatten() {
-            let _ = stream.shutdown(Shutdown::Write);
+        true
+    }
+
+    /// Writes queued requests until the socket would block; `false` once
+    /// the stream is broken, or has blocked for [`WRITE_TIMEOUT`] while
+    /// the session read its answers. A session that reads nothing stalls
+    /// its shards itself, so that clock restarts.
+    fn flush(&mut self, now: Instant, reading: bool) -> bool {
+        if !reading {
+            self.stalled = None;
         }
-    });
-
-    // shard readers have all joined; whatever they swept into `orphans`
-    // gets retry_rounds chances on whichever shards remain healthy
-    let mut leftovers: Vec<Pending> = std::mem::take(&mut *lock(&orphans));
-    leftovers.sort_by_key(|p| p.seq);
-    let mut queue: VecDeque<Pending> = leftovers.into();
-    for _ in 0..config.retry_rounds {
-        if queue.is_empty() {
-            break;
+        while self.sent < self.out.len() {
+            match self.stream.write(&self.out[self.sent..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.sent += n;
+                    self.stalled = None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let since = *self.stalled.get_or_insert(now);
+                    return now.duration_since(since) < WRITE_TIMEOUT;
+                }
+                Err(_) => return false,
+            }
         }
-        let Some(shard) = pick(shards) else { break };
-        stats.retried += queue.len();
-        retry_batch(&shard, &mut queue, ctx);
-    }
-    for p in queue {
-        stats.failed += 1;
-        lock(&fanin).push(
-            p.seq,
-            error_line(
-                p.orig_line,
-                p.id.as_deref(),
-                "no healthy shard available to solve this record",
-            ),
-        );
+        self.out.clear();
+        self.sent = 0;
+        true
     }
 
-    let holes = lock(&fanin).finish(seq_meta.len(), &seq_meta);
-    stats.failed += holes;
-
-    // the merged trailer: the shards' trailers folded together, plus a
-    // base accounting for records no shard trailer covers (router-side
-    // errors, and answers from shards that died before their trailer)
-    let tally = std::mem::take(&mut *lock(&untallied));
-    let mut merged = BatchSummary {
-        records: stats.failed + tally.answered,
-        solved: tally.answered_ok,
-        errors: stats.failed + (tally.answered - tally.answered_ok),
-        total_cost: 0,
-        total_lower_bound: 0,
-        aggregate_gap: BatchSummary::aggregate_gap(0, 0),
-        wall: started.elapsed(),
-        throughput: 0.0,
-        solved_per_s: 0.0,
-        p50_solve: Duration::ZERO,
-        p99_solve: Duration::ZERO,
-        solution_cache_hits: 0,
-        solution_cache_misses: 0,
-        workers: 0,
-        deadline_hits: 0,
-    };
-    for trailer in lock(&trailers).iter() {
-        merged.merge(trailer);
+    /// Watches for answers while the session reads them and for
+    /// writability while requests wait. A stream it does not read is not
+    /// watched at all: the poller reports a hangup even with no interest,
+    /// and nobody would serve it. `false` if the reactor refused.
+    fn watch(&mut self, sources: &Sources, reading: bool) -> bool {
+        let want = match (reading, self.sent < self.out.len()) {
+            (false, false) => None,
+            (readable, writable) => Some(Interest { readable, writable }),
+        };
+        let was = std::mem::replace(&mut self.watched, want);
+        was == want || sources.watch(&self.stream, was, want).is_ok()
     }
-    (stats, merged)
+}
+
+/// One connection's routed batch, pumped by its reactor: client lines go
+/// out to shard streams as they are read, answers come back in input
+/// order, orphans are re-dispatched on the same path, and the shards'
+/// trailers merge into one once every stream has ended.
+struct RouteMachine {
+    shards: Vec<Arc<ShardState>>,
+    sticky: bool,
+    shutdown: CancelToken,
+    sources: Sources,
+    /// Client bytes not yet taken as lines.
+    input: Vec<u8>,
+    line_no: usize,
+    /// The client's end of batch.
+    eof: bool,
+    /// Unanswered records by dispatch seq.
+    records: HashMap<usize, Pending>,
+    next_seq: usize,
+    fanin: Fanin<Vec<u8>>,
+    links: Vec<Link>,
+    /// The shard a sticky connection is pinned to.
+    pinned: Option<usize>,
+    /// Seqs reclaimed from ended links, awaiting re-dispatch.
+    orphans: Vec<usize>,
+    /// Summary trailers collected from shards, merged at the end.
+    trailers: Vec<BatchSummary>,
+    /// (answered, answered ok) on streams that ended without a trailer,
+    /// so the merged trailer still accounts for every record.
+    untallied: (usize, usize),
+    stats: SessionStats,
+    started: Instant,
+    /// Set once shutdown is seen: when the drain stops waiting for shards.
+    drain_until: Option<Instant>,
+    /// The merged trailer, once the batch is over.
+    end: Option<BatchSummary>,
+}
+
+impl RouteMachine {
+    /// Takes the client's complete lines, and at its end of batch a final
+    /// unterminated one unless a drain ended the input. Each non-blank
+    /// line is a record, dispatched at once; a blank one consumes a line
+    /// number and gets no response, as on the listener.
+    fn take_lines(&mut self) {
+        let mut start = 0;
+        while start < self.input.len() {
+            let end = match self.input[start..].iter().position(|&b| b == b'\n') {
+                Some(len) => start + len,
+                None if self.eof => self.input.len(),
+                None => break,
+            };
+            let last = end == self.input.len();
+            self.line_no += 1;
+            let text = String::from_utf8_lossy(&self.input[start..end]);
+            let raw = text.trim();
+            start = end + 1;
+            if raw.is_empty() || (last && self.shutdown.is_cancelled()) {
+                continue;
+            }
+            let seq = self.next_seq;
+            let pending = Pending {
+                orig_line: self.line_no,
+                raw: raw.to_string(),
+                retries: 0,
+            };
+            self.records.insert(seq, pending);
+            self.next_seq += 1;
+            self.stats.records += 1;
+            self.dispatch(seq);
+        }
+        self.input.drain(..start.min(self.input.len()));
+    }
+
+    /// Sends record `seq` to the least-loaded healthy shard, or the pinned
+    /// one in sticky mode, over a stream that is still open for requests.
+    /// A shard that refuses the connect is demoted at once; with no
+    /// healthy shard left the record answers as an error line.
+    fn dispatch(&mut self, seq: usize) {
+        loop {
+            let pinned = self.pinned.map(|i| &self.shards[i]);
+            let shard = match pinned.filter(|s| s.is_healthy()) {
+                Some(shard) => Arc::clone(shard),
+                None => match pick(&self.shards) {
+                    Some(shard) => shard,
+                    None => return self.fail(seq),
+                },
+            };
+            if self.sticky {
+                self.pinned = Some(shard.index);
+            }
+            let open = self
+                .links
+                .iter()
+                .position(|l| l.shard.index == shard.index && !l.half_closed);
+            let i = match open {
+                Some(i) => i,
+                None => match Link::open(Arc::clone(&shard)) {
+                    Ok(link) => {
+                        self.links.push(link);
+                        self.links.len() - 1
+                    }
+                    Err(_) => {
+                        shard.mark_broken();
+                        continue; // pick() will skip it now
+                    }
+                },
+            };
+            let (link, raw) = (&mut self.links[i], &self.records[&seq].raw);
+            link.out.extend_from_slice(raw.as_bytes());
+            link.out.push(b'\n');
+            link.pending.push_back(seq);
+            shard.note_dispatched();
+            return;
+        }
+    }
+
+    /// Answers record `seq` with the router-side error line.
+    fn fail(&mut self, seq: usize) {
+        let pending = self.records.remove(&seq).expect("failed unanswered");
+        let id = extract_id(&pending.raw);
+        self.stats.failed += 1;
+        let line = error_line(pending.orig_line, id.as_deref(), NO_SHARD);
+        self.fanin.push(seq, line);
+    }
+
+    /// Re-dispatches every orphan in input order, within its retry cap and
+    /// the shutdown drain budget.
+    fn redispatch(&mut self, spent: bool) {
+        let mut orphans = std::mem::take(&mut self.orphans);
+        orphans.sort_unstable();
+        for seq in orphans {
+            let pending = self.records.get_mut(&seq).expect("orphans are unanswered");
+            if spent || pending.retries == MAX_RETRIES {
+                self.fail(seq);
+                continue;
+            }
+            pending.retries += 1;
+            self.stats.retried += 1;
+            self.dispatch(seq);
+        }
+    }
+
+    /// Reads link `i` and takes its complete response lines (and, once it
+    /// has ended, its final unterminated one). `false` once it has ended.
+    fn read_link(&mut self, i: usize) -> bool {
+        let open = self.links[i].fill();
+        let mut input = std::mem::take(&mut self.links[i].input);
+        let mut start = 0;
+        while let Some(len) = input[start..].iter().position(|&b| b == b'\n') {
+            self.take_response(i, &input[start..start + len]);
+            start += len + 1;
+        }
+        if !open && start < input.len() {
+            self.take_response(i, &input[start..]);
+            start = input.len();
+        }
+        input.drain(..start);
+        self.links[i].input = input;
+        open
+    }
+
+    /// One line off link `i`: an answer to the front of its queue is
+    /// restamped and staged in the fan-in, a trailer is kept for the
+    /// merge, and anything else (free-text noise) is dropped — the wire
+    /// contract promises responses and a trailer, nothing more.
+    fn take_response(&mut self, i: usize, line: &[u8]) {
+        let text = String::from_utf8_lossy(line);
+        let text = text.trim_end_matches('\r');
+        if text.trim().is_empty() {
+            return;
+        }
+        let link = &mut self.links[i];
+        if let Some(&seq) = link.pending.front() {
+            if let Some(relined) = reline_output(text, self.records[&seq].orig_line) {
+                link.pending.pop_front();
+                link.shard.note_answered();
+                link.answered += 1;
+                link.answered_ok += usize::from(relined.ok);
+                self.records.remove(&seq);
+                self.fanin.push(seq, relined.text);
+                return;
+            }
+        }
+        if let Ok(summary) = BatchSummary::from_json_line(text) {
+            self.trailers.push(summary);
+            link.got_trailer = true;
+        }
+    }
+
+    /// Ends link `i`: its unanswered records become orphans. A shard that
+    /// left records unanswered, or ended without its trailer, is demoted
+    /// at once.
+    fn close_link(&mut self, i: usize) {
+        let link = self.links.swap_remove(i);
+        let _ = self.sources.watch(&link.stream, link.watched, None);
+        if !link.got_trailer {
+            // without its trailer these answers would vanish from the
+            // merged accounting
+            self.untallied.0 += link.answered;
+            self.untallied.1 += link.answered_ok;
+        }
+        if !link.pending.is_empty() || !link.got_trailer {
+            link.shard.mark_broken();
+        }
+        for seq in link.pending {
+            link.shard.note_answered();
+            self.orphans.push(seq);
+        }
+    }
+
+    /// Writes every link's requests and refreshes what the reactor
+    /// watches. A link that broke, stalled, or outlived the shutdown drain
+    /// budget is closed. Once the client's input is all taken, a link whose
+    /// requests are all written is half-closed.
+    fn flush_links(&mut self, now: Instant, reading: bool, spent: bool) {
+        let input_done = self.eof && self.input.is_empty();
+        let mut i = 0;
+        while i < self.links.len() {
+            let link = &mut self.links[i];
+            if spent || !link.flush(now, reading) || !link.watch(&self.sources, reading) {
+                self.close_link(i);
+                continue;
+            }
+            if input_done && link.out.is_empty() && !link.half_closed {
+                let _ = link.stream.shutdown(Shutdown::Write);
+                link.half_closed = true;
+            }
+            i += 1;
+        }
+    }
+
+    /// The batch is over: fill any hole, then merge the shards' trailers
+    /// over a base that accounts for the records no shard trailer covers
+    /// (router-side errors, and answers from shards that died before their
+    /// trailer).
+    fn finish(&mut self) {
+        if self.fanin.next < self.next_seq {
+            let meta: Vec<(usize, Option<String>)> = (0..self.next_seq)
+                .map(|seq| match self.records.get(&seq) {
+                    Some(p) => (p.orig_line, extract_id(&p.raw)),
+                    None => (0, None),
+                })
+                .collect();
+            self.stats.failed += self.fanin.finish(self.next_seq, &meta);
+        }
+        let (answered, answered_ok) = self.untallied;
+        let mut merged = BatchSummary {
+            records: self.stats.failed + answered,
+            solved: answered_ok,
+            errors: self.stats.failed + (answered - answered_ok),
+            total_cost: 0,
+            total_lower_bound: 0,
+            aggregate_gap: BatchSummary::aggregate_gap(0, 0),
+            wall: self.started.elapsed(),
+            throughput: 0.0,
+            solved_per_s: 0.0,
+            p50_solve: Duration::ZERO,
+            p99_solve: Duration::ZERO,
+            solution_cache_hits: 0,
+            solution_cache_misses: 0,
+            workers: 0,
+            deadline_hits: 0,
+        };
+        for trailer in &self.trailers {
+            merged.merge(trailer);
+        }
+        self.end = Some(merged);
+    }
+}
+
+impl Session for RouteMachine {
+    fn feed(&mut self, bytes: &[u8]) {
+        if !self.eof {
+            self.input.extend_from_slice(bytes);
+        }
+    }
+
+    fn finish_input(&mut self) {
+        self.eof = true;
+    }
+
+    /// Reads the shard streams, dispatches the client's new lines, writes
+    /// the requests, re-dispatches orphans until none is left, and emits
+    /// the answers that are ready in input order. `allow_parse = false`
+    /// takes no client line and reads no shard stream (nor watches one for
+    /// reading), so a slow client stalls its shards, as a slow socket
+    /// would.
+    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+        let now = Instant::now();
+        if self.drain_until.is_none() && self.shutdown.is_cancelled() {
+            self.drain_until = Some(now + SHARD_DRAIN_BUDGET);
+        }
+        let spent = self.drain_until.is_some_and(|until| now >= until);
+        if allow_parse {
+            let mut i = 0;
+            while i < self.links.len() {
+                if self.read_link(i) {
+                    i += 1;
+                } else {
+                    self.close_link(i);
+                }
+            }
+            // orphans go out before (not after) the client's next lines
+            self.redispatch(spent);
+            self.take_lines();
+        }
+        loop {
+            self.flush_links(now, allow_parse, spent);
+            if self.orphans.is_empty() {
+                break;
+            }
+            self.redispatch(spent);
+        }
+        if self.end.is_none() && self.eof && self.input.is_empty() && self.links.is_empty() {
+            self.finish();
+        }
+        out.append(&mut self.fanin.writer);
+    }
+
+    fn is_done(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Busy until the batch ends: the router cuts no idle connection.
+    fn has_inflight(&self) -> bool {
+        self.end.is_none()
+    }
+
+    fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
+        Ok(self.end.take().expect("a finished session has an end"))
+    }
+
+    /// A stalled shard write's timeout, or the end of the shutdown drain.
+    fn deadline(&self) -> Option<Instant> {
+        let stalls = self.links.iter().filter_map(|l| l.stalled);
+        let stalls = stalls.map(|since| since + WRITE_TIMEOUT);
+        let drain = self.drain_until.filter(|_| !self.links.is_empty());
+        stalls.chain(drain).min()
+    }
+}
+
+impl Drop for RouteMachine {
+    /// The client is gone, or the batch is over: every record still on a
+    /// shard stream is settled, and the streams close.
+    fn drop(&mut self) {
+        for link in &self.links {
+            let _ = self.sources.watch(&link.stream, link.watched, None);
+            for _ in &link.pending {
+                link.shard.note_answered();
+            }
+        }
+    }
 }
 
 /// Pulls the record id out of a raw request line, if it parses at all —
@@ -853,320 +892,6 @@ fn extract_id(text: &str) -> Option<String> {
         }),
         _ => None,
     }
-}
-
-/// Re-dispatches everything reclaimed from dead shards so far.
-fn drain_orphans<'scope, 'a: 'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a>,
-    streams: &mut [Option<TcpStream>],
-    pinned: &mut Option<usize>,
-    stats: &mut SessionStats,
-) {
-    let mut reclaimed: Vec<Pending> = std::mem::take(&mut *lock(ctx.orphans));
-    if reclaimed.is_empty() {
-        return;
-    }
-    reclaimed.sort_by_key(|p| p.seq);
-    for pending in reclaimed {
-        stats.retried += 1;
-        dispatch(scope, ctx, pending, streams, pinned, stats);
-    }
-}
-
-/// Sends one record to the least-loaded healthy shard (or the pinned one
-/// in sticky mode), opening the shard stream and its reader thread
-/// lazily. On a broken write the record is reclaimed and retried on
-/// another shard; with no healthy shard it answers as an error line.
-fn dispatch<'scope, 'a: 'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a>,
-    pending: Pending,
-    streams: &mut [Option<TcpStream>],
-    pinned: &mut Option<usize>,
-    stats: &mut SessionStats,
-) {
-    loop {
-        let shard = if ctx.config.sticky {
-            match pinned
-                .map(|i| &ctx.shards[i])
-                .filter(|s| s.is_healthy())
-                .cloned()
-            {
-                Some(shard) => shard,
-                None => match pick(ctx.shards) {
-                    Some(shard) => {
-                        *pinned = Some(shard.index);
-                        shard
-                    }
-                    None => return fail_record(ctx, pending, stats),
-                },
-            }
-        } else {
-            match pick(ctx.shards) {
-                Some(shard) => shard,
-                None => return fail_record(ctx, pending, stats),
-            }
-        };
-        let i = shard.index;
-        if streams[i].is_none() {
-            match open_shard_stream(scope, ctx, &shard) {
-                Ok(stream) => streams[i] = Some(stream),
-                Err(_) => {
-                    shard.mark_broken();
-                    continue; // pick() will skip it now
-                }
-            }
-        }
-        // enqueue BEFORE writing: the reader thread must be able to match
-        // the shard's response (or sweep the record on shard death) from
-        // the moment any byte of it may be on the wire
-        lock(&ctx.pendings[i]).push_back(pending.clone());
-        shard.note_dispatched();
-        let wrote = {
-            let stream = streams[i].as_mut().expect("stream opened above");
-            writeln!(stream, "{}", pending.raw).and_then(|_| stream.flush())
-        };
-        match wrote {
-            Ok(()) => return,
-            Err(_) => {
-                shard.mark_broken();
-                if let Some(stream) = streams[i].take() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                // reclaim our own entry by seq; if it is already gone the
-                // reader thread swept it into `orphans` first, and the
-                // orphan path owns the retry — retrying here too would
-                // answer the record twice
-                let reclaimed = {
-                    let mut queue = lock(&ctx.pendings[i]);
-                    match queue.iter().rposition(|p| p.seq == pending.seq) {
-                        Some(pos) => {
-                            queue.remove(pos);
-                            true
-                        }
-                        None => false,
-                    }
-                };
-                if !reclaimed {
-                    return;
-                }
-                shard.note_answered();
-                stats.retried += 1;
-                // a dead pinned shard releases the pin; the next pick
-                // re-pins the connection
-                if *pinned == Some(i) {
-                    *pinned = None;
-                }
-            }
-        }
-    }
-}
-
-fn fail_record(ctx: Ctx<'_>, pending: Pending, stats: &mut SessionStats) {
-    stats.failed += 1;
-    lock(ctx.fanin).push(
-        pending.seq,
-        error_line(
-            pending.orig_line,
-            pending.id.as_deref(),
-            "no healthy shard available to solve this record",
-        ),
-    );
-}
-
-/// Connects to a shard and spawns its response-reader thread. The
-/// returned stream is the write half; the reader owns a clone.
-fn open_shard_stream<'scope, 'a: 'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: Ctx<'a>,
-    shard: &Arc<ShardState>,
-) -> std::io::Result<TcpStream> {
-    let stream = connect(&shard.addr(), ctx.config.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(ctx.config.read_timeout))?;
-    stream.set_write_timeout(Some(ctx.config.write_timeout))?;
-    let read_half = stream.try_clone()?;
-    let shard = Arc::clone(shard);
-    scope.spawn(move || {
-        let i = shard.index;
-        let got_trailer = pump_shard_responses(read_half, &shard, &ctx.pendings[i], ctx);
-        // sweep: anything still pending on this shard when its stream
-        // ended will never be answered by it — orphan for re-dispatch
-        let leftovers: Vec<Pending> = lock(&ctx.pendings[i]).drain(..).collect();
-        if !leftovers.is_empty() {
-            shard.mark_broken();
-            for _ in &leftovers {
-                shard.note_answered();
-            }
-            lock(ctx.orphans).extend(leftovers);
-            // the session thread may be blocked on a quiet client
-            ctx.pipe.update(|state| state.stirred = true);
-        } else if !got_trailer {
-            // answered everything it was sent but closed without a
-            // trailer — still suspect
-            shard.mark_broken();
-        }
-    });
-    Ok(stream)
-}
-
-/// Reads one shard stream to EOF: response lines are matched to the
-/// front of the shard's pending queue (shards answer in order), restamped
-/// with the client's original line number, and staged into the fan-in;
-/// the trailer is collected for the merge. Returns whether a trailer
-/// arrived (the shard finished its batch cleanly).
-fn pump_shard_responses(
-    stream: TcpStream,
-    shard: &ShardState,
-    queue: &Mutex<VecDeque<Pending>>,
-    ctx: Ctx<'_>,
-) -> bool {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut got_trailer = false;
-    let mut answered = 0usize;
-    let mut answered_ok = 0usize;
-    let mut cancelled_at: Option<Instant> = None;
-    let mut take_line = |buf: &[u8], got_trailer: &mut bool| {
-        let text = String::from_utf8_lossy(buf);
-        let text = text.trim_end_matches(['\n', '\r']);
-        if text.trim().is_empty() {
-            return;
-        }
-        // match and pop under one lock: a concurrent write-failure
-        // reclaim must not swap the front between the peek and the pop
-        let matched = {
-            let mut pending = lock(queue);
-            match pending.front() {
-                Some(front) => match reline_output(text, front.orig_line) {
-                    Some(relined) => {
-                        let front = pending.pop_front().expect("front observed above");
-                        Some((front.seq, relined))
-                    }
-                    None => None,
-                },
-                None => None,
-            }
-        };
-        if let Some((seq, relined)) = matched {
-            shard.note_answered();
-            answered += 1;
-            if relined.ok {
-                answered_ok += 1;
-            }
-            lock(ctx.fanin).push(seq, relined.text);
-            return;
-        }
-        if let Ok(summary) = BatchSummary::from_json_line(text) {
-            lock(ctx.trailers).push(summary);
-            *got_trailer = true;
-        }
-        // anything else (free-text noise) is dropped: the wire contract
-        // promises responses and a trailer, nothing more
-    };
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if !buf.is_empty() {
-                    take_line(&buf, &mut got_trailer);
-                }
-                break;
-            }
-            Ok(_) => {
-                if buf.ends_with(b"\n") {
-                    take_line(&buf, &mut got_trailer);
-                    buf.clear();
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                // after shutdown the shard still gets a drain budget to
-                // answer in-flight records before the reader gives up
-                if ctx.shutdown.is_cancelled() {
-                    let since = cancelled_at.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= SHARD_DRAIN_BUDGET {
-                        break;
-                    }
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    if !got_trailer && answered > 0 {
-        // the shard died after answering some records: without its
-        // trailer those answers would vanish from the merged accounting
-        let mut tally = lock(ctx.untallied);
-        tally.answered += answered;
-        tally.answered_ok += answered_ok;
-    }
-    got_trailer
-}
-
-/// One retry round: sends every queued orphan to `shard` as a fresh
-/// batch and pumps the answers back. Writing and reading run
-/// concurrently (a large orphan batch must not deadlock on full socket
-/// buffers). Unanswered records stay in `queue` for the next round.
-fn retry_batch(shard: &Arc<ShardState>, queue: &mut VecDeque<Pending>, ctx: Ctx<'_>) {
-    let stream = match connect(&shard.addr(), ctx.config.connect_timeout) {
-        Ok(stream) => stream,
-        Err(_) => {
-            shard.mark_broken();
-            return;
-        }
-    };
-    if stream.set_nodelay(true).is_err()
-        || stream
-            .set_read_timeout(Some(ctx.config.read_timeout))
-            .is_err()
-        || stream
-            .set_write_timeout(Some(ctx.config.write_timeout))
-            .is_err()
-    {
-        shard.mark_broken();
-        return;
-    }
-    let write_half = match stream.try_clone() {
-        Ok(half) => half,
-        Err(_) => {
-            shard.mark_broken();
-            return;
-        }
-    };
-    let raws: Vec<String> = queue.iter().map(|p| p.raw.clone()).collect();
-    for _ in &raws {
-        shard.note_dispatched();
-    }
-    let pending = Mutex::new(std::mem::take(queue));
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut writer = BufWriter::new(write_half);
-            for raw in &raws {
-                if writeln!(writer, "{raw}").is_err() {
-                    break;
-                }
-            }
-            let _ = writer.flush();
-            let _ = writer.get_ref().shutdown(Shutdown::Write);
-        });
-        pump_shard_responses(stream, shard, &pending, ctx);
-    });
-    let leftovers = pending
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    if !leftovers.is_empty() {
-        shard.mark_broken();
-        for _ in &leftovers {
-            shard.note_answered();
-        }
-    }
-    *queue = leftovers;
 }
 
 #[cfg(test)]

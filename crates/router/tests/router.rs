@@ -107,7 +107,6 @@ struct Front {
 fn quiet_route_config() -> RouteConfig {
     RouteConfig {
         quiet: true,
-        read_timeout: Duration::from_millis(30),
         probe_interval: Duration::from_millis(100),
         ..RouteConfig::default()
     }
@@ -448,6 +447,52 @@ fn an_orphan_is_retried_while_its_client_waits_for_the_answer() {
     survivor.stop();
 }
 
+#[test]
+fn records_orphaned_after_the_client_finished_are_retried_on_the_survivor() {
+    // shard 0 is a stub that reads its share of the batch until the
+    // router half-closes the stream, then closes without answering. The
+    // router half-closes only after the client's end of batch, so every
+    // orphan appears after it and must still reach the survivor.
+    let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stub_addr = stub.local_addr().unwrap();
+    let stub_thread = std::thread::spawn(move || loop {
+        let (conn, _) = stub.accept().unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        let _ = reader.read_line(&mut line);
+        if !line.starts_with("GET ") {
+            // the record stream: read to the half-close, answer nothing
+            return 1 + reader.lines().count();
+        }
+    });
+    let survivor = start_shard(Duration::from_millis(5), 1, "survivor");
+    let shards = vec![
+        ShardState::new(0, stub_addr.to_string()),
+        ShardState::new(1, survivor.addr.to_string()),
+    ];
+    let front = start_router(shards, quiet_route_config());
+
+    let ids: Vec<String> = (0..8).map(|i| format!("late-{i}")).collect();
+    let lines = run_batch(front.addr, &ids);
+    let trailer = assert_ordered_batch(&lines, &ids);
+    assert!(trailer.contains("\"records\": 8"), "{trailer}");
+
+    let report = front.stop();
+    let swallowed = stub_thread.join().unwrap();
+    assert_eq!(report.records, 8);
+    assert!(
+        report.retried >= swallowed,
+        "{} retried for {swallowed} swallowed records",
+        report.retried
+    );
+    assert_eq!(report.failed, 0);
+    assert_eq!(
+        survivor.stop().records,
+        8,
+        "the survivor answered everything"
+    );
+}
+
 /// The `outbox_bytes` gauge off the router's `/healthz`.
 fn outbox_bytes(addr: SocketAddr) -> usize {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -489,8 +534,8 @@ fn a_slow_reader_holds_routed_answers_near_the_outbox_cap() {
         peak = peak.max(outbox_bytes(front.addr));
         std::thread::sleep(Duration::from_millis(50));
     }
-    // the 256 KiB cap, plus at most two pipe loads (64 KiB each) pumped
-    // around the moment the gate closes
+    // the 256 KiB cap, plus at most one read budget per shard stream
+    // (32 KiB each) pumped just before the gate closes
     assert!(peak < 512 * 1024, "outbox peaked at {peak} bytes");
 
     let lines = client.read_to_end();

@@ -55,7 +55,7 @@ use busytime_instances::json;
 
 use crate::engine::{lock_ignoring_poison, BatchSummary, ServeConfig};
 use crate::machine::{SessionContext, SessionMachine};
-use crate::reactor::{self, Endpoint, Gauges, Notify, Service};
+use crate::reactor::{self, Endpoint, Gauges, Notify, Service, Sources};
 
 /// Which endpoint (and wire protocol) the listener serves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -316,7 +316,7 @@ impl Service for ListenService {
     type Session = SessionMachine;
     const NOUN: &'static str = "server";
 
-    fn open(&self, notify: Notify) -> SessionMachine {
+    fn open(&self, notify: Notify, _: Sources) -> SessionMachine {
         SessionMachine::new(Arc::clone(&self.ctx), notify)
     }
 

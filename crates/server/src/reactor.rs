@@ -16,10 +16,17 @@
 //! owns the accept socket and deals new connections round-robin across
 //! the set, and every reactor owns the full life of the connections dealt
 //! to it — reading request bytes, feeding them to the connection's
-//! session, writing its answers back. A session advances elsewhere (on
-//! executor workers, or on a routed session's own thread) and calls its
-//! [`Notify`] when it has news, which posts a wake to the owning reactor's
-//! mailbox, so a reactor never blocks and never solves. 500 idle
+//! session, writing its answers back. A listener session advances on
+//! executor workers and calls its [`Notify`] when it has news, which posts
+//! a wake to the owning reactor's mailbox. A routed session advances on
+//! the reactor itself: it registers its shard streams as [`Sources`]
+//! under its connection's poller key, so a shard's answer services the
+//! connection just as client bytes do, and its timers ride
+//! [`Session::deadline`]. A reactor never solves. Its one blocking call is
+//! the router's connect to a shard: bounded by the connect timeout, made
+//! only for a shard the router believes healthy, and a failure demotes
+//! that shard at once, so an unreachable shard stalls a reactor at most
+//! once per demotion (a refused connect returns at once). 500 idle
 //! keep-alive connections therefore cost 500 registered file descriptors
 //! and `io_threads` threads — not 500 threads.
 //!
@@ -57,7 +64,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
-use polling::{Event, Interest, Poller, RawFd, Waker};
+use polling::{Event, Poller, RawFd, Waker};
 
 use crate::engine::{lock_ignoring_poison, BatchSummary, ServeError};
 use crate::http::{
@@ -70,6 +77,37 @@ use crate::protocol::error_line;
 /// whatever thread advances the session; it must be cheap and must not
 /// block.
 pub type Notify = Arc<dyn Fn() + Send + Sync>;
+
+pub use polling::Interest;
+
+/// A session's own sockets on its connection's reactor: a stream watched
+/// here reports under the connection's poller key, so its readiness
+/// services the connection just as client bytes or a [`Notify`] wake do.
+/// Polling is level-triggered, so a session must read what it watches for
+/// reads or stop watching it, and must unwatch a stream before closing it.
+pub struct Sources {
+    mailbox: Arc<Mailbox>,
+    key: usize,
+}
+
+impl Sources {
+    /// Moves `stream`'s registration from `was` to `want`; `None` is
+    /// unregistered.
+    pub fn watch(
+        &self,
+        stream: &TcpStream,
+        was: Option<Interest>,
+        want: Option<Interest>,
+    ) -> std::io::Result<()> {
+        let (poller, fd) = (&self.mailbox.poller, fd_of(stream));
+        match (was, want) {
+            (None, None) => Ok(()),
+            (None, Some(interest)) => poller.add(fd, self.key, interest),
+            (Some(_), Some(interest)) => poller.modify(fd, self.key, interest),
+            (Some(_), None) => poller.delete(fd),
+        }
+    }
+}
 
 /// One connection's batch, as the reactor drives it. The reactor feeds it
 /// the bytes it reads, pumps its answers into the connection's outbox, and
@@ -94,6 +132,11 @@ pub trait Session: Send + 'static {
     /// Once [`Session::is_done`]: the batch summary, or why the batch
     /// aborted.
     fn take_result(&mut self) -> Result<BatchSummary, ServeError>;
+    /// When the session next needs a pump with no help from its sockets or
+    /// its [`Notify`]. It joins the connection's timer-wheel deadline.
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
 }
 
 /// What differs between the processes the reactor serves.
@@ -102,8 +145,9 @@ pub trait Service: Send + Sync + 'static {
     type Session: Session;
     /// Who is at capacity, in the rejection message: `server` or `router`.
     const NOUN: &'static str;
-    /// Starts a session; `notify` wakes the connection's reactor.
-    fn open(&self, notify: Notify) -> Self::Session;
+    /// Starts a session; `notify` wakes the connection's reactor, and
+    /// `sources` registers the session's own sockets with it.
+    fn open(&self, notify: Notify, sources: Sources) -> Self::Session;
     /// The `/healthz` body, around the reactor's gauges.
     fn healthz(&self, gauges: &Gauges) -> String;
     /// A batch's answers and trailer went out: count it and log it.
@@ -146,6 +190,18 @@ pub struct Counts {
     pub health_probes: usize,
 }
 
+/// A socket's descriptor, as the poller keys it.
+#[cfg(unix)]
+fn fd_of(socket: &impl std::os::fd::AsRawFd) -> RawFd {
+    socket.as_raw_fd()
+}
+
+/// The poller itself is Unsupported off Unix: nothing is ever polled.
+#[cfg(not(unix))]
+fn fd_of<T>(_: &T) -> RawFd {
+    -1
+}
+
 /// One accepted connection, abstracted over the socket family.
 enum Conn {
     Tcp(TcpStream),
@@ -154,29 +210,24 @@ enum Conn {
 }
 
 impl Conn {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+    fn prepare(&self) -> std::io::Result<()> {
         // accepted sockets do not inherit the acceptor's non-blocking
-        // flag on Linux — it must be set per connection
+        // flag on Linux — it must be set per connection. Nagle is off: a
+        // shard's next answer would otherwise wait for the router's
+        // delayed ACK of the one before, and stall the in-order fan-in
         match self {
-            Conn::Tcp(s) => s.set_nonblocking(true),
+            Conn::Tcp(s) => s.set_nonblocking(true).and_then(|()| s.set_nodelay(true)),
             #[cfg(unix)]
             Conn::Unix(s) => s.set_nonblocking(true),
         }
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> RawFd {
-        use std::os::fd::AsRawFd;
         match self {
-            Conn::Tcp(s) => s.as_raw_fd(),
-            Conn::Unix(s) => s.as_raw_fd(),
+            Conn::Tcp(s) => fd_of(s),
+            #[cfg(unix)]
+            Conn::Unix(s) => fd_of(s),
         }
-    }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> RawFd {
-        // the poller itself is Unsupported off Unix; this is never polled
-        -1
     }
 
     /// Half-close: the client sees EOF after the summary line, while its
@@ -244,18 +295,12 @@ impl Acceptor {
         }
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> RawFd {
-        use std::os::fd::AsRawFd;
         match self {
-            Acceptor::Tcp(l) => l.as_raw_fd(),
-            Acceptor::Unix(l, _) => l.as_raw_fd(),
+            Acceptor::Tcp(l) => fd_of(l),
+            #[cfg(unix)]
+            Acceptor::Unix(l, _) => fd_of(l),
         }
-    }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> RawFd {
-        -1
     }
 }
 
@@ -366,37 +411,35 @@ pub fn run<S: Service>(
     // every reactor gets its poller and wakeable mailbox up front, so the
     // acceptor can deal connections (and sessions can post wakes) before a
     // reactor has even scheduled
-    let mut pollers = Vec::with_capacity(io_threads);
     let mut mailboxes = Vec::with_capacity(io_threads);
     for _ in 0..io_threads {
         let poller = Poller::new()?;
         let waker = Waker::new(&poller, KEY_WAKER)?;
         mailboxes.push(Arc::new(Mailbox {
+            poller,
             waker,
             post: Mutex::new(Post::default()),
         }));
-        pollers.push(poller);
     }
     #[cfg(unix)]
     let unix_path = match &endpoint.acceptor {
         Acceptor::Unix(_, path) => Some(path.clone()),
         Acceptor::Tcp(_) => None,
     };
-    pollers[0].add(endpoint.acceptor.raw_fd(), KEY_ACCEPT, Interest::READ)?;
+    mailboxes[0]
+        .poller
+        .add(endpoint.acceptor.raw_fd(), KEY_ACCEPT, Interest::READ)?;
 
     let mut threads = Vec::new();
-    let mut rest = pollers.split_off(1);
-    for (offset, poller) in rest.drain(..).enumerate() {
-        let index = offset + 1;
-        let reactor = Reactor::new(&shared, poller, &mailboxes, index, None);
+    for index in 1..io_threads {
+        let reactor = Reactor::new(&shared, &mailboxes, index, None);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("busytime-io-{index}"))
                 .spawn(move || reactor.run())?,
         );
     }
-    let poller0 = pollers.pop().expect("reactor 0's poller");
-    let reactor0 = Reactor::new(&shared, poller0, &mailboxes, 0, Some(endpoint.acceptor));
+    let reactor0 = Reactor::new(&shared, &mailboxes, 0, Some(endpoint.acceptor));
     let mut fatal = reactor0.run();
     // reactor 0 only exits once the token fired and its own drain
     // finished; nudge the sibling loops so theirs is prompt too
@@ -490,17 +533,25 @@ impl<S: Service> Shared<S> {
         })
     }
 
-    /// A fresh session whose wakes post `key` to `mailbox`.
+    /// A fresh session whose wakes post `key` to `mailbox`, and whose
+    /// own sockets report under `key` on the mailbox's poller.
     fn open(&self, mailbox: &Arc<Mailbox>, key: usize) -> Box<S::Session> {
+        let sources = Sources {
+            mailbox: Arc::clone(mailbox),
+            key,
+        };
         let mailbox = Arc::clone(mailbox);
-        Box::new(self.service.open(Arc::new(move || mailbox.post_dirty(key))))
+        let notify: Notify = Arc::new(move || mailbox.post_dirty(key));
+        Box::new(self.service.open(notify, sources))
     }
 }
 
-/// A reactor's cross-thread inbox: the acceptor deals fresh connections
-/// in, sessions post the keys of connections that have news, and either
-/// post rings the eventfd to wake the poll loop.
+/// A reactor's shareable half: its poller, on which sessions register
+/// their own sockets, and its cross-thread inbox: the acceptor deals fresh
+/// connections in, sessions post the keys of connections that have news,
+/// and either post rings the eventfd to wake the poll loop.
 struct Mailbox {
+    poller: Poller,
     waker: Waker,
     post: Mutex<Post>,
 }
@@ -663,6 +714,18 @@ impl<T: Session> ConnState<T> {
             Kind::Sniff(_) | Kind::Flush => false,
         }
     }
+
+    /// The live session's own deadline, if it has one.
+    fn session_deadline(&self) -> Option<Instant> {
+        match &self.kind {
+            Kind::Ndjson(session) => session.deadline(),
+            Kind::Http(http) => match &http.state {
+                HttpState::Solving { session, .. } => session.deadline(),
+                _ => None,
+            },
+            Kind::Sniff(_) | Kind::Flush => None,
+        }
+    }
 }
 
 /// An HTTP/1.1 connection's incremental parse state.
@@ -715,7 +778,6 @@ enum HttpStep {
 /// connections round-robin across the set.
 struct Reactor<S: Service> {
     shared: Arc<Shared<S>>,
-    poller: Poller,
     mailbox: Arc<Mailbox>,
     /// Every reactor's mailbox, indexed by reactor; the acceptor's
     /// dealing table.
@@ -737,14 +799,12 @@ struct Reactor<S: Service> {
 impl<S: Service> Reactor<S> {
     fn new(
         shared: &Arc<Shared<S>>,
-        poller: Poller,
         peers: &[Arc<Mailbox>],
         index: usize,
         acceptor: Option<Acceptor>,
     ) -> Reactor<S> {
         Reactor {
             shared: Arc::clone(shared),
-            poller,
             mailbox: Arc::clone(&peers[index]),
             peers: peers.to_vec(),
             index,
@@ -766,7 +826,7 @@ impl<S: Service> Reactor<S> {
             if self.shared.shutdown.is_cancelled() && !self.draining {
                 self.draining = true;
                 if let Some(acceptor) = &self.acceptor {
-                    let _ = self.poller.delete(acceptor.raw_fd());
+                    let _ = self.mailbox.poller.delete(acceptor.raw_fd());
                 }
                 // every live session gets its polite end-of-batch: answer
                 // what was parsed, summarize, flush, close
@@ -817,6 +877,7 @@ impl<S: Service> Reactor<S> {
             }
             events.clear();
             match self
+                .mailbox
                 .poller
                 .wait(&mut events, Some(timeout.max(Duration::from_millis(1))))
             {
@@ -860,7 +921,7 @@ impl<S: Service> Reactor<S> {
             match acceptor.accept() {
                 Ok(conn) => {
                     *lock_ignoring_poison(&self.shared.last_activity) = Instant::now();
-                    let _ = conn.set_nonblocking();
+                    let _ = conn.prepare();
                     if self.shared.active.load(Ordering::SeqCst) >= self.shared.max_conns {
                         lock_ignoring_poison(&self.shared.counts).rejected += 1;
                         if self.rejects_open >= REJECT_BACKLOG_CAP {
@@ -929,7 +990,8 @@ impl<S: Service> Reactor<S> {
     ) -> Option<usize> {
         let key = self.next_key;
         self.next_key += 1;
-        if self.poller.add(conn.raw_fd(), key, Interest::READ).is_err() {
+        let added = self.mailbox.poller.add(conn.raw_fd(), key, Interest::READ);
+        if added.is_err() {
             if tally != Tally::Reject {
                 *lock_ignoring_poison(&self.shared.last_activity) = Instant::now();
                 self.shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -1007,6 +1069,7 @@ impl<S: Service> Reactor<S> {
                 );
                 if want != state.interest
                     && self
+                        .mailbox
                         .poller
                         .modify(state.conn.raw_fd(), key, interest_of(want))
                         .is_ok()
@@ -1044,7 +1107,7 @@ impl<S: Service> Reactor<S> {
         if !state.half_closed {
             let _ = flush_outbox(&mut state);
         }
-        let _ = self.poller.delete(state.conn.raw_fd());
+        let _ = self.mailbox.poller.delete(state.conn.raw_fd());
         if state.gauge > 0 {
             self.shared
                 .outbox_bytes
@@ -1094,10 +1157,10 @@ fn interest_of((read, write): (bool, bool)) -> Interest {
 }
 
 /// The next instant at which this connection needs attention with no help
-/// from the wire: a stalled writer's abort, a quiet client's idle cut, or
-/// the end of the post-close linger.
+/// from the wire: a stalled writer's abort, a quiet client's idle cut, the
+/// end of the post-close linger, or the session's own deadline.
 fn conn_deadline<T: Session>(config: &ListenConfig, state: &ConnState<T>) -> Option<Instant> {
-    let mut deadline: Option<Instant> = None;
+    let mut deadline = state.session_deadline();
     if state.pending() > 0 && !state.half_closed {
         deadline = min_deadline(deadline, state.last_write_progress + config.write_timeout);
     }

@@ -14,7 +14,9 @@ Opens N keep-alive connections (default 500) against a running
   3. sends one record on every 50th connection (10 of 500) and checks
      each answers in order with its own id while the rest stay idle,
   4. closes every connection cleanly so the caller's SIGINT drain sees
-     an empty house.
+     an empty house, then samples the thread count every 10 ms for 1 s
+     while the server ends those batches: a server that pays a thread per
+     batch (or per closing connection) shows it here.
 
 Usage: idle_conn_smoke.py HOST:PORT PID [CONNS] [THREAD_CAP]
 """
@@ -118,6 +120,16 @@ def main():
     for sock in fleet:
         sock.close()
     print("fleet closed")
+
+    peak = 0
+    deadline = time.monotonic() + 1.0
+    while time.monotonic() < deadline:
+        peak = max(peak, process_threads(pid))
+        time.sleep(0.01)
+    print(f"peak process threads while the fleet closed: {peak}")
+    assert peak < thread_cap, (
+        f"{peak} OS threads while {conns} connections closed (cap {thread_cap})"
+    )
 
 
 if __name__ == "__main__":
