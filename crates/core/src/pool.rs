@@ -1221,15 +1221,15 @@ pub mod intra {
 
 pub mod scratch {
     //! Per-thread scratch arenas: reset-not-freed buffers reused across
-    //! records by executor workers and batch sessions.
+    //! records by the threads that solve them.
     //!
-    //! The serving hot path repeats the same small allocations for every
-    //! record: a line buffer per read, an id permutation per greedy solve,
-    //! a delta vector per clique bound, a pair vector per canonical hash.
-    //! Each executor worker (and each session thread) instead holds one
-    //! [`Arena`] in a `thread_local`, cleared between uses but never
-    //! shrunk, so steady-state batch traffic runs these paths
-    //! allocation-free. Sibling scratch for the interval sweeps lives in
+    //! The solve hot path repeats the same small allocations for every
+    //! record: an id permutation and a pair vector per FirstFit solve, a
+    //! delta vector per clique bound, the sorted job order of an instance
+    //! view. Each solving thread instead holds one [`Arena`] in a
+    //! `thread_local`, cleared between uses but never shrunk, so
+    //! steady-state batch traffic runs these paths allocation-free.
+    //! Sibling scratch for the interval sweeps lives in
     //! `busytime_interval::family` (this crate sits above it in the
     //! dependency order).
     //!
@@ -1245,8 +1245,6 @@ pub mod scratch {
     /// record.
     #[derive(Default)]
     pub struct Arena {
-        /// Raw byte staging (line reads, serialization).
-        pub bytes: Vec<u8>,
         /// Job-id staging (scheduler orderings, permutations).
         pub ids: Vec<usize>,
         /// Coordinate staging (sorted deltas, keys).
@@ -1268,28 +1266,6 @@ pub mod scratch {
             Ok(mut arena) => f(&mut arena),
             Err(_) => f(&mut Arena::default()),
         })
-    }
-
-    /// Detaches the thread's byte buffer (cleared, capacity kept) for uses
-    /// that must own the buffer across await-like boundaries — e.g. a batch
-    /// session's line carry. Pair with [`recycle_bytes`].
-    pub fn take_bytes() -> Vec<u8> {
-        with(|arena| {
-            let mut buf = std::mem::take(&mut arena.bytes);
-            buf.clear();
-            buf
-        })
-    }
-
-    /// Returns a buffer taken by [`take_bytes`] (or any buffer worth
-    /// pooling) to the thread's arena. Keeps the larger of the two
-    /// capacities.
-    pub fn recycle_bytes(buf: Vec<u8>) {
-        with(|arena| {
-            if buf.capacity() > arena.bytes.capacity() {
-                arena.bytes = buf;
-            }
-        });
     }
 
     #[cfg(test)]
@@ -1320,17 +1296,6 @@ pub mod scratch {
                 });
                 assert_eq!(outer.keys, vec![7]);
             });
-        }
-
-        #[test]
-        fn byte_buffer_round_trips_capacity() {
-            let mut buf = take_bytes();
-            buf.extend_from_slice(&[0u8; 4096]);
-            recycle_bytes(buf);
-            let again = take_bytes();
-            assert!(again.is_empty());
-            assert!(again.capacity() >= 4096);
-            recycle_bytes(again);
         }
     }
 }

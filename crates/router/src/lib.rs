@@ -21,10 +21,12 @@
 //! * [`router`] — [`Router`]: the routing service on the listener's
 //!   reactor, the background prober, and the per-connection routed
 //!   session, a single-threaded state machine that the reactor pumps
-//!   with its shard streams as watched sockets: per-record fan-out (or
-//!   whole-connection pinning with [`RouteConfig::sticky`]), an in-order
-//!   fan-in reorder buffer, orphan retry when a shard dies mid-batch,
-//!   and the merged summary trailer. A routed batch costs no thread.
+//!   with its shard streams as watched sockets: per-record fan-out of
+//!   request lines forwarded verbatim (or whole-connection pinning with
+//!   [`RouteConfig::sticky`]), an in-order fan-in reorder buffer, orphan
+//!   retry when a shard dies mid-batch, and the merged summary trailer.
+//!   A routed batch costs no thread, and holds a bounded amount of its
+//!   client's input.
 //! * [`spawn`] — [`ShardFleet`]: `--spawn N` mode, where the router
 //!   launches and supervises local shard children (banner-based address
 //!   discovery, restart with backoff, whole-tree SIGINT drain).

@@ -9,10 +9,24 @@
 //! router from a single `listen` process — except that the trailer's
 //! `workers` field now sums the fleet.
 //!
+//! Request lines are forwarded verbatim: the router takes each client line
+//! off the connection's [`Lines`] framer and writes its bytes to a shard
+//! as they arrived, so a shard answers a routed line exactly as it answers
+//! the same line sent to it directly. The router decodes a line only to
+//! find the `id` of an error line it writes itself. Shard answers are
+//! framed by one [`Lines`] per shard stream.
+//!
 //! Ordering is restored per connection by a sequence number assigned at
 //! dispatch: shard responses are restamped with the client's original
 //! `line` via [`reline_output`] (no re-parse, no re-serialize) and held
 //! in a small reorder buffer until every earlier record has answered.
+//!
+//! Back-pressure: a routed batch takes no client line while it holds more
+//! than [`INPUT_LIMIT`] bytes for its client — requests its shard streams
+//! have not written yet, and answers waiting in the reorder buffer on an
+//! earlier one. A shard that stops reading, or one slow record holding up
+//! the in-order fan-in, therefore stops the router reading its client, as
+//! the reactor's input gate does on `listen`.
 //!
 //! Failure model: a shard stream that breaks, ends early or makes no write
 //! progress for the write timeout orphans its unanswered records; orphans
@@ -44,9 +58,9 @@ use busytime_core::solve::REPORT_SCHEMA_VERSION;
 use busytime_instances::json::{self, Value};
 use busytime_server::protocol::error_line;
 use busytime_server::reactor::{
-    self, Endpoint, Gauges, Interest, Notify, Service, Session, Sources,
+    self, Endpoint, Gauges, Interest, Notify, Service, Session, Sources, INPUT_LIMIT, WRITE_TIMEOUT,
 };
-use busytime_server::{reline_output, BatchSummary, ListenConfig, ListenMode, ServeError};
+use busytime_server::{reline_output, BatchSummary, Lines, ListenConfig, ListenMode, ServeError};
 
 use crate::shard::{connect, lock, pick, ShardState};
 
@@ -118,11 +132,6 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Budget of opening a shard stream, the one blocking call a routed
 /// session makes on its reactor thread.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How long a shard stream may make no write progress, while its session
-/// reads its answers, before the shard counts as dead: the listener's
-/// default write timeout, which also bounds a client that stops reading.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How many times one record may be re-dispatched after shards broke
 /// under it before it answers as an error.
@@ -273,9 +282,6 @@ impl Service for RouteService {
             sticky: self.config.sticky,
             shutdown: self.shutdown.clone(),
             sources,
-            input: Vec::new(),
-            line_no: 0,
-            eof: false,
             records: HashMap::new(),
             next_seq: 0,
             fanin: Fanin::new(Vec::new()),
@@ -360,9 +366,9 @@ struct Pending {
     /// 1-based client input line — what the response must be stamped
     /// with, wherever it is solved.
     orig_line: usize,
-    /// The record line as received (trimmed, no newline); its id is read
+    /// The record line as received (newline included); its id is read
     /// only if the router answers it with an error line.
-    raw: String,
+    raw: Vec<u8>,
     /// Re-dispatches so far.
     retries: usize,
 }
@@ -372,6 +378,8 @@ struct Pending {
 struct Fanin<W: Write> {
     next: usize,
     ready: BTreeMap<usize, String>,
+    /// Bytes staged in `ready`: answers waiting on an earlier one.
+    held: usize,
     writer: W,
 }
 
@@ -380,14 +388,17 @@ impl<W: Write> Fanin<W> {
         Fanin {
             next: 0,
             ready: BTreeMap::new(),
+            held: 0,
             writer,
         }
     }
 
     /// Stages one response and flushes the contiguous prefix.
     fn push(&mut self, seq: usize, text: String) {
+        self.held += text.len();
         self.ready.insert(seq, text);
         while let Some(text) = self.ready.remove(&self.next) {
+            self.held -= text.len();
             // the writer is an in-memory buffer
             let _ = writeln!(self.writer, "{text}");
             self.next += 1;
@@ -399,17 +410,12 @@ impl<W: Write> Fanin<W> {
     /// so the client never counts short.
     fn finish(&mut self, total: usize, meta: &[(usize, Option<String>)]) -> usize {
         let mut holes = 0;
-        for (seq, (orig_line, id)) in meta.iter().enumerate().take(total).skip(self.next) {
-            self.ready.entry(seq).or_insert_with(|| {
+        for (seq, (orig_line, id)) in meta.iter().enumerate().take(total) {
+            // a hole's push can flush the seqs after it
+            if seq >= self.next && !self.ready.contains_key(&seq) {
                 holes += 1;
-                error_line(*orig_line, id.as_deref(), "record lost in routing")
-            });
-        }
-        if total > self.next {
-            // re-run the contiguous flush from wherever it stalled
-            let restart = self.ready.remove(&self.next);
-            if let Some(text) = restart {
-                self.push(self.next, text);
+                let line = error_line(*orig_line, id.as_deref(), "record lost in routing");
+                self.push(seq, line);
             }
         }
         holes
@@ -429,8 +435,8 @@ struct Link {
     sent: usize,
     /// Since when writes have blocked while the session reads answers.
     stalled: Option<Instant>,
-    /// Response bytes not yet taken as lines.
-    input: Vec<u8>,
+    /// The shard's answers, framed; they end with the stream.
+    answers: Lines,
     /// Answers taken, for the merged trailer if the shard dies before
     /// sending its own.
     answered: usize,
@@ -455,7 +461,7 @@ impl Link {
             out: Vec::new(),
             sent: 0,
             stalled: None,
-            input: Vec::new(),
+            answers: Lines::new(CancelToken::never()),
             answered: 0,
             answered_ok: 0,
             got_trailer: false,
@@ -465,23 +471,30 @@ impl Link {
     }
 
     /// Reads up to [`LINK_READ_BUDGET`] bytes; `false` once the stream
-    /// has ended.
+    /// has ended, which ends its answers.
     fn fill(&mut self) -> bool {
         let mut chunk = [0u8; 16 * 1024];
         let mut budget = LINK_READ_BUDGET;
         while budget > 0 {
             match self.stream.read(&mut chunk) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.input.extend_from_slice(&chunk[..n]);
+                Ok(n) if n > 0 => {
+                    self.answers.push(&chunk[..n]);
                     budget = budget.saturating_sub(n);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => return false,
+                _ => {
+                    self.answers.end();
+                    return false;
+                }
             }
         }
         true
+    }
+
+    /// Request bytes queued and not yet written.
+    fn unwritten(&self) -> usize {
+        self.out.len() - self.sent
     }
 
     /// Writes queued requests until the socket would block; `false` once
@@ -517,7 +530,7 @@ impl Link {
     /// watched at all: the poller reports a hangup even with no interest,
     /// and nobody would serve it. `false` if the reactor refused.
     fn watch(&mut self, sources: &Sources, reading: bool) -> bool {
-        let want = match (reading, self.sent < self.out.len()) {
+        let want = match (reading, self.unwritten() > 0) {
             (false, false) => None,
             (readable, writable) => Some(Interest { readable, writable }),
         };
@@ -527,7 +540,7 @@ impl Link {
 }
 
 /// One connection's routed batch, pumped by its reactor: client lines go
-/// out to shard streams as they are read, answers come back in input
+/// out to shard streams as they are taken, answers come back in input
 /// order, orphans are re-dispatched on the same path, and the shards'
 /// trailers merge into one once every stream has ended.
 struct RouteMachine {
@@ -535,11 +548,6 @@ struct RouteMachine {
     sticky: bool,
     shutdown: CancelToken,
     sources: Sources,
-    /// Client bytes not yet taken as lines.
-    input: Vec<u8>,
-    line_no: usize,
-    /// The client's end of batch.
-    eof: bool,
     /// Unanswered records by dispatch seq.
     records: HashMap<usize, Pending>,
     next_seq: usize,
@@ -563,30 +571,24 @@ struct RouteMachine {
 }
 
 impl RouteMachine {
-    /// Takes the client's complete lines, and at its end of batch a final
-    /// unterminated one unless a drain ended the input. Each non-blank
-    /// line is a record, dispatched at once; a blank one consumes a line
-    /// number and gets no response, as on the listener.
-    fn take_lines(&mut self) {
-        let mut start = 0;
-        while start < self.input.len() {
-            let end = match self.input[start..].iter().position(|&b| b == b'\n') {
-                Some(len) => start + len,
-                None if self.eof => self.input.len(),
-                None => break,
+    /// Bytes the batch holds for its client: requests its links have not
+    /// written yet, and answers waiting in the fan-in on an earlier one.
+    fn held(&self) -> usize {
+        self.links.iter().map(Link::unwritten).sum::<usize>() + self.fanin.held
+    }
+
+    /// Takes the client's lines while [`RouteMachine::held`] stays within
+    /// [`INPUT_LIMIT`]; each is a record, dispatched at once. Returns
+    /// whether that gate stopped it.
+    fn take_lines(&mut self, input: &mut Lines) -> bool {
+        while self.held() <= INPUT_LIMIT {
+            let Some(line) = input.next_line() else {
+                return false;
             };
-            let last = end == self.input.len();
-            self.line_no += 1;
-            let text = String::from_utf8_lossy(&self.input[start..end]);
-            let raw = text.trim();
-            start = end + 1;
-            if raw.is_empty() || (last && self.shutdown.is_cancelled()) {
-                continue;
-            }
             let seq = self.next_seq;
             let pending = Pending {
-                orig_line: self.line_no,
-                raw: raw.to_string(),
+                orig_line: line.number,
+                raw: line.bytes.to_vec(),
                 retries: 0,
             };
             self.records.insert(seq, pending);
@@ -594,7 +596,7 @@ impl RouteMachine {
             self.stats.records += 1;
             self.dispatch(seq);
         }
-        self.input.drain(..start.min(self.input.len()));
+        true
     }
 
     /// Sends record `seq` to the least-loaded healthy shard, or the pinned
@@ -632,8 +634,7 @@ impl RouteMachine {
                 },
             };
             let (link, raw) = (&mut self.links[i], &self.records[&seq].raw);
-            link.out.extend_from_slice(raw.as_bytes());
-            link.out.push(b'\n');
+            link.out.extend_from_slice(raw);
             link.pending.push_back(seq);
             shard.note_dispatched();
             return;
@@ -666,51 +667,32 @@ impl RouteMachine {
         }
     }
 
-    /// Reads link `i` and takes its complete response lines (and, once it
-    /// has ended, its final unterminated one). `false` once it has ended.
+    /// Reads link `i` and takes the answer lines it has: an answer to the
+    /// front of its queue is restamped and staged in the fan-in, a trailer
+    /// is kept for the merge, and anything else (free-text noise) is
+    /// dropped — the wire contract promises responses and a trailer,
+    /// nothing more. `false` once the stream has ended.
     fn read_link(&mut self, i: usize) -> bool {
-        let open = self.links[i].fill();
-        let mut input = std::mem::take(&mut self.links[i].input);
-        let mut start = 0;
-        while let Some(len) = input[start..].iter().position(|&b| b == b'\n') {
-            self.take_response(i, &input[start..start + len]);
-            start += len + 1;
-        }
-        if !open && start < input.len() {
-            self.take_response(i, &input[start..]);
-            start = input.len();
-        }
-        input.drain(..start);
-        self.links[i].input = input;
-        open
-    }
-
-    /// One line off link `i`: an answer to the front of its queue is
-    /// restamped and staged in the fan-in, a trailer is kept for the
-    /// merge, and anything else (free-text noise) is dropped — the wire
-    /// contract promises responses and a trailer, nothing more.
-    fn take_response(&mut self, i: usize, line: &[u8]) {
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            return;
-        }
         let link = &mut self.links[i];
-        if let Some(&seq) = link.pending.front() {
-            if let Some(relined) = reline_output(text, self.records[&seq].orig_line) {
+        let open = link.fill();
+        while let Some(line) = link.answers.next_line() {
+            let text = String::from_utf8_lossy(line.bytes);
+            let text = text.trim_end_matches(['\n', '\r']);
+            let front = link.pending.front().copied();
+            let relined = front.and_then(|seq| reline_output(text, self.records[&seq].orig_line));
+            if let (Some(seq), Some(relined)) = (front, relined) {
                 link.pending.pop_front();
                 link.shard.note_answered();
                 link.answered += 1;
                 link.answered_ok += usize::from(relined.ok);
                 self.records.remove(&seq);
                 self.fanin.push(seq, relined.text);
-                return;
+            } else if let Ok(summary) = BatchSummary::from_json_line(text) {
+                self.trailers.push(summary);
+                link.got_trailer = true;
             }
         }
-        if let Ok(summary) = BatchSummary::from_json_line(text) {
-            self.trailers.push(summary);
-            link.got_trailer = true;
-        }
+        open
     }
 
     /// Ends link `i`: its unanswered records become orphans. A shard that
@@ -738,8 +720,7 @@ impl RouteMachine {
     /// watches. A link that broke, stalled, or outlived the shutdown drain
     /// budget is closed. Once the client's input is all taken, a link whose
     /// requests are all written is half-closed.
-    fn flush_links(&mut self, now: Instant, reading: bool, spent: bool) {
-        let input_done = self.eof && self.input.is_empty();
+    fn flush_links(&mut self, now: Instant, reading: bool, spent: bool, input_done: bool) {
         let mut i = 0;
         while i < self.links.len() {
             let link = &mut self.links[i];
@@ -795,23 +776,13 @@ impl RouteMachine {
 }
 
 impl Session for RouteMachine {
-    fn feed(&mut self, bytes: &[u8]) {
-        if !self.eof {
-            self.input.extend_from_slice(bytes);
-        }
-    }
-
-    fn finish_input(&mut self) {
-        self.eof = true;
-    }
-
     /// Reads the shard streams, dispatches the client's new lines, writes
     /// the requests, re-dispatches orphans until none is left, and emits
     /// the answers that are ready in input order. `allow_parse = false`
     /// takes no client line and reads no shard stream (nor watches one for
     /// reading), so a slow client stalls its shards, as a slow socket
     /// would.
-    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+    fn pump(&mut self, input: &mut Lines, out: &mut Vec<u8>, allow_parse: bool) {
         let now = Instant::now();
         if self.drain_until.is_none() && self.shutdown.is_cancelled() {
             self.drain_until = Some(now + SHARD_DRAIN_BUDGET);
@@ -826,18 +797,19 @@ impl Session for RouteMachine {
                     self.close_link(i);
                 }
             }
-            // orphans go out before (not after) the client's next lines
-            self.redispatch(spent);
-            self.take_lines();
         }
         loop {
-            self.flush_links(now, allow_parse, spent);
-            if self.orphans.is_empty() {
+            // orphans go out before (not after) the client's next lines
+            self.redispatch(spent);
+            let gated = allow_parse && self.take_lines(input);
+            self.flush_links(now, allow_parse, spent, input.is_done());
+            // a flush that closed a link made orphans, and one that wrote
+            // the backlog under the gate lets the client's next lines in
+            if self.orphans.is_empty() && !(gated && self.held() <= INPUT_LIMIT) {
                 break;
             }
-            self.redispatch(spent);
         }
-        if self.end.is_none() && self.eof && self.input.is_empty() && self.links.is_empty() {
+        if self.end.is_none() && input.is_done() && self.links.is_empty() {
             self.finish();
         }
         out.append(&mut self.fanin.writer);
@@ -881,8 +853,8 @@ impl Drop for RouteMachine {
 /// Pulls the record id out of a raw request line, if it parses at all —
 /// best-effort, for router-side error lines only; shards do their own
 /// parsing.
-fn extract_id(text: &str) -> Option<String> {
-    match json::parse(text) {
+fn extract_id(raw: &[u8]) -> Option<String> {
+    match json::parse(std::str::from_utf8(raw).ok()?) {
         Ok(Value::Object(fields)) => fields.iter().find_map(|(k, v)| {
             if k == "id" {
                 v.as_str().map(str::to_string)
@@ -939,13 +911,14 @@ mod tests {
     #[test]
     fn extract_id_is_best_effort() {
         assert_eq!(
-            extract_id(r#"{"id": "abc", "instance": {"g": 1, "jobs": []}}"#),
+            extract_id(b"{\"id\": \"abc\", \"instance\": {\"g\": 1, \"jobs\": []}}\r\n"),
             Some("abc".to_string())
         );
-        assert_eq!(extract_id(r#"{"instance": {}}"#), None);
-        assert_eq!(extract_id("not json"), None);
+        assert_eq!(extract_id(br#"{"instance": {}}"#), None);
+        assert_eq!(extract_id(b"not json"), None);
+        assert_eq!(extract_id(b"{\"id\": \"caf\xc3\xa9\xff\"}\n"), None);
         assert_eq!(
-            extract_id(r#"{"id": 7}"#),
+            extract_id(br#"{"id": 7}"#),
             None,
             "non-string ids are ignored"
         );

@@ -8,6 +8,7 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,13 +72,18 @@ struct Shard {
 }
 
 fn start_shard(nap: Duration, workers: usize, shard_id: &str) -> Shard {
+    start_shard_with(nap_registry(nap), workers, shard_id)
+}
+
+/// [`start_shard`] over any registry.
+fn start_shard_with(registry: SolverRegistry, workers: usize, shard_id: &str) -> Shard {
     let config = ListenConfig {
         log: ConnLog::Quiet,
         shard_id: Some(shard_id.to_string()),
         ..ListenConfig::default()
     };
     let mode = ListenMode::Tcp("127.0.0.1:0".to_string());
-    let listener = Listener::bind(&mode, Arc::new(nap_registry(nap)), config)
+    let listener = Listener::bind(&mode, Arc::new(registry), config)
         .unwrap()
         .executor(Executor::new(workers));
     let addr = listener.local_addr().unwrap();
@@ -747,4 +753,119 @@ fn http_keep_alive_serves_a_batch_then_the_fleet_health() {
     assert_eq!(report.records, 2);
     a.stop();
     b.stop();
+}
+
+/// Holds its worker until `release` is set (or its token is cut).
+struct Latch {
+    release: Arc<AtomicBool>,
+}
+
+impl Scheduler for Latch {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed("Latch")
+    }
+
+    fn schedule_with(
+        &self,
+        inst: &Instance,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        while !self.release.load(Ordering::SeqCst) && !cancel.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        FirstFit::paper().schedule_with(inst, &CancelToken::never())
+    }
+}
+
+/// Writes `make(0)`, `make(1)`, … as lines, reading nothing, until a
+/// write would block for half a second (the server stopped reading, not
+/// just fell behind) or more than `cap` bytes went in. Returns the bytes
+/// that went in, the records begun, and the unwritten tail of the last
+/// one; the socket's write timeout is cleared again.
+fn write_until_blocked(
+    stream: &TcpStream,
+    cap: usize,
+    make: impl Fn(usize) -> String,
+) -> (usize, usize, Vec<u8>) {
+    stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let (mut sent, mut records, mut tail) = (0, 0, Vec::new());
+    while sent <= cap {
+        if tail.is_empty() {
+            tail = (make(records) + "\n").into_bytes();
+            records += 1;
+        }
+        match (&*stream).write(&tail) {
+            Ok(n) => {
+                sent += n;
+                tail.drain(..n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) => panic!("write failed: {e}"),
+        }
+    }
+    stream.set_write_timeout(None).unwrap();
+    (sent, records, tail)
+}
+
+/// A shard that stops reading stops the router reading its client: the
+/// only shard's only worker is held, so its own input gate closes, the
+/// router's unwritten requests reach their bound, and a client that reads
+/// nothing hits `WouldBlock` within a bound. Once the hold ends every
+/// record that went in is answered once, in order.
+#[test]
+fn a_shard_that_stops_reading_stops_the_router_reading_its_client() {
+    let release = Arc::new(AtomicBool::new(false));
+    let mut registry = SolverRegistry::with_defaults();
+    let latch = Arc::clone(&release);
+    registry.register(
+        "latch",
+        "holds a worker until released (test stub)",
+        None,
+        Box::new(move |_| {
+            Box::new(Latch {
+                release: latch.clone(),
+            })
+        }),
+    );
+    let shard = start_shard_with(registry, 1, "held");
+    let front = start_router(
+        vec![ShardState::new(0, shard.addr.to_string())],
+        quiet_route_config(),
+    );
+    let mut client = Client::connect(front.addr);
+    // a small record padded with trailing blanks to 4 KiB, so megabytes
+    // of input are a few thousand records
+    let make = |i: usize| match i {
+        0 => r#"{"id": "r-0", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "latch"}"#.into(),
+        i => format!(
+            r#"{{"id": "r-{i}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}}}{:4000}"#,
+            ""
+        ),
+    };
+    let cap = 32 << 20;
+    let (sent, records, tail) = write_until_blocked(&client.stream, cap, make);
+    release.store(true, Ordering::SeqCst);
+    assert!(
+        sent <= cap,
+        "{sent} bytes went in without the socket blocking"
+    );
+
+    let mut writer = client.stream.try_clone().unwrap();
+    let finisher = std::thread::spawn(move || {
+        writer.write_all(&tail).unwrap();
+        writer.shutdown(Shutdown::Write).unwrap();
+    });
+    let lines = client.read_to_end();
+    finisher.join().unwrap();
+    let ids: Vec<String> = (0..records).map(|i| format!("r-{i}")).collect();
+    let trailer = assert_ordered_batch(&lines, &ids);
+    assert!(
+        trailer.contains(&format!("\"records\": {records},")),
+        "{trailer}"
+    );
+    let report = front.stop();
+    assert_eq!((report.records, report.failed), (records, 0));
+    shard.stop();
 }

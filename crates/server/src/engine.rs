@@ -10,8 +10,8 @@
 //! * [`BatchSession`], the blocking driver over any `BufRead`/`Write`
 //!   pair — stdin/stdout ([`serve`] is the thin wrapper), a file, or an
 //!   embedder's stream;
-//! * the [`crate::listener`] reactors, which feed socket bytes as they
-//!   arrive and never block.
+//! * the [`crate::listener`] reactors, which frame socket bytes into lines
+//!   as they arrive and never block.
 //!
 //! Every session submits to the same persistent worker pool, so concurrent
 //! sessions share one worker budget instead of multiplying it.
@@ -49,10 +49,11 @@ use std::time::Duration;
 
 use busytime_core::cancel::CancelToken;
 use busytime_core::memo::SolutionCache;
-use busytime_core::pool::{self, Executor};
+use busytime_core::pool::Executor;
 use busytime_core::solve::{SolveOptions, SolverRegistry, REPORT_SCHEMA_VERSION};
 use busytime_instances::json::{self, JsonError, Value};
 
+use crate::lines::Lines;
 use crate::machine::{SessionContext, SessionMachine};
 use crate::reactor::Session;
 
@@ -422,11 +423,12 @@ pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
 /// the session engine (see the [module docs](self)).
 ///
 /// [`BatchSession::run`] reads one wave of request lines
-/// ([`ServeConfig::chunk_size`] records), feeds them to a session machine,
-/// blocks until the wave's solves have completed, writes and flushes the
-/// wave's answers in input order, and repeats until the input ends. The
-/// machine does all parsing, caching, dispatch and settling, so the answers
-/// are the bytes the [`crate::listener`] sends for the same records.
+/// ([`ServeConfig::chunk_size`] records) into its line framer, hands them
+/// to a session machine, blocks until the wave's solves have completed,
+/// writes and flushes the wave's answers in input order, and repeats
+/// until the input ends. The machine does all parsing, caching, dispatch
+/// and settling, so the answers are the bytes the [`crate::listener`]
+/// sends for the same records.
 /// [`serve`] wraps one session with a private solution cache around
 /// stdin-style streams.
 ///
@@ -508,35 +510,26 @@ impl<'a> BatchSession<'a> {
             cancel: self.cancel.clone(),
         };
         let mut machine = SessionMachine::new(Arc::new(ctx), Arc::new(|| {}));
-        // the line buffer starts from per-thread scratch, so a steady-state
-        // session reads without allocating
-        let mut line = pool::scratch::take_bytes();
+        let mut lines = Lines::new(self.cancel.clone());
         let mut answers = Vec::new();
         while !machine.is_done() {
             let mut records = 0;
-            while records < machine.wave_size() {
-                line.clear();
-                if self.cancel.is_cancelled() || input.read_until(b'\n', &mut line)? == 0 {
-                    machine.finish_input();
+            while records < machine.wave_size() && !lines.is_ended() {
+                if self.cancel.is_cancelled() {
+                    lines.end();
                     break;
                 }
-                // a final unterminated line is a whole line, drain or not
-                if !line.ends_with(b"\n") {
-                    line.push(b'\n');
-                }
-                machine.feed(&line);
-                records += usize::from(!line.trim_ascii().is_empty());
+                records += usize::from(lines.read_line(&mut input)?);
             }
-            machine.pump(&mut answers, true);
+            machine.pump(&mut lines, &mut answers, true);
             while machine.has_inflight() {
                 machine.wait();
-                machine.pump(&mut answers, true);
+                machine.pump(&mut lines, &mut answers, true);
             }
             out.write_all(&answers)?;
             out.flush()?;
             answers.clear();
         }
-        pool::scratch::recycle_bytes(line);
         machine.take_result()
     }
 }

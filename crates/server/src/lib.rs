@@ -22,6 +22,9 @@
 //!   once. A [`engine::BatchSummary`] (throughput + solved/s, p50/p99
 //!   solve latency, aggregate gap, solution-cache hits, deadline hits)
 //!   comes back once the batch drains.
+//! * [`lines`] — the NDJSON line framer: line numbers, blank lines, the
+//!   final unterminated line and the drain's partial line, in one place
+//!   for every driver that reads a batch's bytes.
 //! * [`reactor`] — the readiness loop behind every socket connection of
 //!   `listen` and `route`: epoll I/O threads, sniffed health probes,
 //!   incremental HTTP/1.1 framing, the bounded outbox, timers, capacity
@@ -66,6 +69,7 @@
 
 pub mod engine;
 pub mod http;
+pub mod lines;
 pub mod listener;
 mod machine;
 pub mod protocol;
@@ -75,6 +79,7 @@ pub use engine::{
     serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, DEFAULT_SOLUTION_CACHE,
 };
 pub use http::{parse_healthz, HealthSnapshot};
+pub use lines::{Line, Lines};
 pub use listener::{ConnLog, ListenConfig, ListenMode, ListenReport, Listener};
 pub use protocol::{
     parse_output_line, reline_output, BatchRecord, OutputLine, RecordInput, RelinedOutput,

@@ -85,7 +85,7 @@ pub enum ConnLog {
 }
 
 /// Listener configuration on top of the per-session [`ServeConfig`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ListenConfig {
     /// The batch-engine configuration every connection's session runs
     /// under (workers, default solver, chunking, error policy, and the
@@ -106,7 +106,10 @@ pub struct ListenConfig {
     /// session stops parsing new records (completions already dispatched
     /// still land, so the backlog overshoots by at most one wave of
     /// responses); reads resume once the client drains the backlog below
-    /// half. The executor is never blocked by a slow reader.
+    /// half. The executor is never blocked by a slow reader. Input has its
+    /// own fixed bound beside this one,
+    /// [`INPUT_LIMIT`](crate::reactor::INPUT_LIMIT): a client that writes
+    /// faster than its records are answered stops being read.
     pub outbox_limit: usize,
     /// Shut the listener down once no connection has been active for this
     /// long (`None` = serve until the shutdown token fires).
@@ -118,12 +121,6 @@ pub struct ListenConfig {
     /// Without this, `max_conns` silent connections would hold their
     /// capacity slots indefinitely.
     pub conn_idle_timeout: Option<Duration>,
-    /// How long a connection's pending responses may sit unsendable
-    /// (default one minute) — no write progress for this long aborts the
-    /// connection. The bounded outbox keeps a stalled reader from
-    /// costing more than [`ListenConfig::outbox_limit`] bytes in the
-    /// meantime; this timeout reclaims the capacity slot itself.
-    pub write_timeout: Duration,
     /// Per-connection summary logging.
     pub log: ConnLog,
     /// An identity for this listener when it serves as one backend of a
@@ -131,22 +128,6 @@ pub struct ListenConfig {
     /// tagged onto every per-connection log line so a merged stderr stream
     /// stays attributable.
     pub shard_id: Option<String>,
-}
-
-impl Default for ListenConfig {
-    fn default() -> Self {
-        ListenConfig {
-            serve: ServeConfig::default(),
-            max_conns: 0,
-            io_threads: 0,
-            outbox_limit: 0,
-            idle_timeout: None,
-            conn_idle_timeout: None,
-            write_timeout: Duration::from_secs(60),
-            log: ConnLog::default(),
-            shard_id: None,
-        }
-    }
 }
 
 /// Aggregate statistics over a listener's lifetime, returned by

@@ -2,10 +2,11 @@
 //! path.
 //!
 //! [`SessionMachine`] is the only code that turns request lines into
-//! answers. It is *fed* raw bytes (`feed`), parses them into records,
-//! prepares each one (solution-cache consultation included), hands the
-//! solves to the shared [`Executor`], receives completions through an
-//! inbox, and, *pumped* (`pump`), settles the answers and emits response
+//! answers. It *pulls* whole lines from its driver's [`Lines`] framer,
+//! only when it can take them, parses them into records, prepares each
+//! one (solution-cache consultation included), hands the solves to the
+//! shared [`Executor`], receives completions through an inbox, and,
+//! *pumped* (`pump`), settles the answers and emits response
 //! lines in input order into whatever buffer its driver keeps. It never
 //! blocks on a transport and never writes the [`BatchSummary`] trailer;
 //! its driver decides where the summary goes.
@@ -13,13 +14,15 @@
 //! Two drivers run it:
 //!
 //! * [`crate::engine::BatchSession`], the blocking driver behind `serve`,
-//!   `batch` and the benches: it reads one wave of lines from a `BufRead`,
-//!   feeds them, parks in [`SessionMachine::wait`] until the wave has
+//!   `batch` and the benches: it reads one wave of lines from a `BufRead`
+//!   into its framer, parks in [`SessionMachine::wait`] until the wave has
 //!   completed, then writes and flushes the wave's answers.
 //! * the [`crate::reactor`] threads, through the [`Session`] trait, for
-//!   `listen`: they feed socket bytes as they arrive and pump again
-//!   whenever a completion's `notify` wakes the poll loop, so the I/O
-//!   thread never blocks and never solves.
+//!   `listen`: they push socket bytes into the connection's framer as they
+//!   arrive and pump again whenever a completion's `notify` wakes the poll
+//!   loop, so the I/O thread never blocks and never solves. Lines the
+//!   machine has not taken stay in the framer, where the reactor bounds
+//!   them.
 //!
 //! # Waves
 //!
@@ -45,22 +48,16 @@
 //! record's budget is armed: its time counts toward the record's
 //! `deadline_ms`, its reported `detect` phase and the summary's p50/p99.
 //!
-//! Lines are consumed by advancing a cursor over the input buffer; the
-//! consumed prefix is compacted away once per wave, so a batch that
-//! arrives in one piece costs time linear in its size.
-//!
 //! # Drain contract
 //!
-//! When the shutdown token fires, the machine still parses and answers
-//! every newline-terminated line it has been fed — including lines that
-//! arrived while an earlier wave was in flight. Their records run under
-//! children of the cancelled token, so they come back cut, and every one
-//! of them is counted in the summary. Only a trailing partial line (no
-//! newline yet) is dropped. Bytes fed after
-//! [`SessionMachine::finish_input`] are ignored, so a drain always ends.
+//! The framer's: when the shutdown token fires, the machine still takes
+//! and answers every complete line its framer holds — including lines that
+//! arrived while an earlier wave was in flight — and finishes once none is
+//! left. Their records run under children of the cancelled token, so they
+//! come back cut, and every one of them is counted in the summary. The
+//! [`crate::lines`] docs give the rest of the line rules.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -75,6 +72,7 @@ use busytime_core::{Instance, SolveReport, SolveRequest};
 use crate::engine::{
     lock_ignoring_poison, percentile, BatchSummary, ErrorPolicy, ServeConfig, ServeError,
 };
+use crate::lines::Lines;
 use crate::protocol::{error_line, report_line, BatchRecord};
 use crate::reactor::{Notify, Session};
 
@@ -87,8 +85,8 @@ pub(crate) struct SessionContext {
     pub(crate) config: ServeConfig,
     pub(crate) solutions: SolutionCache,
     pub(crate) executor: Executor,
-    /// The shutdown token: once it fires the machine answers its buffered
-    /// complete lines and finishes (see the [module docs](self)), and
+    /// The shutdown token: once it fires the machine answers the complete
+    /// lines its framer holds and finishes (see the [module docs](self)), and
     /// every record token is armed as a child of it so a drain cuts
     /// in-flight and later solves cooperatively.
     pub(crate) cancel: CancelToken,
@@ -490,19 +488,10 @@ fn run_chain(shared: Arc<Shared>) {
     run.runners -= 1;
 }
 
-/// A resumable batch session: feed bytes in, pump response bytes out, in
+/// A resumable batch session: pull lines in, pump response bytes out, in
 /// input order; see the [module docs](self).
 pub(crate) struct SessionMachine {
     shared: Arc<Shared>,
-    /// Input bytes; `inbuf[consumed..]` is still unparsed.
-    inbuf: Vec<u8>,
-    /// The consume cursor: end of the last line taken off `inbuf`.
-    consumed: usize,
-    /// Where the newline scan over `inbuf` resumes (`≥ consumed`).
-    scanned: usize,
-    line_no: usize,
-    /// `finish_input` was called: the client's end of batch.
-    eof: bool,
     /// FailFast latch: the batch is aborted and no further answers stream.
     failed: Option<ServeError>,
     /// Input-order slots awaiting drain; `base_seq` is the front's seq.
@@ -541,11 +530,6 @@ impl SessionMachine {
                 arrived: Condvar::new(),
                 notify,
             }),
-            inbuf: Vec::new(),
-            consumed: 0,
-            scanned: 0,
-            line_no: 0,
-            eof: false,
             failed: None,
             slots: VecDeque::new(),
             base_seq: 0,
@@ -648,70 +632,28 @@ impl SessionMachine {
     /// (Completed means answered by the runners, not yet drained to the
     /// client: write-backs have happened, so parse-time lookups see them.)
     /// A fired shutdown token does not stop parsing: the drain answers
-    /// every buffered complete line.
+    /// every complete line the framer holds.
     fn can_parse(&self) -> bool {
         self.failed.is_none() && self.summary.is_none() && self.inflight == 0
     }
 
-    /// The end (one past the newline) of the next complete line in
-    /// `inbuf`, resuming the newline scan where it last stopped.
-    fn complete_line_end(&mut self) -> Option<usize> {
-        match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(at) => Some(self.scanned + at + 1),
-            None => {
-                self.scanned = self.inbuf.len();
-                None
-            }
-        }
-    }
-
-    /// Takes the next line off `inbuf` by advancing the consume cursor: a
-    /// complete line, or the final unterminated line at EOF (dropped
-    /// instead once the shutdown token fired).
-    fn take_line(&mut self) -> Option<Range<usize>> {
-        let start = self.consumed;
-        let end = match self.complete_line_end() {
-            Some(end) => end,
-            None if self.eof
-                && start < self.inbuf.len()
-                && !self.shared.ctx.cancel.is_cancelled() =>
-            {
-                self.inbuf.len()
-            }
-            None => return None,
-        };
-        self.consumed = end;
-        self.scanned = end;
-        Some(start..end)
-    }
-
-    /// Parses up to one wave of buffered records into new slots: bad lines
-    /// and solution-cache hits are ready at once, solves go to the run
-    /// queue.
-    fn parse_wave(&mut self) -> bool {
+    /// Parses up to one wave of records off `input` into new slots: bad
+    /// lines and solution-cache hits are ready at once, solves go to the
+    /// run queue.
+    fn parse_wave(&mut self, input: &mut Lines) -> bool {
         let ctx = Arc::clone(&self.shared.ctx);
         let mut records = 0;
         let mut solves: Vec<(usize, Box<SolveItem>)> = Vec::new();
         while records < self.chunk_size {
-            let Some(range) = self.take_line() else { break };
-            self.line_no += 1;
-            let parsed = std::str::from_utf8(&self.inbuf[range])
+            let Some(line) = input.next_line() else { break };
+            let parsed = std::str::from_utf8(line.bytes)
                 .map_err(|e| format!("line is not valid UTF-8: {e}"))
-                .and_then(|line| {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        return Ok(None); // blank lines are not records
-                    }
-                    BatchRecord::parse(trimmed)
-                        .map(Some)
-                        .map_err(|e| e.to_string())
-                });
+                .and_then(|text| BatchRecord::parse(text.trim()).map_err(|e| e.to_string()));
             // under FailFast no point parsing past the abort point; records
             // before it still stream
             let abort = parsed.is_err() && ctx.config.error_policy == ErrorPolicy::FailFast;
             let (id, state) = match parsed {
-                Ok(None) => continue,
-                Ok(Some(record)) => {
+                Ok(record) => {
                     let mut item = prepare_record(record, &ctx, &mut self.stats);
                     let id = item.record.id.clone();
                     match item.hit.take() {
@@ -727,7 +669,7 @@ impl SessionMachine {
             records += 1;
             self.stats.records += 1;
             self.slots.push_back(Slot {
-                line: self.line_no,
+                line: line.number,
                 id,
                 state,
             });
@@ -736,10 +678,6 @@ impl SessionMachine {
                 break;
             }
         }
-        // compact the consumed prefix once per wave, not once per line
-        self.inbuf.drain(..self.consumed);
-        self.scanned -= self.consumed;
-        self.consumed = 0;
         self.submit(solves);
         records > 0
     }
@@ -762,19 +700,10 @@ impl SessionMachine {
         }
     }
 
-    /// Records the summary once the input has ended (or, after the
-    /// shutdown token fired, no complete line is left) and every slot has
+    /// Records the summary once the input is over and every slot has
     /// drained.
-    fn maybe_summarize(&mut self) {
-        if self.is_done() {
-            return;
-        }
-        let input_done = if self.shared.ctx.cancel.is_cancelled() {
-            self.complete_line_end().is_none()
-        } else {
-            self.eof && self.consumed == self.inbuf.len()
-        };
-        if !input_done || !self.slots.is_empty() || self.inflight > 0 {
+    fn maybe_summarize(&mut self, input: &mut Lines) {
+        if self.is_done() || !self.slots.is_empty() || self.inflight > 0 || !input.is_done() {
             return;
         }
         let stats = std::mem::take(&mut self.stats);
@@ -783,36 +712,23 @@ impl SessionMachine {
 }
 
 impl Session for SessionMachine {
-    /// Buffers freshly-read bytes; `pump` parses and dispatches them.
-    fn feed(&mut self, bytes: &[u8]) {
-        if !self.eof {
-            self.inbuf.extend_from_slice(bytes);
-        }
-    }
-
-    /// Buffered complete lines — and a final unterminated one, unless the
-    /// shutdown token fired — are still parsed and answered.
-    fn finish_input(&mut self) {
-        self.eof = true;
-    }
-
     /// Drains completions, emits ready answers (in input order) into
-    /// `out`, parses and dispatches the next wave when the current one is
-    /// complete, and records the summary once everything is answered.
-    /// `allow_parse = false` suspends parsing while completions still
-    /// drain.
-    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+    /// `out`, takes and dispatches the next wave off `input` when the
+    /// current one is complete, and records the summary once everything is
+    /// answered. `allow_parse = false` takes no line while completions
+    /// still drain.
+    fn pump(&mut self, input: &mut Lines, out: &mut Vec<u8>, allow_parse: bool) {
         self.drain_inbox();
         loop {
             let mut progressed = self.drain_ready(out);
             if allow_parse && self.can_parse() {
-                progressed |= self.parse_wave();
+                progressed |= self.parse_wave(input);
             }
             if !progressed {
                 break;
             }
         }
-        self.maybe_summarize();
+        self.maybe_summarize(input);
     }
 
     fn is_done(&self) -> bool {
@@ -913,14 +829,18 @@ mod tests {
     /// Pumps until the machine finishes (completions land from the
     /// executor asynchronously), appends the summary trailer the way the
     /// listener does, and returns everything emitted.
-    fn pump_to_done(machine: &mut SessionMachine, mut out: Vec<u8>) -> Vec<String> {
+    fn pump_to_done(
+        machine: &mut SessionMachine,
+        input: &mut Lines,
+        mut out: Vec<u8>,
+    ) -> Vec<String> {
         let started = Instant::now();
         while !machine.is_done() {
             assert!(
                 started.elapsed() < Duration::from_secs(30),
                 "never finished"
             );
-            machine.pump(&mut out, true);
+            machine.pump(input, &mut out, true);
             std::thread::sleep(Duration::from_millis(1));
         }
         let summary = machine.take_result().unwrap();
@@ -940,9 +860,10 @@ mod tests {
     fn drain_answers_every_buffered_line_and_drops_a_trailing_partial() {
         let cancel = CancelToken::never();
         let mut m = machine(&cancel);
+        let mut input = Lines::new(cancel.clone());
         let mut out = Vec::new();
-        m.feed(format!("{}\n", record("a", "hold")).as_bytes());
-        m.pump(&mut out, true);
+        input.push(format!("{}\n", record("a", "hold")).as_bytes());
+        m.pump(&mut input, &mut out, true);
         assert!(m.has_inflight(), "the first wave is on the executor");
         // lines arriving while that wave is in flight stay buffered
         let late = format!(
@@ -950,12 +871,12 @@ mod tests {
             record("b", "hold"),
             record("c", "first-fit")
         );
-        m.feed(late.as_bytes());
-        m.pump(&mut out, true);
+        input.push(late.as_bytes());
+        m.pump(&mut input, &mut out, true);
         assert!(out.is_empty());
 
         cancel.cancel();
-        let lines = pump_to_done(&mut m, out);
+        let lines = pump_to_done(&mut m, &mut input, out);
         assert_eq!(lines.len(), 4, "three answers plus the trailer: {lines:?}");
         for (line, id) in lines.iter().zip(["a", "b", "c"]) {
             assert_eq!(report_id(line).as_deref(), Some(id), "{line}");
@@ -967,21 +888,22 @@ mod tests {
     #[test]
     fn split_lines_and_a_final_unterminated_line_are_answered() {
         let mut m = machine(&CancelToken::never());
+        let mut input = Lines::new(CancelToken::never());
         let mut out = Vec::new();
         let a = format!("{}\n", record("a", "first-fit"));
         let (head, tail) = a.as_bytes().split_at(20);
-        m.feed(head);
-        m.pump(&mut out, true);
+        input.push(head);
+        m.pump(&mut input, &mut out, true);
         assert!(
             out.is_empty() && !m.has_inflight(),
             "half a line is no record"
         );
-        m.feed(tail);
-        m.feed(record("b", "first-fit").as_bytes()); // no trailing newline
-        m.finish_input();
+        input.push(tail);
+        input.push(record("b", "first-fit").as_bytes()); // no trailing newline
+        input.end();
         // input after the end of batch is not part of it
-        m.feed(format!("{}\n", record("late", "first-fit")).as_bytes());
-        let lines = pump_to_done(&mut m, out);
+        input.push(format!("{}\n", record("late", "first-fit")).as_bytes());
+        let lines = pump_to_done(&mut m, &mut input, out);
         assert_eq!(lines.len(), 3, "{lines:?}");
         assert_eq!(report_id(&lines[0]).as_deref(), Some("a"));
         assert_eq!(report_id(&lines[1]).as_deref(), Some("b"));
@@ -1005,22 +927,23 @@ mod tests {
         let mut a = machine_on(&cancel, executor.clone(), tagged("a"));
         let mut b = machine_on(&cancel, executor, tagged("b"));
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        let (mut in_a, mut in_b) = (Lines::new(cancel.clone()), Lines::new(cancel.clone()));
         for i in 0..6 {
-            a.feed(
+            in_a.push(
                 format!(
                     r#"{{"id": "a{i}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}, "solver": "hold", "deadline_ms": 20}}"#
                 )
                 .as_bytes(),
             );
-            a.feed(b"\n");
+            in_a.push(b"\n");
         }
-        a.finish_input();
-        a.pump(&mut out_a, true);
-        b.feed(format!("{}\n", record("b", "first-fit")).as_bytes());
-        b.finish_input();
-        b.pump(&mut out_b, true);
-        let lines_a = pump_to_done(&mut a, out_a);
-        let lines_b = pump_to_done(&mut b, out_b);
+        in_a.end();
+        a.pump(&mut in_a, &mut out_a, true);
+        in_b.push(format!("{}\n", record("b", "first-fit")).as_bytes());
+        in_b.end();
+        b.pump(&mut in_b, &mut out_b, true);
+        let lines_a = pump_to_done(&mut a, &mut in_a, out_a);
+        let lines_b = pump_to_done(&mut b, &mut in_b, out_b);
         assert_eq!((lines_a.len(), lines_b.len()), (7, 2));
 
         let order = lock_ignoring_poison(&order).clone();

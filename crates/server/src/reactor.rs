@@ -15,10 +15,10 @@
 //! run an epoll-backed poll loop (the vendored `polling` shim): reactor 0
 //! owns the accept socket and deals new connections round-robin across
 //! the set, and every reactor owns the full life of the connections dealt
-//! to it — reading request bytes, feeding them to the connection's
-//! session, writing its answers back. A listener session advances on
-//! executor workers and calls its [`Notify`] when it has news, which posts
-//! a wake to the owning reactor's mailbox. A routed session advances on
+//! to it — reading request bytes into the connection's line framer,
+//! pumping its session, writing its answers back. A listener session
+//! advances on executor workers and calls its [`Notify`] when it has news,
+//! which posts a wake to the owning reactor's mailbox. A routed session advances on
 //! the reactor itself: it registers its shard streams as [`Sources`]
 //! under its connection's poller key, so a shard's answer services the
 //! connection just as client bytes do, and its timers ride
@@ -30,16 +30,37 @@
 //! keep-alive connections therefore cost 500 registered file descriptors
 //! and `io_threads` threads — not 500 threads.
 //!
-//! Back-pressure is a bounded per-connection outbox
+//! # One line framer
+//!
+//! Whoever reads the bytes frames them: each NDJSON connection and each
+//! `POST /solve` body gets one [`Lines`], and a [`Session`] pulls whole
+//! lines from it only when it can take them, so no session keeps input
+//! bytes or line rules of its own. A `POST /solve` body arrives whole
+//! (at most [`MAX_BODY_BYTES`]) before its session pumps, so its waves do
+//! not depend on how the reads split it.
+//!
+//! # Two gates
+//!
+//! Back-pressure is two bounds per connection. The outbox
 //! ([`ListenConfig::outbox_limit`]): when a client stops reading its
 //! responses the outbox fills, the reactor suspends read interest (and
 //! asks the session to take no new records) until the backlog drains
-//! below half, and a client that stays wedged past
-//! [`ListenConfig::write_timeout`] is aborted. Idle cuts
-//! ([`ListenConfig::conn_idle_timeout`]) and the process-wide
-//! [`ListenConfig::idle_timeout`] ride a timer wheel inside the poll loop.
-//! At-capacity rejections are plain outbox writes on the reactor — an
-//! overload floods structured error lines, never threads.
+//! below half, and a client that stays wedged past [`WRITE_TIMEOUT`] is
+//! aborted. The input: while the framer holds a complete line the session
+//! has not taken and more than [`INPUT_LIMIT`] bytes, the reactor reads
+//! nothing more, so a client that writes faster than its records are
+//! answered waits in its own socket. A partial line never stops reads, so
+//! a long record still streams in. On HTTP the same bound holds for
+//! pipelined requests waiting behind a `POST /solve` that is still
+//! answering. At-capacity rejections are plain
+//! outbox writes on the reactor — an overload floods structured error
+//! lines, never threads.
+//!
+//! Each connection's next deadline — the write timeout, an idle cut
+//! ([`ListenConfig::conn_idle_timeout`]), the post-close linger or its
+//! session's own — is one `(deadline, key)` entry in an ordered set the
+//! poll loop waits on; the process-wide [`ListenConfig::idle_timeout`] is
+//! checked on every turn of the loop.
 //!
 //! NDJSON endpoints sniff the first bytes of a connection: an HTTP `GET `
 //! opener is a health probe and gets the one-shot `/healthz` answer. The
@@ -53,7 +74,7 @@
 //! it already took, and its summary goes out as the trailer before the
 //! connection closes; [`run`] returns once every connection is gone.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -70,6 +91,7 @@ use crate::engine::{lock_ignoring_poison, BatchSummary, ServeError};
 use crate::http::{
     parse_http_head, write_http_response, HttpRequest, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
+use crate::lines::Lines;
 use crate::listener::{ListenConfig, ListenMode};
 use crate::protocol::error_line;
 
@@ -109,21 +131,17 @@ impl Sources {
     }
 }
 
-/// One connection's batch, as the reactor drives it. The reactor feeds it
-/// the bytes it reads, pumps its answers into the connection's outbox, and
-/// appends the summary [`Session::take_result`] hands back as the trailer.
+/// One connection's batch, as the reactor drives it. The reactor frames
+/// the bytes it reads into the connection's [`Lines`], pumps the session's
+/// answers into the connection's outbox, and appends the summary
+/// [`Session::take_result`] hands back as the trailer.
 pub trait Session: Send + 'static {
-    /// Buffers bytes read from the client. Ignored after
-    /// [`Session::finish_input`].
-    fn feed(&mut self, bytes: &[u8]);
-    /// Marks the client's end of batch: EOF, half-close, idle cut, or a
-    /// shutdown drain.
-    fn finish_input(&mut self);
-    /// Appends the answers that are ready, in input order, to `out`,
-    /// without blocking. `allow_parse = false` means the outbox is over
-    /// its cap: the session should make no new work for it until a pump
-    /// allows it again.
-    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool);
+    /// Takes the lines it can take off `input`, and appends the answers
+    /// that are ready, in input order, to `out`, without blocking.
+    /// `allow_parse = false` means the outbox is over its cap: the session
+    /// should take no line and make no new work for it until a pump allows
+    /// it again.
+    fn pump(&mut self, input: &mut Lines, out: &mut Vec<u8>, allow_parse: bool);
     /// The batch is over: fully answered, or aborted.
     fn is_done(&self) -> bool;
     /// The session still owes answers: an idle wire does not mean an idle
@@ -133,7 +151,7 @@ pub trait Session: Send + 'static {
     /// aborted.
     fn take_result(&mut self) -> Result<BatchSummary, ServeError>;
     /// When the session next needs a pump with no help from its sockets or
-    /// its [`Notify`]. It joins the connection's timer-wheel deadline.
+    /// its [`Notify`]. It joins the connection's deadline.
     fn deadline(&self) -> Option<Instant> {
         None
     }
@@ -381,9 +399,8 @@ fn bind_tcp(addr: &str) -> std::io::Result<TcpListener> {
 /// Serves `endpoint` for `service` until `shutdown` fires or
 /// [`ListenConfig::idle_timeout`] elapses, drains every connection, and
 /// returns what the reactor counted. Of `config` only the socket fields
-/// apply: `max_conns`, `io_threads`, `outbox_limit`, `idle_timeout`,
-/// `conn_idle_timeout` and `write_timeout`. A Unix socket file is removed
-/// on the way out.
+/// apply: `max_conns`, `io_threads`, `outbox_limit`, `idle_timeout` and
+/// `conn_idle_timeout`. A Unix socket file is removed on the way out.
 pub fn run<S: Service>(
     endpoint: Endpoint,
     service: Arc<S>,
@@ -477,8 +494,19 @@ const FIRST_CONN_KEY: usize = 2;
 const DEFAULT_MAX_CONNS: usize = 64;
 /// Default [`ListenConfig::io_threads`].
 const DEFAULT_IO_THREADS: usize = 2;
+/// How many bytes of client input a connection holds ahead of its session:
+/// past it, with a complete line the session has not taken, the reactor
+/// stops reading the connection. The router holds at most this many
+/// unwritten request bytes per routed batch. Equal to the default outbox
+/// cap.
+pub const INPUT_LIMIT: usize = 256 * 1024;
 /// Default [`ListenConfig::outbox_limit`].
-const DEFAULT_OUTBOX_LIMIT: usize = 256 * 1024;
+const DEFAULT_OUTBOX_LIMIT: usize = INPUT_LIMIT;
+/// How long a connection's pending responses may sit unsendable: no write
+/// progress for this long aborts the connection. The bounded outbox keeps
+/// a stalled reader from costing more than its cap meanwhile; this
+/// reclaims the capacity slot itself.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Per-service read cap: a firehose connection yields the reactor after
 /// this many bytes (level-triggered polling re-reports it immediately).
 const READ_BUDGET: usize = 64 * 1024;
@@ -582,55 +610,6 @@ impl Mailbox {
     }
 }
 
-/// Milliseconds per timer-wheel bucket.
-const TIMER_TICK_MS: u64 = 8;
-
-/// A coarse slotted timer wheel over the reactor's clock: deadlines land
-/// in [`TIMER_TICK_MS`] buckets keyed by tick index, and entries carry
-/// the connection's timer generation, so a superseded deadline is simply
-/// ignored when its bucket fires (lazy cancellation — rescheduling never
-/// searches the wheel).
-struct TimerWheel {
-    base: Instant,
-    slots: BTreeMap<u64, Vec<(usize, u64)>>,
-}
-
-impl TimerWheel {
-    fn new() -> TimerWheel {
-        TimerWheel {
-            base: Instant::now(),
-            slots: BTreeMap::new(),
-        }
-    }
-
-    /// The bucket `when` lands in, rounded up so a bucket never fires
-    /// before its deadlines.
-    fn tick_of(&self, when: Instant) -> u64 {
-        let ms = when.saturating_duration_since(self.base).as_millis() as u64;
-        ms / TIMER_TICK_MS + 1
-    }
-
-    fn schedule(&mut self, tick: u64, key: usize, generation: u64) {
-        self.slots.entry(tick).or_default().push((key, generation));
-    }
-
-    fn next_deadline(&self) -> Option<Instant> {
-        self.slots
-            .keys()
-            .next()
-            .map(|tick| self.base + Duration::from_millis(tick * TIMER_TICK_MS))
-    }
-
-    fn pop_due(&mut self, now: Instant) -> Vec<(usize, u64)> {
-        let now_tick = now.saturating_duration_since(self.base).as_millis() as u64 / TIMER_TICK_MS;
-        let later = self.slots.split_off(&(now_tick + 1));
-        std::mem::replace(&mut self.slots, later)
-            .into_values()
-            .flatten()
-            .collect()
-    }
-}
-
 /// How a connection is counted in the [`Counts`] when it closes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Tally {
@@ -648,10 +627,10 @@ enum Kind<T> {
     /// NDJSON endpoints sniff the first bytes: an HTTP `GET ` opener
     /// means a health probe (a router, `curl`) reached the NDJSON port
     /// and gets the one-shot `/healthz` answer; anything else (including
-    /// the sniffed bytes themselves) feeds the batch session unchanged.
+    /// the sniffed bytes themselves) is the batch's input.
     Sniff(Vec<u8>),
-    /// An NDJSON batch session in progress.
-    Ndjson(Box<T>),
+    /// An NDJSON batch session in progress, and its input.
+    Ndjson(Box<T>, Lines),
     /// An HTTP/1.1 connection (requests parsed incrementally).
     Http(Box<HttpConn<T>>),
     /// Terminal: flush the outbox, half-close, linger briefly to drain
@@ -693,11 +672,8 @@ struct ConnState<T> {
     /// Set at half-close: when the post-close drain gives up on a client
     /// that neither reads nor closes.
     linger_until: Option<Instant>,
-    /// Lazy-cancellation generation for this connection's wheel entries.
-    timer_gen: u64,
-    /// The wheel bucket currently scheduled, to avoid re-inserting an
-    /// unchanged deadline on every service.
-    timer_tick: Option<u64>,
+    /// The deadline this connection has in [`Reactor::timers`].
+    timer: Option<Instant>,
 }
 
 impl<T: Session> ConnState<T> {
@@ -705,11 +681,24 @@ impl<T: Session> ConnState<T> {
         self.outbox.len() - self.sent
     }
 
+    /// Whether the reactor reads this connection now: not after the
+    /// client's end, not while the outbox is over its cap, and not while
+    /// the framer holds a complete line and more than [`INPUT_LIMIT`] (or
+    /// more than that of pipelined HTTP requests waits).
+    fn reads(&mut self) -> bool {
+        let input_full = match &mut self.kind {
+            Kind::Ndjson(_, lines) => lines.held() > INPUT_LIMIT && lines.has_line(),
+            Kind::Http(http) => http.buf.len() > INPUT_LIMIT,
+            _ => false,
+        };
+        !self.read_suspended && !self.peer_eof && !input_full
+    }
+
     /// The server still owes this connection answers — an idle wire does
     /// not mean an idle session.
     fn has_work(&self) -> bool {
         match &self.kind {
-            Kind::Ndjson(session) => session.has_inflight(),
+            Kind::Ndjson(session, _) => session.has_inflight(),
             Kind::Http(http) => matches!(http.state, HttpState::Solving { .. }),
             Kind::Sniff(_) | Kind::Flush => false,
         }
@@ -718,7 +707,7 @@ impl<T: Session> ConnState<T> {
     /// The live session's own deadline, if it has one.
     fn session_deadline(&self) -> Option<Instant> {
         match &self.kind {
-            Kind::Ndjson(session) => session.deadline(),
+            Kind::Ndjson(session, _) => session.deadline(),
             Kind::Http(http) => match &http.state {
                 HttpState::Solving { session, .. } => session.deadline(),
                 _ => None,
@@ -746,10 +735,11 @@ enum HttpState<T> {
         discard: bool,
         keep_alive: bool,
     },
-    /// A `POST /solve` batch in a session; its answers accumulate in
-    /// `response` until the summary lands.
+    /// A `POST /solve` batch in a session, over its whole body; its
+    /// answers accumulate in `response` until the summary lands.
     Solving {
         session: Box<T>,
+        body: Lines,
         keep_alive: bool,
         response: Vec<u8>,
     },
@@ -785,7 +775,8 @@ struct Reactor<S: Service> {
     index: usize,
     acceptor: Option<Acceptor>,
     conns: HashMap<usize, ConnState<S::Session>>,
-    timers: TimerWheel,
+    /// Every connection's next deadline, soonest first.
+    timers: BTreeSet<(Instant, usize)>,
     next_key: usize,
     /// Served-connection ids (reactor 0 only).
     conn_seq: usize,
@@ -810,7 +801,7 @@ impl<S: Service> Reactor<S> {
             index,
             acceptor,
             conns: HashMap::new(),
-            timers: TimerWheel::new(),
+            timers: BTreeSet::new(),
             next_key: FIRST_CONN_KEY,
             conn_seq: 0,
             rr: 0,
@@ -848,16 +839,10 @@ impl<S: Service> Reactor<S> {
                 break;
             }
             let now = Instant::now();
-            for (key, generation) in self.timers.pop_due(now) {
-                let live = self.conns.get_mut(&key).is_some_and(|state| {
-                    if state.timer_gen == generation {
-                        state.timer_tick = None;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if live {
+            let later = self.timers.split_off(&(now, usize::MAX));
+            for (_, key) in std::mem::replace(&mut self.timers, later) {
+                if let Some(state) = self.conns.get_mut(&key) {
+                    state.timer = None;
                     self.service(key);
                 }
             }
@@ -872,7 +857,7 @@ impl<S: Service> Reactor<S> {
                 }
             }
             let mut timeout = POLL_GRANULARITY;
-            if let Some(next) = self.timers.next_deadline() {
+            if let Some((next, _)) = self.timers.first() {
                 timeout = timeout.min(next.saturating_duration_since(now));
             }
             events.clear();
@@ -1019,8 +1004,7 @@ impl<S: Service> Reactor<S> {
                 last_byte: now,
                 last_write_progress: now,
                 linger_until: None,
-                timer_gen: 0,
-                timer_tick: None,
+                timer: None,
             },
         );
         self.shared.open.fetch_add(1, Ordering::SeqCst);
@@ -1031,7 +1015,7 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Drives one connection as far as it can go without blocking, then
-    /// refreshes its poller interest and timer-wheel deadline.
+    /// refreshes its poller interest and its deadline.
     fn service(&mut self, key: usize) {
         let Some(state) = self.conns.get_mut(&key) else {
             return;
@@ -1063,10 +1047,7 @@ impl<S: Service> Reactor<S> {
                 } else if pending <= self.shared.outbox_limit / 2 {
                     state.read_suspended = false;
                 }
-                let want = (
-                    !state.read_suspended && !state.peer_eof,
-                    pending > 0 && !state.half_closed,
-                );
+                let want = (state.reads(), pending > 0 && !state.half_closed);
                 if want != state.interest
                     && self
                         .mailbox
@@ -1076,20 +1057,13 @@ impl<S: Service> Reactor<S> {
                 {
                     state.interest = want;
                 }
-                match conn_deadline(&self.shared.config, state) {
-                    Some(when) => {
-                        let tick = self.timers.tick_of(when);
-                        if state.timer_tick != Some(tick) {
-                            state.timer_gen += 1;
-                            state.timer_tick = Some(tick);
-                            self.timers.schedule(tick, key, state.timer_gen);
-                        }
+                let when = conn_deadline(&self.shared.config, state);
+                if when != state.timer {
+                    if let Some(old) = std::mem::replace(&mut state.timer, when) {
+                        self.timers.remove(&(old, key));
                     }
-                    None => {
-                        if state.timer_tick.is_some() {
-                            state.timer_gen += 1;
-                            state.timer_tick = None;
-                        }
+                    if let Some(new) = when {
+                        self.timers.insert((new, key));
                     }
                 }
             }
@@ -1103,6 +1077,9 @@ impl<S: Service> Reactor<S> {
         let Some(mut state) = self.conns.remove(&key) else {
             return;
         };
+        if let Some(when) = state.timer {
+            self.timers.remove(&(when, key));
+        }
         // best-effort: an aborting batch may still hold answered lines
         if !state.half_closed {
             let _ = flush_outbox(&mut state);
@@ -1162,7 +1139,7 @@ fn interest_of((read, write): (bool, bool)) -> Interest {
 fn conn_deadline<T: Session>(config: &ListenConfig, state: &ConnState<T>) -> Option<Instant> {
     let mut deadline = state.session_deadline();
     if state.pending() > 0 && !state.half_closed {
-        deadline = min_deadline(deadline, state.last_write_progress + config.write_timeout);
+        deadline = min_deadline(deadline, state.last_write_progress + WRITE_TIMEOUT);
     }
     if let Some(idle) = config.conn_idle_timeout {
         if idle_eligible(state) {
@@ -1206,7 +1183,7 @@ fn step_conn<S: Service>(
     let now = Instant::now();
 
     // -- read --------------------------------------------------------------
-    if !state.read_suspended && !state.peer_eof {
+    if state.reads() {
         let mut scratch = [0u8; 8192];
         let mut budget = READ_BUDGET;
         loop {
@@ -1223,7 +1200,7 @@ fn step_conn<S: Service>(
                     state.last_byte = now;
                     match &mut state.kind {
                         Kind::Sniff(buf) => buf.extend_from_slice(&scratch[..n]),
-                        Kind::Ndjson(session) => session.feed(&scratch[..n]),
+                        Kind::Ndjson(_, lines) => lines.push(&scratch[..n]),
                         Kind::Http(http) => http.buf.extend_from_slice(&scratch[..n]),
                         Kind::Flush => {} // trailing bytes drain into the void
                     }
@@ -1243,7 +1220,7 @@ fn step_conn<S: Service>(
     // -- deadlines ---------------------------------------------------------
     if state.pending() > 0
         && !state.half_closed
-        && now.duration_since(state.last_write_progress) >= shared.config.write_timeout
+        && now.duration_since(state.last_write_progress) >= WRITE_TIMEOUT
     {
         return Step::Close(match state.tally {
             Tally::Conn => Some(String::from(
@@ -1276,20 +1253,20 @@ fn step_conn<S: Service>(
                         respond_healthz(shared, &mut state.outbox, false);
                         // kind stays Flush
                     } else {
-                        let mut session = shared.open(mailbox, key);
-                        session.feed(&buf);
-                        state.kind = Kind::Ndjson(session);
+                        let mut lines = Lines::new(shared.shutdown.clone());
+                        lines.push(&buf);
+                        state.kind = Kind::Ndjson(shared.open(mailbox, key), lines);
                     }
                 }
-                Kind::Ndjson(mut session) => {
+                Kind::Ndjson(mut session, mut lines) => {
                     if state.peer_eof || draining {
-                        session.finish_input();
+                        lines.end();
                     }
                     let allow_parse = state.outbox.len() - state.sent <= shared.outbox_limit;
                     pump_gated = !allow_parse;
-                    session.pump(&mut state.outbox, allow_parse);
+                    session.pump(&mut lines, &mut state.outbox, allow_parse);
                     if !session.is_done() {
-                        state.kind = Kind::Ndjson(session);
+                        state.kind = Kind::Ndjson(session, lines);
                         break;
                     }
                     let summary = match session.take_result() {
@@ -1346,7 +1323,7 @@ fn step_conn<S: Service>(
         // here would strand its buffered input for good
         if pump_gated
             && state.pending() <= shared.outbox_limit
-            && matches!(state.kind, Kind::Ndjson(_))
+            && matches!(state.kind, Kind::Ndjson(..))
         {
             continue;
         }
@@ -1512,11 +1489,10 @@ fn step_http<S: Service>(
                         return HttpStep::Finish;
                     }
                 } else {
-                    let mut session = shared.open(mailbox, key);
-                    session.feed(body);
-                    session.finish_input();
+                    let body = Lines::whole(std::mem::take(body), shared.shutdown.clone());
                     http.state = HttpState::Solving {
-                        session,
+                        session: shared.open(mailbox, key),
+                        body,
                         keep_alive: *keep_alive,
                         response: Vec::new(),
                     };
@@ -1524,10 +1500,11 @@ fn step_http<S: Service>(
             }
             HttpState::Solving {
                 session,
+                body,
                 keep_alive,
                 response,
             } => {
-                session.pump(response, true);
+                session.pump(body, response, true);
                 if !session.is_done() {
                     return HttpStep::Wait;
                 }

@@ -7,7 +7,7 @@
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -911,5 +911,163 @@ fn healthz_pool_gauges_stay_clamped_under_load() {
 
     let lines = client.read_to_end();
     assert_eq!(lines.len(), 7, "6 responses + summary");
+    server.stop();
+}
+
+/// Holds its worker until `release` is set (or its token is cut).
+struct Latch {
+    release: Arc<AtomicBool>,
+}
+
+impl Scheduler for Latch {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed("Latch")
+    }
+
+    fn schedule_with(
+        &self,
+        inst: &Instance,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        while !self.release.load(Ordering::SeqCst) && !cancel.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        FirstFit::paper().schedule_with(inst, &CancelToken::never())
+    }
+}
+
+/// The default registry plus a `latch` solver released by `release`.
+fn latch_registry(release: &Arc<AtomicBool>) -> SolverRegistry {
+    let mut registry = SolverRegistry::with_defaults();
+    let release = Arc::clone(release);
+    registry.register(
+        "latch",
+        "holds a worker until released (test stub)",
+        None,
+        Box::new(move |_| {
+            Box::new(Latch {
+                release: release.clone(),
+            })
+        }),
+    );
+    registry
+}
+
+/// A small record padded with trailing blanks to 4 KiB, so megabytes of
+/// input are a few thousand records.
+fn padded_record(id: &str) -> String {
+    format!("{:<4095}", record(id))
+}
+
+/// Writes `make(0)`, `make(1)`, … as lines, reading nothing, until a
+/// write would block for half a second (the server stopped reading, not
+/// just fell behind) or more than `cap` bytes went in. Returns the bytes
+/// that went in, the records begun, and the unwritten tail of the last
+/// one; the socket's write timeout is cleared again.
+fn write_until_blocked(
+    stream: &TcpStream,
+    cap: usize,
+    make: impl Fn(usize) -> String,
+) -> (usize, usize, Vec<u8>) {
+    stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let (mut sent, mut records, mut tail) = (0, 0, Vec::new());
+    while sent <= cap {
+        if tail.is_empty() {
+            tail = (make(records) + "\n").into_bytes();
+            records += 1;
+        }
+        match (&*stream).write(&tail) {
+            Ok(n) => {
+                sent += n;
+                tail.drain(..n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) => panic!("write failed: {e}"),
+        }
+    }
+    stream.set_write_timeout(None).unwrap();
+    (sent, records, tail)
+}
+
+/// A client that writes records faster than they are answered stops being
+/// read: behind one record that holds the only worker, a writer that
+/// reads nothing hits `WouldBlock` within a bound, and once the hold ends
+/// every record that went in is answered once, in order.
+#[test]
+fn a_writer_behind_a_held_worker_is_stopped_not_buffered() {
+    let release = Arc::new(AtomicBool::new(false));
+    let registry = latch_registry(&release);
+    let server = start_on(Executor::new(1), registry, quiet_config());
+    let mut client = Client::connect(server.addr);
+    let make = |i: usize| match i {
+        0 => r#"{"id": "r-0", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "latch"}"#.into(),
+        i => padded_record(&format!("r-{i}")),
+    };
+    let cap = 32 << 20;
+    let (sent, records, tail) = write_until_blocked(&client.stream, cap, make);
+    release.store(true, Ordering::SeqCst);
+    assert!(
+        sent <= cap,
+        "{sent} bytes went in without the socket blocking"
+    );
+
+    let mut writer = client.stream.try_clone().unwrap();
+    let finisher = std::thread::spawn(move || {
+        writer.write_all(&tail).unwrap();
+        writer.shutdown(Shutdown::Write).unwrap();
+    });
+    let lines = client.read_to_end();
+    finisher.join().unwrap();
+    assert_eq!(lines.len(), records + 1, "one answer per record + summary");
+    for (i, line) in lines[..records].iter().enumerate() {
+        assert_report_id(line, &format!("r-{i}"));
+    }
+    let trailer = &lines[records];
+    assert!(
+        trailer.contains(&format!("\"records\": {records},")),
+        "{trailer}"
+    );
+    server.stop();
+}
+
+/// Pipelined HTTP requests wait behind a `POST /solve` that is still
+/// answering, within the same bound: the server stops reading them.
+#[test]
+fn pipelined_http_bytes_behind_a_held_solve_are_bounded() {
+    let release = Arc::new(AtomicBool::new(false));
+    let registry = latch_registry(&release);
+    let mode = ListenMode::Http("127.0.0.1:0".to_string());
+    let listener = Listener::bind(&mode, Arc::new(registry), quiet_config())
+        .unwrap()
+        .executor(Executor::new(1));
+    let server = Server {
+        addr: listener.local_addr().unwrap(),
+        shutdown: listener.shutdown_token(),
+        handle: std::thread::spawn(move || listener.run()),
+    };
+    let mut client = Client::connect(server.addr);
+    let body = r#"{"id": "held", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "latch"}"#;
+    write!(
+        client.stream,
+        "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    // garbage where the next request head should be: the connection ends
+    // with a 400 once the solve has answered
+    let cap = 32 << 20;
+    let (sent, _, _) = write_until_blocked(&client.stream, cap, |_| "x".repeat(4095));
+    release.store(true, Ordering::SeqCst);
+    assert!(
+        sent <= cap,
+        "{sent} bytes went in without the socket blocking"
+    );
+    client.finish();
+    let mut response = String::new();
+    client.reader.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    assert!(response.contains("\"id\": \"held\""), "{response}");
     server.stop();
 }

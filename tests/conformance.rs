@@ -201,9 +201,9 @@ fn serve_tcp_and_http_answer_with_the_same_bytes() {
 
 /// Sends `input` as one NDJSON batch over a TCP connection and returns
 /// everything the server answers until it closes.
-fn ndjson_over_tcp(addr: std::net::SocketAddr, input: &str) -> String {
+fn ndjson_over_tcp(addr: std::net::SocketAddr, input: &[u8]) -> String {
     let mut stream = connect(addr);
-    stream.write_all(input.as_bytes()).unwrap();
+    stream.write_all(input).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
     let mut body = String::new();
     stream.read_to_string(&mut body).unwrap();
@@ -289,7 +289,7 @@ fn route_and_unix_answer_with_the_same_bytes_as_serve() {
         (
             "route over tcp",
             with_router(ListenMode::Tcp("127.0.0.1:0".into()), |addr| {
-                ndjson_over_tcp(addr, &input)
+                ndjson_over_tcp(addr, input.as_bytes())
             }),
         ),
         (
@@ -331,6 +331,62 @@ fn route_and_unix_answer_with_the_same_bytes_as_serve() {
         bodies.push(("listen over unix", body));
     }
 
+    for (name, body) in &bodies {
+        let (lines, trailer) = split_trailer(body);
+        let lines: Vec<String> = lines.iter().map(|l| strip_host_dependent(l)).collect();
+        assert_eq!(lines, expected, "{name} response lines differ from serve");
+        assert_eq!(
+            counts(&trailer),
+            counts(&summary),
+            "{name} trailer counts differ from serve"
+        );
+    }
+}
+
+#[test]
+fn hostile_bytes_answer_with_the_same_bytes_everywhere() {
+    // a line that is not UTF-8, a record whose id holds a byte that is not
+    // UTF-8, and a CRLF-terminated record: every entry point frames and
+    // decodes them alike
+    let mut input = b"\xff\xfe broken bytes\n".to_vec();
+    input.extend_from_slice(
+        b"{\"id\": \"caf\xc3\xa9\xff\", \"instance\": {\"g\": 2, \"jobs\": [[0, 4]]}}\n",
+    );
+    input.extend_from_slice(
+        b"{\"id\": \"crlf\", \"instance\": {\"g\": 2, \"jobs\": [[0, 4], [1, 5]]}}\r\n",
+    );
+    let mut out = Vec::new();
+    let summary = serve(
+        input.as_slice(),
+        &mut out,
+        &full_registry(),
+        &ServeConfig::default(),
+    )
+    .unwrap();
+    let expected: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(strip_host_dependent)
+        .collect();
+    assert_eq!((summary.records, summary.errors), (3, 2));
+    for line in &expected[..2] {
+        assert!(line.contains("line is not valid UTF-8"), "{line}");
+    }
+
+    let bodies = [
+        (
+            "listen over tcp",
+            with_listener(ListenMode::Tcp("127.0.0.1:0".into()), |addr| {
+                ndjson_over_tcp(addr, &input)
+            }),
+        ),
+        (
+            "route over tcp",
+            with_router(ListenMode::Tcp("127.0.0.1:0".into()), |addr| {
+                ndjson_over_tcp(addr, &input)
+            }),
+        ),
+    ];
     for (name, body) in &bodies {
         let (lines, trailer) = split_trailer(body);
         let lines: Vec<String> = lines.iter().map(|l| strip_host_dependent(l)).collect();
