@@ -1,19 +1,16 @@
-//! Interval-substrate hot paths after the PR 8 sort+sweep rewrite, each
-//! paired with the implementation it replaced so the committed baseline
-//! shows the win:
+//! Interval-substrate hot paths:
 //!
-//! * `profile/vec` vs `profile/btreemap` — [`OverlapProfile`]'s flat
-//!   sorted-vector representation vs the `BTreeMap` step map it replaced,
-//!   under FirstFit-shaped churn (add / range-max / remove);
-//! * `family/fused-scan` vs `family/per-predicate` — one
-//!   [`FamilyScan`] sort+sweep vs the per-predicate detectors it fused
-//!   (one sort each for proper / clique / components / overlap / span).
+//! * `profile/vec` — [`OverlapProfile`] under FirstFit-shaped churn (add /
+//!   range-max / remove);
+//! * `family/fused-scan` vs `family/per-predicate` — one [`FamilyScan`]
+//!   sort+sweep vs the per-predicate detectors it fused (one sort each for
+//!   proper / clique / components / overlap / span), paired so the
+//!   committed baseline shows the win.
 //!
 //! Every iteration replays a deterministic ~1k-operation workload, so the
 //! single-iteration smoke estimates in `BENCH_BASELINE.json` stay
 //! milliseconds-scale and meaningful under the perf gate.
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use busytime_bench::config;
@@ -64,63 +61,6 @@ fn churn_workload(ops: usize, seed: u64) -> Vec<Op> {
     out
 }
 
-/// The `BTreeMap`-backed profile the flat vector replaced — preserved as
-/// the in-bench baseline (mirrors the reference used by the interval
-/// crate's churn-equivalence test).
-#[derive(Default)]
-struct MapProfile {
-    steps: BTreeMap<i64, u32>,
-}
-
-impl MapProfile {
-    fn value_at(&self, dkey: i64) -> u32 {
-        self.steps.range(..=dkey).next_back().map_or(0, |(_, &c)| c)
-    }
-
-    fn ensure_boundary(&mut self, dkey: i64) {
-        if !self.steps.contains_key(&dkey) {
-            let v = self.value_at(dkey);
-            self.steps.insert(dkey, v);
-        }
-    }
-
-    fn add(&mut self, iv: &Interval) {
-        self.ensure_boundary(iv.dkey_lo());
-        self.ensure_boundary(iv.dkey_hi());
-        for (_, c) in self.steps.range_mut(iv.dkey_lo()..iv.dkey_hi()) {
-            *c += 1;
-        }
-    }
-
-    fn remove(&mut self, iv: &Interval) {
-        self.ensure_boundary(iv.dkey_lo());
-        self.ensure_boundary(iv.dkey_hi());
-        for (_, c) in self.steps.range_mut(iv.dkey_lo()..iv.dkey_hi()) {
-            *c = c.saturating_sub(1);
-        }
-        let keys: Vec<i64> = self
-            .steps
-            .range(iv.dkey_lo()..=iv.dkey_hi())
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let v = self.steps[&k];
-            let prev = self.steps.range(..k).next_back().map_or(0, |(_, &c)| c);
-            if prev == v {
-                self.steps.remove(&k);
-            }
-        }
-    }
-
-    fn max_in(&self, iv: &Interval) -> u32 {
-        let entry = self.value_at(iv.dkey_lo());
-        self.steps
-            .range(iv.dkey_lo() + 1..iv.dkey_hi())
-            .map(|(_, &c)| c)
-            .fold(entry, u32::max)
-    }
-}
-
 fn bench_profile(c: &mut Criterion) {
     let ops = churn_workload(1_000, 42);
 
@@ -130,21 +70,6 @@ fn bench_profile(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("vec", "1k-churn"), &ops, |b, ops| {
         b.iter(|| {
             let mut p = OverlapProfile::new();
-            let mut acc = 0u64;
-            for op in ops {
-                match op {
-                    Op::Add(iv) => p.add(iv),
-                    Op::Remove(iv) => p.remove(iv),
-                    Op::MaxIn(iv) => acc += u64::from(p.max_in(iv)),
-                }
-            }
-            black_box(acc)
-        })
-    });
-
-    group.bench_with_input(BenchmarkId::new("btreemap", "1k-churn"), &ops, |b, ops| {
-        b.iter(|| {
-            let mut p = MapProfile::default();
             let mut acc = 0u64;
             for op in ops {
                 match op {

@@ -34,6 +34,7 @@ fn batch_input() -> String {
 fn bench_server_throughput(c: &mut Criterion) {
     let input = batch_input();
     let registry = SolverRegistry::with_defaults();
+    let config = ServeConfig::default();
     let mut group = c.benchmark_group("server_1k_batch");
     group.throughput(Throughput::Elements(BATCH as u64));
     group.sample_size(10);
@@ -42,10 +43,6 @@ fn bench_server_throughput(c: &mut Criterion) {
             BenchmarkId::from_parameter(workers),
             &workers,
             |b, &workers| {
-                let config = ServeConfig {
-                    workers,
-                    ..ServeConfig::default()
-                };
                 let executor = Executor::new(workers);
                 b.iter(|| {
                     let summary = BatchSession::new(&registry, &config)

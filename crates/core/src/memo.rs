@@ -237,10 +237,10 @@ impl Fnv {
 }
 
 /// The solver-relevant slice of the solve options: two cached solves are
-/// interchangeable only when these match. Deadlines, time budgets and
-/// validation levels are deliberately excluded — entries are validated at
-/// insert time and never store cut solves, so any caller-side checking
-/// level is satisfied by a hit.
+/// interchangeable only when these match. Deadlines and validation levels
+/// are deliberately excluded — entries are validated at insert time and
+/// never store cut solves, so any caller-side checking level is satisfied
+/// by a hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SolveFingerprint {
     /// The canonical registry key of the requested solver (aliases
@@ -454,14 +454,11 @@ impl SolutionCache {
     }
 
     /// Inserts a finished solve. Only clean reports are accepted: not
-    /// deadline-cut, not budget-cut, and the schedule (remapped to
-    /// canonical order) must validate against the canonical instance —
-    /// so a later hit can skip validation at any level.
+    /// deadline-cut, and the schedule (remapped to canonical order) must
+    /// validate against the canonical instance — so a later hit can skip
+    /// validation at any level.
     pub fn insert(&self, canon: &CanonicalInstance, fp: &SolveFingerprint, report: &SolveReport) {
-        if report.deadline_hit
-            || report.budget_exhausted
-            || report.schedule.assignment().len() != canon.len()
-        {
+        if report.deadline_hit || report.schedule.assignment().len() != canon.len() {
             return;
         }
         let canonical_assign = canon.assignment_to_canonical(report.schedule.assignment());
@@ -749,10 +746,6 @@ mod tests {
         let canon = CanonicalInstance::of(&inst);
         let mut report = report_for(&inst, "first-fit");
         report.deadline_hit = true;
-        cache.insert(&canon, &fp("first-fit"), &report);
-        assert_eq!(cache.stats().entries, 0);
-        report.deadline_hit = false;
-        report.budget_exhausted = true;
         cache.insert(&canon, &fp("first-fit"), &report);
         assert_eq!(cache.stats().entries, 0);
     }

@@ -66,18 +66,21 @@
 //! a request's parallel policy resolves to on.
 //!
 //! [`Executor::par_map_deadline_under`] is the deadline-enforcing variant
-//! for a caller that parks on a batch of budgeted items. The serving layer
-//! does not call it (its session runners arm the same per-record tokens
-//! themselves); the benchmark tracer's queue-wait probe
-//! (`perfbench/harness`) does. Each item gets a per-item [`CancelToken`], a
-//! child of a caller-owned parent, armed when a worker picks the item up
-//! (so queue time never counts against a record's budget), and the pool
-//! stamps every completion with its elapsed time and an `over_deadline`
-//! verdict. The verdict is the pool's *own* clock comparison, independent
-//! of the item's cooperation — a solver that misses (or lacks) its
-//! cooperative check is still reported as over-deadline. Cancelling the
-//! parent poisons the tokens of queued, not-yet-picked-up items, so they
-//! cut at pickup instead of waiting out their budgets.
+//! for a caller that parks on a batch of budgeted items; the benchmark
+//! tracer's queue-wait probe (`perfbench/harness`) calls it. The serving
+//! layer does not: its session runners apply the same rule themselves,
+//! arming each record's token at pickup and judging the record on that
+//! clock, and that is the only deadline verdict a served record gets.
+//!
+//! Each item gets a per-item [`CancelToken`], a child of a caller-owned
+//! parent, armed when a worker picks the item up (so queue time never
+//! counts against a record's budget), and the pool stamps every completion
+//! with its elapsed time and an `over_deadline` verdict. The verdict is the
+//! pool's *own* clock comparison, independent of the item's cooperation —
+//! a solver that misses (or lacks) its cooperative check is still reported
+//! as over-deadline. Cancelling the parent poisons the tokens of queued,
+//! not-yet-picked-up items, so they cut at pickup instead of waiting out
+//! their budgets.
 //!
 //! ```
 //! use busytime_core::pool::Executor;

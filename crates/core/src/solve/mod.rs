@@ -7,7 +7,7 @@
 //!
 //! * [`SolveRequest`] — a builder holding the instance, a solver selection
 //!   (registry key, or a custom boxed [`Scheduler`]) and options:
-//!   component decomposition, validation level, seed, size/time budgets,
+//!   component decomposition, validation level, seed, the size budget,
 //!   and a hard per-solve [`SolveRequest::deadline`] enforced inside
 //!   solver loops through a [`crate::cancel::CancelToken`].
 //! * [`SolveReport`] — the rich result: schedule, cost, the best lower
@@ -137,7 +137,9 @@ impl ParallelPolicy {
     }
 }
 
-/// Options shared by every solver factory and the pipeline driver.
+/// Options shared by every solver factory and the solve pipeline. Time
+/// has one bound, the hard `deadline` (or a caller's [`CancelToken`]):
+/// there is no soft budget beside it.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
     /// Solve connected components independently and merge (the paper's
@@ -150,17 +152,12 @@ pub struct SolveOptions {
     pub seed: u64,
     /// Refuse instances with more jobs than this before scheduling.
     pub max_jobs: Option<usize>,
-    /// Soft wall-clock budget: once it is exceeded, the post-schedule
-    /// validation phase (including [`ValidationLevel::Strict`] consistency
-    /// checks) is skipped and the report's `budget_exhausted` flag is set.
-    /// The lower-bound phase still runs (the report's `gap` needs it), and
-    /// solvers are not interrupted mid-run — for that, use `deadline`.
-    pub time_budget: Option<Duration>,
     /// Hard per-solve deadline, enforced *inside* solver loops through a
     /// [`CancelToken`]: on expiry the solver stops at its next cooperative
     /// checkpoint and the report comes back flagged `deadline_hit` with the
     /// solver's incumbent schedule, or the solve fails with
-    /// [`SchedulerError::Infeasible`] when the solver held no incumbent.
+    /// [`SchedulerError::Infeasible`] when the solver held no incumbent. A
+    /// cut solve skips the validation phase.
     pub deadline: Option<Duration>,
     /// A machine-grouping hint from a cached near-match solution,
     /// consumed by solvers that accept a starting incumbent (currently
@@ -182,7 +179,6 @@ impl Default for SolveOptions {
             validation: ValidationLevel::Basic,
             seed: 0,
             max_jobs: None,
-            time_budget: None,
             deadline: None,
             warm_start: None,
             parallel: ParallelPolicy::Auto,
@@ -301,9 +297,6 @@ pub struct SolveReport {
     pub phases: Vec<PhaseStat>,
     /// Total wall-clock time of the pipeline.
     pub total: Duration,
-    /// True iff the time budget expired and post-schedule phases were
-    /// skipped.
-    pub budget_exhausted: bool,
     /// True iff the request's deadline (or an externally supplied
     /// [`CancelToken`]) expired before the pipeline finished: the schedule
     /// is the solver's incumbent — feasible but with no optimality or
@@ -431,11 +424,12 @@ impl SolveReport {
             esc(&mut out, &p.detail);
             out.push('}');
         }
+        // `budget_exhausted` is a fixed `false`: no option sets it any more,
+        // and the key stays so every answer keeps its bytes
         out.push_str(&format!(
-            "]{sep}\"total_ms\": {}{sep}\"budget_exhausted\": {}{sep}\"deadline_hit\": {}\
+            "]{sep}\"total_ms\": {}{sep}\"budget_exhausted\": false{sep}\"deadline_hit\": {}\
              {sep}\"cached\": {}{sep}\"warm_started\": {}",
             ms(self.total),
-            self.budget_exhausted,
             self.deadline_hit,
             self.cached,
             self.warm_started
@@ -508,9 +502,6 @@ impl std::fmt::Display for SolveReport {
             )?;
         }
         write!(f, "total:       {:.3} ms", self.total.as_secs_f64() * 1e3)?;
-        if self.budget_exhausted {
-            write!(f, "  (time budget exhausted)")?;
-        }
         if let Some(phase) = self.cut_phase {
             write!(f, "  (deadline hit in {phase}; incumbent returned)")?;
         }
@@ -593,13 +584,6 @@ impl<'a> SolveRequest<'a> {
     /// Refuses instances with more than `n` jobs.
     pub fn max_jobs(mut self, n: usize) -> Self {
         self.options.max_jobs = Some(n);
-        self
-    }
-
-    /// Sets a soft wall-clock budget (post-schedule phases are skipped
-    /// once exceeded; the report is flagged).
-    pub fn time_budget(mut self, budget: Duration) -> Self {
-        self.options.time_budget = Some(budget);
         self
     }
 
@@ -805,10 +789,6 @@ impl<'a> SolveRequest<'a> {
             cut_phase = Some("schedule");
         }
 
-        let budget_exhausted = options
-            .time_budget
-            .is_some_and(|budget| started.elapsed() > budget);
-
         // bound
         let t = Instant::now();
         let lower_bound = view.whole().lower_bound();
@@ -835,10 +815,10 @@ impl<'a> SolveRequest<'a> {
             f64::INFINITY
         };
 
-        // validate — skipped once the soft budget or the hard deadline has
-        // expired (a cut record should leave the pipeline promptly; callers
-        // that need certainty re-validate the incumbent themselves)
-        if options.validation != ValidationLevel::Skip && !budget_exhausted && cut_phase.is_none() {
+        // validate — skipped once the deadline has expired (a cut record
+        // should leave the pipeline promptly; callers that need certainty
+        // re-validate the incumbent themselves)
+        if options.validation != ValidationLevel::Skip && cut_phase.is_none() {
             let t = Instant::now();
             schedule.validate(inst).map_err(SolveError::Validation)?;
             if options.validation == ValidationLevel::Strict && cost < lower_bound {
@@ -866,7 +846,6 @@ impl<'a> SolveRequest<'a> {
             features,
             phases,
             total: started.elapsed(),
-            budget_exhausted,
             deadline_hit: cut_phase.is_some(),
             cut_phase,
             cached: false,
@@ -958,19 +937,6 @@ mod tests {
                 max_jobs: 2
             }
         ));
-    }
-
-    #[test]
-    fn zero_time_budget_flags_report_and_skips_validation() {
-        let inst = inst();
-        let report = SolveRequest::new(&inst)
-            .time_budget(Duration::ZERO)
-            .solve()
-            .unwrap();
-        assert!(report.budget_exhausted);
-        assert!(!report.phases.iter().any(|p| p.name == "validate"));
-        // the schedule is still returned and is in fact valid
-        report.schedule.validate(&inst).unwrap();
     }
 
     #[test]

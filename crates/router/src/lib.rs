@@ -23,8 +23,9 @@
 //!   session, a single-threaded state machine that the reactor pumps
 //!   with its shard streams as watched sockets: per-record fan-out of
 //!   request lines forwarded verbatim (or whole-connection pinning with
-//!   [`RouteConfig::sticky`]), an in-order fan-in reorder buffer, orphan
-//!   retry when a shard dies mid-batch, and the merged summary trailer.
+//!   [`RouteConfig::sticky`]), in-order fan-in through the server's
+//!   [`busytime_server::Ledger`], orphan retry when a shard dies
+//!   mid-batch, and the merged summary trailer.
 //!   A routed batch costs no thread, and holds a bounded amount of its
 //!   client's input.
 //! * [`spawn`] — [`ShardFleet`]: `--spawn N` mode, where the router

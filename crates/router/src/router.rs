@@ -16,17 +16,18 @@
 //! find the `id` of an error line it writes itself. Shard answers are
 //! framed by one [`Lines`] per shard stream.
 //!
-//! Ordering is restored per connection by a sequence number assigned at
-//! dispatch: shard responses are restamped with the client's original
-//! `line` via [`reline_output`] (no re-parse, no re-serialize) and held
-//! in a small reorder buffer until every earlier record has answered.
+//! Ordering is restored per connection by the session's [`Ledger`]: each
+//! record is opened there as its line is taken, shard responses are
+//! restamped with the client's original `line` via [`reline_output`] (no
+//! re-parse, no re-serialize), answer their record in the ledger, and
+//! leave it once every earlier record has answered.
 //!
 //! Back-pressure: a routed batch takes no client line while it holds more
 //! than [`INPUT_LIMIT`] bytes for its client — requests its shard streams
-//! have not written yet, and answers waiting in the reorder buffer on an
-//! earlier one. A shard that stops reading, or one slow record holding up
-//! the in-order fan-in, therefore stops the router reading its client, as
-//! the reactor's input gate does on `listen`.
+//! have not written yet, and answers waiting in the ledger on an earlier
+//! one. A shard that stops reading, or one slow record holding up the
+//! in-order fan-in, therefore stops the router reading its client, as the
+//! reactor's input gate does on `listen`.
 //!
 //! Failure model: a shard stream that breaks, ends early or makes no write
 //! progress for the write timeout orphans its unanswered records; orphans
@@ -47,7 +48,7 @@
 //! costs no thread either; the router's own threads are the prober and,
 //! in `--spawn` mode, the shard monitors.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -60,7 +61,9 @@ use busytime_server::protocol::error_line;
 use busytime_server::reactor::{
     self, Endpoint, Gauges, Interest, Notify, Service, Session, Sources, INPUT_LIMIT, WRITE_TIMEOUT,
 };
-use busytime_server::{reline_output, BatchSummary, Lines, ListenConfig, ListenMode, ServeError};
+use busytime_server::{
+    reline_output, BatchSummary, Ledger, Lines, ListenConfig, ListenMode, ServeError,
+};
 
 use crate::shard::{connect, lock, pick, ShardState};
 
@@ -149,6 +152,10 @@ const LINK_READ_BUDGET: usize = 32 * 1024;
 
 /// The router-side error of a record no shard could take.
 const NO_SHARD: &str = "no healthy shard available to solve this record";
+
+/// The router-side error of a record still unanswered when its batch ended
+/// (a bug, not a normal path): the client never counts short.
+const LOST: &str = "record lost in routing";
 
 /// The shard-routing front-end; see the [module docs](self) for the wire
 /// and failure contracts.
@@ -282,18 +289,18 @@ impl Service for RouteService {
             sticky: self.config.sticky,
             shutdown: self.shutdown.clone(),
             sources,
-            records: HashMap::new(),
-            next_seq: 0,
-            fanin: Fanin::new(Vec::new()),
+            ledger: Ledger::default(),
+            parked: 0,
+            answers: Vec::new(),
             links: Vec::new(),
             pinned: None,
             orphans: Vec::new(),
             trailers: Vec::new(),
-            untallied: (0, 0),
-            stats: SessionStats::default(),
+            tally: BatchSummary::new(0),
+            counts: RouteReport::default(),
             started: Instant::now(),
             drain_until: None,
-            end: None,
+            done: false,
         }
     }
 
@@ -326,19 +333,19 @@ impl Service for RouteService {
     }
 
     fn settle(&self, conn_id: usize, peer: &str, session: &RouteMachine, _: &BatchSummary) {
-        let stats = &session.stats;
+        let counts = &session.counts;
         {
             let mut report = lock(&self.report);
-            report.records += stats.records;
-            report.retried += stats.retried;
-            report.failed += stats.failed;
+            report.records += counts.records;
+            report.retried += counts.retried;
+            report.failed += counts.failed;
         }
         self.log(format!(
             "conn {conn_id} ({peer}): {} records routed ({} retried, {} failed) \
              across {} healthy shards",
-            stats.records,
-            stats.retried,
-            stats.failed,
+            counts.records,
+            counts.retried,
+            counts.failed,
             self.shards.iter().filter(|s| s.is_healthy()).count(),
         ));
     }
@@ -352,74 +359,18 @@ impl Service for RouteService {
 // The routed batch: fan-out, in-order fan-in, orphan retry, merged trailer
 // ---------------------------------------------------------------------------
 
-/// Per-session counters bubbled up into the [`RouteReport`].
-#[derive(Clone, Debug, Default)]
-struct SessionStats {
-    records: usize,
-    retried: usize,
-    failed: usize,
-}
-
-/// One client record not yet answered.
+/// One client record in the session's ledger.
 #[derive(Debug)]
 struct Pending {
     /// 1-based client input line — what the response must be stamped
     /// with, wherever it is solved.
     orig_line: usize,
-    /// The record line as received (newline included); its id is read
-    /// only if the router answers it with an error line.
+    /// The record line as received (newline included), until the record
+    /// is answered; its id is read only if the router answers it with an
+    /// error line.
     raw: Vec<u8>,
     /// Re-dispatches so far.
     retries: usize,
-}
-
-/// The reorder buffer: responses arrive tagged with their dispatch `seq`
-/// and are flushed to the client strictly in `seq` order.
-struct Fanin<W: Write> {
-    next: usize,
-    ready: BTreeMap<usize, String>,
-    /// Bytes staged in `ready`: answers waiting on an earlier one.
-    held: usize,
-    writer: W,
-}
-
-impl<W: Write> Fanin<W> {
-    fn new(writer: W) -> Self {
-        Fanin {
-            next: 0,
-            ready: BTreeMap::new(),
-            held: 0,
-            writer,
-        }
-    }
-
-    /// Stages one response and flushes the contiguous prefix.
-    fn push(&mut self, seq: usize, text: String) {
-        self.held += text.len();
-        self.ready.insert(seq, text);
-        while let Some(text) = self.ready.remove(&self.next) {
-            self.held -= text.len();
-            // the writer is an in-memory buffer
-            let _ = writeln!(self.writer, "{text}");
-            self.next += 1;
-        }
-    }
-
-    /// Defensive hole-fill: any dispatched seq that never produced a
-    /// response (a bug, not a normal path) answers as a structured error
-    /// so the client never counts short.
-    fn finish(&mut self, total: usize, meta: &[(usize, Option<String>)]) -> usize {
-        let mut holes = 0;
-        for (seq, (orig_line, id)) in meta.iter().enumerate().take(total) {
-            // a hole's push can flush the seqs after it
-            if seq >= self.next && !self.ready.contains_key(&seq) {
-                holes += 1;
-                let line = error_line(*orig_line, id.as_deref(), "record lost in routing");
-                self.push(seq, line);
-            }
-        }
-        holes
-    }
 }
 
 /// One shard stream of a routed batch: a nonblocking socket watched by
@@ -427,8 +378,8 @@ impl<W: Write> Fanin<W> {
 struct Link {
     shard: Arc<ShardState>,
     stream: TcpStream,
-    /// Dispatched and unanswered seqs in send order: a shard answers in
-    /// order, so the front is the record its next response line answers.
+    /// Dispatched and unanswered ledger seqs in send order: a shard answers
+    /// in order, so the front is the record its next response line answers.
     pending: VecDeque<usize>,
     /// Request bytes queued for the shard; `sent` of them are written.
     out: Vec<u8>,
@@ -548,10 +499,12 @@ struct RouteMachine {
     sticky: bool,
     shutdown: CancelToken,
     sources: Sources,
-    /// Unanswered records by dispatch seq.
-    records: HashMap<usize, Pending>,
-    next_seq: usize,
-    fanin: Fanin<Vec<u8>>,
+    /// Every record not yet sent to the client, in input order.
+    ledger: Ledger<Pending, String>,
+    /// Bytes of the answers in the ledger, waiting on an earlier one.
+    parked: usize,
+    /// Answers released in input order, for the next pump's `out`.
+    answers: Vec<u8>,
     links: Vec<Link>,
     /// The shard a sticky connection is pinned to.
     pinned: Option<usize>,
@@ -559,22 +512,24 @@ struct RouteMachine {
     orphans: Vec<usize>,
     /// Summary trailers collected from shards, merged at the end.
     trailers: Vec<BatchSummary>,
-    /// (answered, answered ok) on streams that ended without a trailer,
-    /// so the merged trailer still accounts for every record.
-    untallied: (usize, usize),
-    stats: SessionStats,
+    /// What no shard trailer covers, merged under them at the end: the
+    /// records the router answered itself, and the answers of streams that
+    /// ended without a trailer.
+    tally: BatchSummary,
+    /// This batch's share of the [`RouteReport`].
+    counts: RouteReport,
     started: Instant,
     /// Set once shutdown is seen: when the drain stops waiting for shards.
     drain_until: Option<Instant>,
-    /// The merged trailer, once the batch is over.
-    end: Option<BatchSummary>,
+    /// The trailers are merged into `tally`: the batch is over.
+    done: bool,
 }
 
 impl RouteMachine {
     /// Bytes the batch holds for its client: requests its links have not
-    /// written yet, and answers waiting in the fan-in on an earlier one.
+    /// written yet, and answers waiting in the ledger on an earlier one.
     fn held(&self) -> usize {
-        self.links.iter().map(Link::unwritten).sum::<usize>() + self.fanin.held
+        self.links.iter().map(Link::unwritten).sum::<usize>() + self.parked
     }
 
     /// Takes the client's lines while [`RouteMachine::held`] stays within
@@ -585,15 +540,12 @@ impl RouteMachine {
             let Some(line) = input.next_line() else {
                 return false;
             };
-            let seq = self.next_seq;
-            let pending = Pending {
+            let seq = self.ledger.open(Pending {
                 orig_line: line.number,
                 raw: line.bytes.to_vec(),
                 retries: 0,
-            };
-            self.records.insert(seq, pending);
-            self.next_seq += 1;
-            self.stats.records += 1;
+            });
+            self.counts.records += 1;
             self.dispatch(seq);
         }
         true
@@ -610,7 +562,7 @@ impl RouteMachine {
                 Some(shard) => Arc::clone(shard),
                 None => match pick(&self.shards) {
                     Some(shard) => shard,
-                    None => return self.fail(seq),
+                    None => return self.fail(seq, NO_SHARD),
                 },
             };
             if self.sticky {
@@ -633,7 +585,8 @@ impl RouteMachine {
                     }
                 },
             };
-            let (link, raw) = (&mut self.links[i], &self.records[&seq].raw);
+            let raw = &self.ledger.get(seq).expect("dispatched unanswered").raw;
+            let link = &mut self.links[i];
             link.out.extend_from_slice(raw);
             link.pending.push_back(seq);
             shard.note_dispatched();
@@ -641,13 +594,38 @@ impl RouteMachine {
         }
     }
 
-    /// Answers record `seq` with the router-side error line.
-    fn fail(&mut self, seq: usize) {
-        let pending = self.records.remove(&seq).expect("failed unanswered");
-        let id = extract_id(&pending.raw);
-        self.stats.failed += 1;
-        let line = error_line(pending.orig_line, id.as_deref(), NO_SHARD);
-        self.fanin.push(seq, line);
+    /// Answers record `seq` and releases the ledger's answered prefix to
+    /// the client. The record's request bytes are dropped at once: only a
+    /// waiting record is dispatched or failed, and the input gate counts
+    /// the answer it waits with, not them.
+    fn answer(&mut self, seq: usize, text: String) {
+        if let Some(pending) = self.ledger.get_mut(seq) {
+            pending.raw = Vec::new();
+        }
+        let len = text.len();
+        if self.ledger.answer(seq, text) {
+            self.parked += len;
+        }
+        while let Some((_, text)) = self.ledger.take() {
+            self.parked -= text.len();
+            self.answers.extend_from_slice(text.as_bytes());
+            self.answers.push(b'\n');
+        }
+    }
+
+    /// Answers record `seq` with a router-side error line, from its own
+    /// line number and bytes.
+    fn fail(&mut self, seq: usize, error: &str) {
+        let pending = self.ledger.get(seq).expect("failed unanswered");
+        let line = error_line(
+            pending.orig_line,
+            extract_id(&pending.raw).as_deref(),
+            error,
+        );
+        self.counts.failed += 1;
+        self.tally.records += 1;
+        self.tally.errors += 1;
+        self.answer(seq, line);
     }
 
     /// Re-dispatches every orphan in input order, within its retry cap and
@@ -656,43 +634,45 @@ impl RouteMachine {
         let mut orphans = std::mem::take(&mut self.orphans);
         orphans.sort_unstable();
         for seq in orphans {
-            let pending = self.records.get_mut(&seq).expect("orphans are unanswered");
+            let pending = self.ledger.get_mut(seq).expect("orphans are unanswered");
             if spent || pending.retries == MAX_RETRIES {
-                self.fail(seq);
+                self.fail(seq, NO_SHARD);
                 continue;
             }
             pending.retries += 1;
-            self.stats.retried += 1;
+            self.counts.retried += 1;
             self.dispatch(seq);
         }
     }
 
     /// Reads link `i` and takes the answer lines it has: an answer to the
-    /// front of its queue is restamped and staged in the fan-in, a trailer
-    /// is kept for the merge, and anything else (free-text noise) is
-    /// dropped — the wire contract promises responses and a trailer,
-    /// nothing more. `false` once the stream has ended.
+    /// front of its queue is restamped and answers its record, a trailer is
+    /// kept for the merge, and anything else (free-text noise) is dropped —
+    /// the wire contract promises responses and a trailer, nothing more.
+    /// `false` once the stream has ended.
     fn read_link(&mut self, i: usize) -> bool {
-        let link = &mut self.links[i];
-        let open = link.fill();
-        while let Some(line) = link.answers.next_line() {
+        let open = self.links[i].fill();
+        loop {
+            let link = &mut self.links[i];
+            let Some(line) = link.answers.next_line() else {
+                return open;
+            };
             let text = String::from_utf8_lossy(line.bytes);
             let text = text.trim_end_matches(['\n', '\r']);
             let front = link.pending.front().copied();
-            let relined = front.and_then(|seq| reline_output(text, self.records[&seq].orig_line));
+            let relined =
+                front.and_then(|seq| reline_output(text, self.ledger.get(seq)?.orig_line));
             if let (Some(seq), Some(relined)) = (front, relined) {
                 link.pending.pop_front();
                 link.shard.note_answered();
                 link.answered += 1;
                 link.answered_ok += usize::from(relined.ok);
-                self.records.remove(&seq);
-                self.fanin.push(seq, relined.text);
+                self.answer(seq, relined.text);
             } else if let Ok(summary) = BatchSummary::from_json_line(text) {
                 self.trailers.push(summary);
                 link.got_trailer = true;
             }
         }
-        open
     }
 
     /// Ends link `i`: its unanswered records become orphans. A shard that
@@ -704,8 +684,9 @@ impl RouteMachine {
         if !link.got_trailer {
             // without its trailer these answers would vanish from the
             // merged accounting
-            self.untallied.0 += link.answered;
-            self.untallied.1 += link.answered_ok;
+            self.tally.records += link.answered;
+            self.tally.solved += link.answered_ok;
+            self.tally.errors += link.answered - link.answered_ok;
         }
         if !link.pending.is_empty() || !link.got_trailer {
             link.shard.mark_broken();
@@ -736,42 +717,18 @@ impl RouteMachine {
         }
     }
 
-    /// The batch is over: fill any hole, then merge the shards' trailers
-    /// over a base that accounts for the records no shard trailer covers
-    /// (router-side errors, and answers from shards that died before their
-    /// trailer).
+    /// The batch is over: answer any record still waiting as lost, then
+    /// merge the shards' trailers over the tally of what they do not cover.
     fn finish(&mut self) {
-        if self.fanin.next < self.next_seq {
-            let meta: Vec<(usize, Option<String>)> = (0..self.next_seq)
-                .map(|seq| match self.records.get(&seq) {
-                    Some(p) => (p.orig_line, extract_id(&p.raw)),
-                    None => (0, None),
-                })
-                .collect();
-            self.stats.failed += self.fanin.finish(self.next_seq, &meta);
+        let holes: Vec<usize> = self.ledger.waiting().map(|(seq, _)| seq).collect();
+        for seq in holes {
+            self.fail(seq, LOST);
         }
-        let (answered, answered_ok) = self.untallied;
-        let mut merged = BatchSummary {
-            records: self.stats.failed + answered,
-            solved: answered_ok,
-            errors: self.stats.failed + (answered - answered_ok),
-            total_cost: 0,
-            total_lower_bound: 0,
-            aggregate_gap: BatchSummary::aggregate_gap(0, 0),
-            wall: self.started.elapsed(),
-            throughput: 0.0,
-            solved_per_s: 0.0,
-            p50_solve: Duration::ZERO,
-            p99_solve: Duration::ZERO,
-            solution_cache_hits: 0,
-            solution_cache_misses: 0,
-            workers: 0,
-            deadline_hits: 0,
-        };
+        self.tally.wall = self.started.elapsed();
         for trailer in &self.trailers {
-            merged.merge(trailer);
+            self.tally.merge(trailer);
         }
-        self.end = Some(merged);
+        self.done = true;
     }
 }
 
@@ -809,23 +766,23 @@ impl Session for RouteMachine {
                 break;
             }
         }
-        if self.end.is_none() && input.is_done() && self.links.is_empty() {
+        if !self.done && input.is_done() && self.links.is_empty() {
             self.finish();
         }
-        out.append(&mut self.fanin.writer);
+        out.append(&mut self.answers);
     }
 
     fn is_done(&self) -> bool {
-        self.end.is_some()
+        self.done
     }
 
     /// Busy until the batch ends: the router cuts no idle connection.
     fn has_inflight(&self) -> bool {
-        self.end.is_none()
+        !self.done
     }
 
     fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
-        Ok(self.end.take().expect("a finished session has an end"))
+        Ok(self.tally.clone())
     }
 
     /// A stalled shard write's timeout, or the end of the shutdown drain.
@@ -869,44 +826,6 @@ fn extract_id(raw: &[u8]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fanin_flushes_only_contiguous_prefixes() {
-        let mut out = Vec::new();
-        let mut fanin = Fanin::new(&mut out);
-        fanin.push(2, "third".to_string());
-        fanin.push(1, "second".to_string());
-        assert!(fanin.writer.is_empty(), "nothing emits before seq 0 lands");
-        fanin.push(0, "first".to_string());
-        assert_eq!(
-            String::from_utf8(fanin.writer.clone()).unwrap(),
-            "first\nsecond\nthird\n"
-        );
-        assert_eq!(fanin.next, 3);
-    }
-
-    #[test]
-    fn fanin_finish_fills_holes_with_error_lines() {
-        let mut out = Vec::new();
-        let mut fanin = Fanin::new(&mut out);
-        fanin.push(0, "first".to_string());
-        fanin.push(2, "third".to_string());
-        let meta = vec![(1, None), (5, Some("b".to_string())), (9, None)];
-        let holes = fanin.finish(3, &meta);
-        assert_eq!(holes, 1);
-        let text = String::from_utf8(fanin.writer.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "first");
-        assert!(
-            lines[1].contains("\"line\": 5"),
-            "hole keeps its line: {}",
-            lines[1]
-        );
-        assert!(lines[1].contains("\"id\": \"b\""));
-        assert!(lines[1].contains("record lost in routing"));
-        assert_eq!(lines[2], "third");
-    }
 
     #[test]
     fn extract_id_is_best_effort() {

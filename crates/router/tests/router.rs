@@ -499,6 +499,61 @@ fn records_orphaned_after_the_client_finished_are_retried_on_the_survivor() {
     );
 }
 
+#[test]
+fn a_backend_trailer_with_an_impossible_time_cannot_crash_the_router() {
+    // shard 0 is a stub that answers its one record, then sends a trailer
+    // whose `wall_ms` no `Duration` holds, and closes. That line is no
+    // trailer: the stream ends untallied, like one that sent none, and
+    // the router keeps serving.
+    let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stub_addr = stub.local_addr().unwrap();
+    let stub_thread = std::thread::spawn(move || loop {
+        let (conn, _) = stub.accept().unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        let _ = reader.read_line(&mut line);
+        if !line.starts_with("GET ") {
+            let answer =
+                r#"{"schema_version": 1, "line": 1, "id": "t-0", "ok": false, "error": "stub"}"#;
+            let trailer = r#"{"schema_version": 1, "records": 1, "solved": 0, "errors": 1, "wall_ms": 1e300}"#;
+            let mut conn = reader.into_inner();
+            conn.write_all(format!("{answer}\n{trailer}\n").as_bytes())
+                .unwrap();
+            return;
+        }
+    });
+    // one probe at start, which a single failure does not demote on
+    let config = RouteConfig {
+        probe_interval: Duration::from_secs(60),
+        ..quiet_route_config()
+    };
+    let front = start_router(vec![ShardState::new(0, stub_addr.to_string())], config);
+
+    let lines = run_batch(front.addr, &["t-0".to_string()]);
+    assert_eq!(lines.len(), 2, "the answer and a trailer: {lines:#?}");
+    match parse_output_line(&lines[0]).unwrap() {
+        OutputLine::Error { line, id, error } => {
+            assert_eq!(
+                (line, id.as_deref(), error.as_str()),
+                (1, Some("t-0"), "stub")
+            );
+        }
+        other => panic!("expected the stub's answer, got {other:?}"),
+    }
+    assert!(lines[1].contains("\"records\": 1"), "{}", lines[1]);
+    assert!(lines[1].contains("\"errors\": 1"), "{}", lines[1]);
+    stub_thread.join().unwrap();
+
+    // a second connection is served: the stub, demoted for its missing
+    // trailer, takes no record, so it answers as a structured error
+    let lines = run_batch(front.addr, &["t-1".to_string()]);
+    assert_eq!(lines.len(), 2, "the answer and a trailer: {lines:#?}");
+    assert!(lines[0].contains("no healthy shard"), "{}", lines[0]);
+    assert!(lines[1].contains("\"records\": 1"), "{}", lines[1]);
+    let report = front.stop();
+    assert_eq!((report.connections, report.records), (2, 2));
+}
+
 /// The `outbox_bytes` gauge off the router's `/healthz`.
 fn outbox_bytes(addr: SocketAddr) -> usize {
     let mut stream = TcpStream::connect(addr).unwrap();

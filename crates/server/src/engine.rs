@@ -30,12 +30,11 @@
 //!
 //! Deadlines: each record's budget (its `deadline_ms`, else the batch
 //! default) arms a [`busytime_core::CancelToken`] when a worker picks the
-//! record up, the token rides through the solve pipeline into every solver
-//! loop, and the worker independently stamps each completion
-//! `over_deadline` when its own clock says the budget was blown — so even
-//! a solver that misses its cooperative check is counted in
-//! [`BatchSummary::deadline_hits`], and one pathological record can no
-//! longer pin a worker for seconds.
+//! record up, and the token rides through the solve pipeline into every
+//! solver loop, so one pathological record can no longer pin a worker for
+//! seconds. The same clock judges the record: it is a deadline hit, counted
+//! in [`BatchSummary::deadline_hits`], exactly when its solve ran past its
+//! budget, so a solver that misses its cooperative check is counted too.
 //!
 //! Sessions are also *interruptible*: [`BatchSession::cancel`] installs a
 //! session token that parents every record's deadline token, cutting
@@ -70,16 +69,12 @@ pub enum ErrorPolicy {
     FailFast,
 }
 
-/// Engine configuration.
+/// Engine configuration. A session's width is its executor's worker
+/// budget: [`Executor::global`], sized via `--workers` /
+/// `BUSYTIME_WORKERS`, unless [`BatchSession::executor`] installs another
+/// instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Width cap: how many of the executor's workers this session may
-    /// occupy at once (`0` = the executor's full budget). The
-    /// process-wide budget itself belongs to the [`Executor`] the session
-    /// runs on — [`Executor::global`], sized via `--workers` /
-    /// `BUSYTIME_WORKERS`, unless [`BatchSession::executor`] installs
-    /// another instance.
-    pub workers: usize,
     /// Registry key used when a record names no solver.
     pub default_solver: String,
     /// Failure handling.
@@ -91,9 +86,7 @@ pub struct ServeConfig {
     /// wave barrier less often.
     pub chunk_size: usize,
     /// Capacity of the session's [`SolutionCache`] (validated reports,
-    /// LRU-evicted); `0` disables solution caching entirely. Only the
-    /// capacity of the cache a session builds *itself* — a shared handle
-    /// installed via [`BatchSession::solutions`] keeps its own capacity.
+    /// LRU-evicted); `0` disables solution caching entirely.
     pub solution_cache: usize,
     /// Base options for every record (per-record fields override).
     pub base_options: SolveOptions,
@@ -107,7 +100,6 @@ pub const DEFAULT_SOLUTION_CACHE: usize = 1024;
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 0,
             default_solver: "auto".to_string(),
             error_policy: ErrorPolicy::KeepGoing,
             chunk_size: 0,
@@ -196,20 +188,66 @@ pub struct BatchSummary {
     /// The session's effective solve width: how many of the process-wide
     /// executor's workers its solves could occupy at once.
     pub workers: usize,
-    /// Records whose *deadline budget* actually cut the solve: the
-    /// record's deadline chain had expired when a flagged report (or an
-    /// `Infeasible` refusal) came back, or the pool's own clock caught the
-    /// worker over its budget (the enforcement of last resort for
-    /// uncooperative solves). A record cut by a session *shutdown drain*
-    /// still answers `deadline_hit: true` on its response line (the solve
-    /// was cut and the assignment is an incumbent) but is not counted
-    /// here — this statistic describes deadlines, not drains. Counted
-    /// records are excluded from `p50_solve`/`p99_solve`, which describe
-    /// unaffected records only.
+    /// Records whose solve ran past its deadline budget, on the clock that
+    /// armed the record's token when a worker picked it up: a cut solve,
+    /// an `Infeasible` refusal that came back too late, or a solver that
+    /// ignored its token. A record cut by a session *shutdown drain* still
+    /// answers `deadline_hit: true` on its response line (the solve was cut
+    /// and the assignment is an incumbent) but is not counted here — this
+    /// statistic describes deadlines, not drains. Counted records are
+    /// excluded from `p50_solve`/`p99_solve`, which describe unaffected
+    /// records only.
     pub deadline_hits: usize,
 }
 
+/// The longest time a trailer may state, in milliseconds (about 31
+/// years): past any batch, and far enough inside [`Duration`]'s range that
+/// [`BatchSummary::merge`]'s weighted mean cannot overflow it.
+const MAX_TRAILER_MS: f64 = 1e12;
+
 impl BatchSummary {
+    /// A summary with nothing counted yet, of a batch solved `workers`
+    /// wide: the tally a session counts its records into, and the base the
+    /// router merges its shards' trailers over.
+    pub fn new(workers: usize) -> BatchSummary {
+        BatchSummary {
+            records: 0,
+            solved: 0,
+            errors: 0,
+            total_cost: 0,
+            total_lower_bound: 0,
+            aggregate_gap: 1.0,
+            wall: Duration::ZERO,
+            throughput: 0.0,
+            solved_per_s: 0.0,
+            p50_solve: Duration::ZERO,
+            p99_solve: Duration::ZERO,
+            solution_cache_hits: 0,
+            solution_cache_misses: 0,
+            workers,
+            deadline_hits: 0,
+        }
+    }
+
+    /// Closes a session's tally after `wall`: the rates, the gap, and the
+    /// percentiles of `latencies` (the unaffected solves).
+    pub(crate) fn close(&mut self, wall: Duration, latencies: &mut [Duration]) {
+        latencies.sort_unstable();
+        let per_second = |n: usize| {
+            if wall.as_secs_f64() > 0.0 {
+                n as f64 / wall.as_secs_f64()
+            } else {
+                0.0
+            }
+        };
+        self.wall = wall;
+        self.throughput = per_second(self.records);
+        self.solved_per_s = per_second(self.solved);
+        self.aggregate_gap = Self::aggregate_gap(self.total_cost, self.total_lower_bound);
+        self.p50_solve = percentile(latencies, 50.0);
+        self.p99_solve = percentile(latencies, 99.0);
+    }
+
     /// The aggregate gap for the given cost/bound sums: their ratio when
     /// the bound sum is positive, `1.0` when both sums are zero (vacuously
     /// optimal), and [`f64::INFINITY`] when a positive cost rides over a
@@ -262,7 +300,8 @@ impl BatchSummary {
     /// line carries `records` and never `line` (every per-record response
     /// line carries `line`). Numeric fields absent from an older
     /// producer's line default to zero; a `null` `aggregate_gap`
-    /// round-trips to [`f64::INFINITY`].
+    /// round-trips to [`f64::INFINITY`]. A number that is not finite, and a
+    /// time past about 31 years, make the line no summary.
     pub fn from_json_line(line: &str) -> Result<BatchSummary, JsonError> {
         let value = json::parse(line.trim())?;
         if value.get("line").is_some() {
@@ -294,12 +333,15 @@ impl BatchSummary {
             match value.get(key) {
                 None => Ok(0.0),
                 Some(Value::Int(n)) => Ok(*n as f64),
-                Some(Value::Number(n)) => Ok(*n),
+                Some(Value::Number(n)) if n.is_finite() => Ok(*n),
                 Some(_) => Err(JsonError(format!("summary `{key}` is not a number"))),
             }
         };
         let millis = |key: &str| -> Result<Duration, JsonError> {
-            Ok(Duration::from_secs_f64(num(key)?.max(0.0) / 1e3))
+            match num(key)? {
+                ms if ms <= MAX_TRAILER_MS => Ok(Duration::from_secs_f64(ms.max(0.0) / 1e3)),
+                _ => Err(JsonError(format!("summary `{key}` is out of range"))),
+            }
         };
         let total_cost = int("total_cost")?;
         let total_lower_bound = int("total_lower_bound")?;
@@ -411,7 +453,7 @@ pub(crate) fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard
 }
 
 /// The nearest-rank `pct`-th percentile of an ascending sample.
-pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
+fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
     }
@@ -461,15 +503,6 @@ impl<'a> BatchSession<'a> {
             cancel: CancelToken::never(),
             executor: None,
         }
-    }
-
-    /// Uses `solutions` as the session's [`SolutionCache`] instead of the
-    /// private one sized by [`ServeConfig::solution_cache`] — hand clones
-    /// of one handle to many sessions and a record solved in one is a
-    /// lookup in the next.
-    pub fn solutions(mut self, solutions: SolutionCache) -> Self {
-        self.solutions = solutions;
-        self
     }
 
     /// Submits this session's solves to `executor` instead of the global
@@ -1031,6 +1064,56 @@ mod tests {
         }
     }
 
+    /// A solver that ignores its token: it sleeps 100 ms, then schedules.
+    struct Sleeper;
+
+    impl Scheduler for Sleeper {
+        fn name(&self) -> Cow<'static, str> {
+            Cow::Borrowed("Sleeper")
+        }
+        fn schedule_with(
+            &self,
+            inst: &Instance,
+            _cancel: &CancelToken,
+        ) -> Result<Schedule, SchedulerError> {
+            std::thread::sleep(Duration::from_millis(100));
+            busytime_core::algo::FirstFit::paper().schedule_with(inst, &CancelToken::never())
+        }
+    }
+
+    #[test]
+    fn a_solver_that_ignores_its_token_is_judged_by_the_runner_clock() {
+        let mut registry = SolverRegistry::with_defaults();
+        registry.register(
+            "sleeper",
+            "sleeps 100 ms whatever its token says (test stub)",
+            None,
+            Box::new(|_| Box::new(Sleeper)),
+        );
+        let input = concat!(
+            r#"{"id": "slow", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "sleeper", "deadline_ms": 5}"#,
+            "\n",
+            r#"{"id": "plain", "instance": {"g": 2, "jobs": [[1, 5]]}}"#,
+            "\n",
+        );
+        let (lines, summary) = run_with(&registry, input, &ServeConfig::default());
+        assert!(lines[0].contains("\"ok\": true"), "{}", lines[0]);
+        assert!(lines[0].contains("\"deadline_hit\": true"), "{}", lines[0]);
+        assert!(lines[1].contains("\"deadline_hit\": false"), "{}", lines[1]);
+        assert_eq!(summary.solved, 2);
+        assert_eq!(summary.deadline_hits, 1);
+        // the overrun stays out of the percentiles, which see the plain
+        // record only
+        assert!(
+            summary.p50_solve < Duration::from_millis(100),
+            "{summary:?}"
+        );
+        assert!(
+            summary.p99_solve < Duration::from_millis(100),
+            "{summary:?}"
+        );
+    }
+
     #[test]
     fn record_deadline_overrides_batch_default() {
         // batch default of 0 would cut everything; the record's generous
@@ -1179,5 +1262,11 @@ mod tests {
         .is_err());
         assert!(BatchSummary::from_json_line("{\"status\": \"ok\"}").is_err());
         assert!(BatchSummary::from_json_line("not json").is_err());
+        // so must times no `Duration` holds: past its range, and infinite
+        // (`1e999` parses as infinity)
+        for time in ["\"wall_ms\": 1e300", "\"p99_ms\": 1e999"] {
+            let line = format!("{{\"schema_version\": 1, \"records\": 1, \"errors\": 1, {time}}}");
+            assert!(BatchSummary::from_json_line(&line).is_err(), "{line}");
+        }
     }
 }

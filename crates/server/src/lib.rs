@@ -25,6 +25,9 @@
 //! * [`lines`] — the NDJSON line framer: line numbers, blank lines, the
 //!   final unterminated line and the drain's partial line, in one place
 //!   for every driver that reads a batch's bytes.
+//! * [`ledger`] — the in-order ledger: records open in input order, are
+//!   answered in any order and leave as the contiguous answered prefix; the
+//!   one reorder structure of every session, routed batches included.
 //! * [`reactor`] — the readiness loop behind every socket connection of
 //!   `listen` and `route`: epoll I/O threads, sniffed health probes,
 //!   incremental HTTP/1.1 framing, the bounded outbox, timers, capacity
@@ -69,6 +72,7 @@
 
 pub mod engine;
 pub mod http;
+pub mod ledger;
 pub mod lines;
 pub mod listener;
 mod machine;
@@ -79,6 +83,7 @@ pub use engine::{
     serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, DEFAULT_SOLUTION_CACHE,
 };
 pub use http::{parse_healthz, HealthSnapshot};
+pub use ledger::Ledger;
 pub use lines::{Line, Lines};
 pub use listener::{ConnLog, ListenConfig, ListenMode, ListenReport, Listener};
 pub use protocol::{

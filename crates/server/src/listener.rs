@@ -88,7 +88,7 @@ pub enum ConnLog {
 #[derive(Clone, Debug, Default)]
 pub struct ListenConfig {
     /// The batch-engine configuration every connection's session runs
-    /// under (workers, default solver, chunking, error policy, and the
+    /// under (default solver, chunking, error policy, and the
     /// batch-default deadline that acts as the request timeout).
     pub serve: ServeConfig,
     /// Concurrent-connection cap (`0` = 64). Connections beyond the cap
@@ -192,7 +192,6 @@ pub struct Listener {
     registry: Arc<SolverRegistry>,
     config: ListenConfig,
     shutdown: CancelToken,
-    solutions: SolutionCache,
     /// `None` = resolve [`Executor::global`] lazily in [`Listener::run`] —
     /// binding with a pinned pool must not materialize the global one.
     executor: Option<Executor>,
@@ -207,13 +206,11 @@ impl Listener {
         registry: Arc<SolverRegistry>,
         config: ListenConfig,
     ) -> std::io::Result<Listener> {
-        let solutions = SolutionCache::new(config.serve.solution_cache);
         Ok(Listener {
             endpoint: Endpoint::bind(mode)?,
             registry,
             config,
             shutdown: CancelToken::never(),
-            solutions,
             executor: None,
         })
     }
@@ -246,15 +243,6 @@ impl Listener {
         self.shutdown.clone()
     }
 
-    /// The cross-connection [`SolutionCache`] (shared with every session
-    /// this listener spawns, sized by [`ServeConfig::solution_cache`]) — a
-    /// record solved on one connection is a cache hit on the next.
-    /// Exposed so embedders can pre-warm it or share it wider than one
-    /// listener.
-    pub fn solution_cache(&self) -> SolutionCache {
-        self.solutions.clone()
-    }
-
     /// Runs the readiness loop until the shutdown token fires or the idle
     /// timeout elapses, then drains every live connection and returns the
     /// aggregate report.
@@ -262,7 +250,7 @@ impl Listener {
         let ctx = Arc::new(SessionContext {
             registry: self.registry,
             config: self.config.serve.clone(),
-            solutions: self.solutions,
+            solutions: SolutionCache::new(self.config.serve.solution_cache),
             executor: self.executor.unwrap_or_else(Executor::global),
             cancel: self.shutdown.clone(),
         });

@@ -24,6 +24,22 @@
 //!   machine has not taken stay in the framer, where the reactor bounds
 //!   them.
 //!
+//! # One ledger, one settle, one clock
+//!
+//! Every record is opened in the session's [`Ledger`] as its line is
+//! parsed. An unparseable line and a solution-cache hit are answered at
+//! once; a solve is answered when its completion is drained from the inbox.
+//! The answered prefix leaves the ledger in input order, and each answer
+//! goes through one settle step that counts it straight into the
+//! [`BatchSummary`] the session returns and applies
+//! [`ErrorPolicy::FailFast`].
+//!
+//! A record's effective [`SolveOptions`] are computed once, when it is
+//! prepared. Its deadline budget arms the record's token when a runner
+//! picks it up, and the same clock judges it: the record is a deadline hit
+//! exactly when its solve ran past its budget, whether the solver polled
+//! its token or not.
+//!
 //! # Waves
 //!
 //! Records are parsed in *waves* of at most the chunk size
@@ -62,16 +78,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use busytime_core::algo::SchedulerError;
 use busytime_core::cancel::CancelToken;
 use busytime_core::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint};
 use busytime_core::pool::Executor;
-use busytime_core::solve::{SolveError, SolverRegistry, WARM_EDIT_BUDGET};
+use busytime_core::solve::{SolveError, SolveOptions, SolverRegistry, WARM_EDIT_BUDGET};
 use busytime_core::{Instance, SolveReport, SolveRequest};
 
-use crate::engine::{
-    lock_ignoring_poison, percentile, BatchSummary, ErrorPolicy, ServeConfig, ServeError,
-};
+use crate::engine::{lock_ignoring_poison, BatchSummary, ErrorPolicy, ServeConfig, ServeError};
+use crate::ledger::Ledger;
 use crate::lines::Lines;
 use crate::protocol::{error_line, report_line, BatchRecord};
 use crate::reactor::{Notify, Session};
@@ -96,6 +110,10 @@ pub(crate) struct SessionContext {
 struct SolveItem {
     record: BatchRecord,
     inst: Instance,
+    /// The record's effective options: the batch's base options with the
+    /// record's overrides folded in, once. Their `deadline` is the budget
+    /// the runner arms at pickup.
+    options: SolveOptions,
     /// Canonical (order-invariant) form of `inst`, computed once at parse
     /// time: the solution-cache key.
     canon: CanonicalInstance,
@@ -111,99 +129,38 @@ struct SolveItem {
     /// (assignment already remapped to this record's job order,
     /// `cached: true`). Hit records never reach the executor.
     hit: Option<SolveReport>,
-    /// Effective solve budget: the record's `deadline_ms`, else the
-    /// batch-level default. Armed onto the record's token when a runner
-    /// picks the record up, so the clock starts at pickup, not when the
-    /// wave was queued.
-    budget: Option<Duration>,
 }
 
 /// What one solve hands back.
 struct Outcome {
     result: Result<SolveReport, SolveError>,
-    /// The record's *own deadline chain* had expired by the time the
-    /// solver returned — the signal that separates "`Infeasible` because
-    /// the budget ran out" from "genuinely infeasible, refused instantly".
-    deadline_expired: bool,
-    /// Wall-clock time from arming the record's token to the end of its
-    /// solve, write-back included.
+    /// Time from arming the record's token to the end of its solve,
+    /// write-back included.
     elapsed: Duration,
-    /// The record had a budget and `elapsed` exceeded it — the runner's
-    /// own clock, so it holds even when the solver never polled its token.
-    over_deadline: bool,
+    /// The record had a budget and `elapsed` ran past it: the deadline
+    /// verdict, on the clock that armed the token.
+    over_budget: bool,
 }
 
-/// Running per-record statistics, frozen into the [`BatchSummary`] once
-/// the session ends.
-#[derive(Default)]
-struct SessionStats {
-    records: usize,
-    solved: usize,
-    errors: usize,
-    total_cost: i64,
-    total_lower_bound: i64,
-    solution_cache_hits: usize,
-    solution_cache_misses: usize,
-    deadline_hits: usize,
-    /// Latencies of unaffected solves only: budget cuts, drain cuts and
-    /// solution-cache hits stay out of the percentiles.
-    latencies: Vec<Duration>,
-}
-
-impl SessionStats {
-    /// Freezes the running counts into the batch's [`BatchSummary`].
-    fn summarize(mut self, wall: Duration, workers: usize) -> BatchSummary {
-        self.latencies.sort_unstable();
-        let per_second = |n: usize| {
-            if wall.as_secs_f64() > 0.0 {
-                n as f64 / wall.as_secs_f64()
-            } else {
-                0.0
-            }
-        };
-        BatchSummary {
-            records: self.records,
-            solved: self.solved,
-            errors: self.errors,
-            total_cost: self.total_cost,
-            total_lower_bound: self.total_lower_bound,
-            aggregate_gap: BatchSummary::aggregate_gap(self.total_cost, self.total_lower_bound),
-            throughput: per_second(self.records),
-            solved_per_s: per_second(self.solved),
-            wall,
-            p50_solve: percentile(&self.latencies, 50.0),
-            p99_solve: percentile(&self.latencies, 99.0),
-            solution_cache_hits: self.solution_cache_hits,
-            solution_cache_misses: self.solution_cache_misses,
-            workers,
-            deadline_hits: self.deadline_hits,
-        }
-    }
-}
-
-/// Builds the [`SolveItem`] for one parsed record: canonical instance,
-/// cache policy, solve fingerprint, deadline budget, and the parse-time
-/// solution-cache consultation (counted into `stats`).
+/// Builds the [`SolveItem`] for one parsed record: effective options,
+/// canonical instance, cache policy, solve fingerprint, and the parse-time
+/// solution-cache consultation (counted into `tally`).
 fn prepare_record(
     record: BatchRecord,
     ctx: &SessionContext,
-    stats: &mut SessionStats,
+    tally: &mut BatchSummary,
 ) -> SolveItem {
     let config = &ctx.config;
     let inst = record.instance();
-    let budget = record
-        .deadline_ms
-        .map(Duration::from_millis)
-        .or(config.base_options.deadline);
+    let options = record.apply_overrides(config.base_options.clone());
     let canon = CanonicalInstance::of(&inst);
     let policy = record.cache.unwrap_or_default();
     // the solution cache only sees records it could legitimately answer:
     // caching enabled, and not a record the pipeline would refuse on
     // `max_jobs` before solving
-    let effective = record.apply_overrides(config.base_options.clone());
     let fingerprint = if !ctx.solutions.is_disabled()
         && policy != CachePolicy::Off
-        && effective.max_jobs.is_none_or(|cap| inst.len() <= cap)
+        && options.max_jobs.is_none_or(|cap| inst.len() <= cap)
     {
         let named = record.solver.as_deref().unwrap_or(&config.default_solver);
         let solver = ctx
@@ -213,8 +170,8 @@ fn prepare_record(
             .unwrap_or_else(|| named.to_string());
         Some(SolveFingerprint {
             solver,
-            seed: effective.seed,
-            decompose: effective.decompose,
+            seed: options.seed,
+            decompose: options.decompose,
         })
     } else {
         None
@@ -226,21 +183,21 @@ fn prepare_record(
         if policy.read_enabled() {
             match ctx.solutions.lookup(&canon, fp) {
                 Some(report) => {
-                    stats.solution_cache_hits += 1;
+                    tally.solution_cache_hits += 1;
                     hit = Some(report);
                 }
-                None => stats.solution_cache_misses += 1,
+                None => tally.solution_cache_misses += 1,
             }
         }
     }
     SolveItem {
         record,
         inst,
+        options,
         canon,
         policy,
         fingerprint,
         hit,
-        budget,
     }
 }
 
@@ -248,142 +205,52 @@ fn prepare_record(
 /// child of the session token armed with the record's budget, then the
 /// solution-cache write-back.
 fn solve_item(ctx: &SessionContext, item: SolveItem) -> Outcome {
-    let config = &ctx.config;
-    let token = match item.budget {
-        Some(budget) => ctx.cancel.child_after(budget),
+    let SolveItem {
+        record,
+        inst,
+        mut options,
+        canon,
+        policy,
+        fingerprint,
+        ..
+    } = item;
+    // the record token is the one deadline: armed here, at pickup, on the
+    // clock that judges the record below; the pipeline arms none of its own
+    let budget = options.deadline.take();
+    let started = Instant::now();
+    let token = match budget.and_then(|b| started.checked_add(b)) {
+        Some(deadline) => ctx.cancel.child_until(deadline),
         None => ctx.cancel.child(),
     };
-    let started = Instant::now();
-    // the record token is the single deadline authority here: clear the
-    // option so the pipeline does not re-arm a second (later) deadline on
-    // top of it
-    let mut options = item.record.apply_overrides(config.base_options.clone());
-    options.deadline = None;
     // a read-enabled exact solve that missed the cache may still
     // warm-start from a cached near match (same jobs up to a small edit
     // budget)
-    if let Some(fp) = &item.fingerprint {
-        if item.policy.read_enabled() && fp.solver.starts_with("exact") {
-            options.warm_start = ctx.solutions.warm_hint(&item.canon, WARM_EDIT_BUDGET);
+    if let Some(fp) = &fingerprint {
+        if policy.read_enabled() && fp.solver.starts_with("exact") {
+            options.warm_start = ctx.solutions.warm_hint(&canon, WARM_EDIT_BUDGET);
         }
     }
-    let result = SolveRequest::new(&item.inst)
+    let solver = record
+        .solver
+        .as_deref()
+        .unwrap_or(&ctx.config.default_solver);
+    let result = SolveRequest::new(&inst)
         .options(options)
-        .solver(
-            item.record
-                .solver
-                .as_deref()
-                .unwrap_or(&config.default_solver),
-        )
-        .cancel(token.clone())
+        .solver(solver)
+        .cancel(token)
         .solve_with(&ctx.registry);
     // the cache itself refuses cut or truncated reports and re-validates
     // before storing
-    if let (Some(fp), Ok(report)) = (&item.fingerprint, &result) {
-        if item.policy.write_enabled() {
-            ctx.solutions.insert(&item.canon, fp, report);
+    if let (Some(fp), Ok(report)) = (&fingerprint, &result) {
+        if policy.write_enabled() {
+            ctx.solutions.insert(&canon, fp, report);
         }
     }
-    // deadlines never un-expire, so sampling after the solve is exact; the
-    // session token carries no deadline of its own, so a shutdown drain
-    // does not masquerade as a budget expiry
-    let deadline_expired = token.remaining().is_some_and(|r| r.is_zero());
     let elapsed = started.elapsed();
     Outcome {
         result,
-        deadline_expired,
         elapsed,
-        over_deadline: item.budget.is_some_and(|b| elapsed > b),
-    }
-}
-
-/// Settles an unparseable line (or a solve that panicked) in input order:
-/// the error line to stream, or the [`ServeError::FailFast`] abort under
-/// that policy.
-fn settle_bad(
-    line: usize,
-    id: Option<&str>,
-    message: &str,
-    policy: ErrorPolicy,
-    stats: &mut SessionStats,
-) -> Result<String, ServeError> {
-    if policy == ErrorPolicy::FailFast {
-        return Err(ServeError::FailFast {
-            line,
-            id: id.map(str::to_string),
-            message: message.to_string(),
-        });
-    }
-    stats.errors += 1;
-    Ok(error_line(line, id, message))
-}
-
-/// Settles a record answered from the solution cache at parse time. Not a
-/// solve, so it joins neither the deadline statistics nor the latency
-/// percentiles.
-fn settle_hit(
-    line: usize,
-    id: Option<&str>,
-    report: &SolveReport,
-    stats: &mut SessionStats,
-) -> String {
-    stats.solved += 1;
-    stats.total_cost += report.cost;
-    stats.total_lower_bound += report.lower_bound;
-    report_line(line, id, report)
-}
-
-/// Settles one completed solve in input order: counts it, classifies the
-/// deadline hit, and returns the response line to stream (or the
-/// [`ServeError::FailFast`] abort).
-///
-/// A record is a deadline hit only when its *budget* cut the solve: the
-/// runner's clock caught the solve over budget, or the deadline chain had
-/// actually expired when a flagged report / `Infeasible` refusal came
-/// back. A report flagged because the *session* token was poisoned
-/// (shutdown drain) is a cut solve but not a deadline hit, and an instant,
-/// genuine refusal under a generous budget is an error, not a hit.
-fn settle_outcome(
-    line: usize,
-    id: Option<&str>,
-    outcome: &Outcome,
-    policy: ErrorPolicy,
-    stats: &mut SessionStats,
-) -> Result<String, ServeError> {
-    let hit = outcome.over_deadline
-        || (outcome.deadline_expired
-            && match &outcome.result {
-                Ok(report) => report.deadline_hit,
-                Err(SolveError::Scheduler(SchedulerError::Infeasible { .. })) => true,
-                Err(_) => false,
-            });
-    if hit {
-        stats.deadline_hits += 1;
-    }
-    match &outcome.result {
-        Ok(report) => {
-            stats.solved += 1;
-            stats.total_cost += report.cost;
-            stats.total_lower_bound += report.lower_bound;
-            if !hit && !report.deadline_hit {
-                // p50/p99 describe unaffected records only: budget cuts
-                // land in deadline_hits, and a shutdown-drain cut (flagged
-                // but not a hit) must not skew the percentiles low either
-                stats.latencies.push(outcome.elapsed);
-            }
-            Ok(report_line(line, id, report))
-        }
-        Err(e) => {
-            if policy == ErrorPolicy::FailFast {
-                return Err(ServeError::FailFast {
-                    line,
-                    id: id.map(str::to_string),
-                    message: e.to_string(),
-                });
-            }
-            stats.errors += 1;
-            Ok(error_line(line, id, &e.to_string()))
-        }
+        over_budget: budget.is_some_and(|b| elapsed > b),
     }
 }
 
@@ -393,7 +260,7 @@ struct Completion {
     answer: Answer,
 }
 
-/// How one input-order slot will be (or was) answered.
+/// How one record is answered.
 enum Answer {
     /// The line failed to parse, or its solve panicked.
     Bad(String),
@@ -403,24 +270,10 @@ enum Answer {
     Solved(Outcome),
 }
 
-enum SlotState {
-    /// Queued for or on a runner; a [`Completion`] will fill it.
-    InFlight,
-    /// Answer known; drains once every earlier slot has drained.
-    Ready(Box<Answer>),
-}
-
-/// One record's input-order slot.
-struct Slot {
-    line: usize,
-    id: Option<String>,
-    state: SlotState,
-}
-
 /// The session's run queue (see [runner chains](self#runner-chains)).
 #[derive(Default)]
 struct RunQueue {
-    /// Solves waiting for a runner, in input order, with their slot seqs.
+    /// Solves waiting for a runner, in input order, with their ledger seqs.
     items: VecDeque<(usize, Box<SolveItem>)>,
     /// Runner jobs alive: solving a record or queued on the executor.
     runners: usize,
@@ -494,30 +347,27 @@ pub(crate) struct SessionMachine {
     shared: Arc<Shared>,
     /// FailFast latch: the batch is aborted and no further answers stream.
     failed: Option<ServeError>,
-    /// Input-order slots awaiting drain; `base_seq` is the front's seq.
-    slots: VecDeque<Slot>,
-    base_seq: usize,
-    next_seq: usize,
-    /// Solves queued or running whose completions have not been drained.
-    inflight: usize,
+    /// Every record not yet settled, by input line and id.
+    ledger: Ledger<(usize, Option<String>), Answer>,
     width: usize,
     chunk_size: usize,
-    stats: SessionStats,
+    /// The summary the session returns, counted as answers settle.
+    tally: BatchSummary,
+    /// Solve latencies of the unaffected records: budget cuts, drain cuts
+    /// and solution-cache hits stay out of the percentiles.
+    latencies: Vec<Duration>,
     started: Instant,
-    summary: Option<BatchSummary>,
+    /// Every record is answered and the tally is closed.
+    done: bool,
 }
 
 impl SessionMachine {
-    /// A machine over the shared context. `notify` is invoked from
-    /// executor workers whenever a completion lands in the inbox — it must
-    /// be cheap and non-blocking (the listener posts a wake to the owning
-    /// poll loop).
+    /// A machine over the shared context, as wide as its executor.
+    /// `notify` is invoked from executor workers whenever a completion
+    /// lands in the inbox — it must be cheap and non-blocking (the listener
+    /// posts a wake to the owning poll loop).
     pub(crate) fn new(ctx: Arc<SessionContext>, notify: Notify) -> Self {
-        // the session's share of the executor budget, never more than it
-        let width = match ctx.config.workers {
-            0 => ctx.executor.workers(),
-            cap => cap.min(ctx.executor.workers()),
-        };
+        let width = ctx.executor.workers();
         let chunk_size = match ctx.config.chunk_size {
             0 => (width * 32).clamp(64, 1024),
             size => size,
@@ -531,15 +381,13 @@ impl SessionMachine {
                 notify,
             }),
             failed: None,
-            slots: VecDeque::new(),
-            base_seq: 0,
-            next_seq: 0,
-            inflight: 0,
+            ledger: Ledger::default(),
             width,
             chunk_size,
-            stats: SessionStats::default(),
+            tally: BatchSummary::new(width),
+            latencies: Vec::new(),
             started: Instant::now(),
-            summary: None,
+            done: false,
         }
     }
 
@@ -552,8 +400,8 @@ impl SessionMachine {
     /// the blocking driver's one wakeup per wave.
     pub(crate) fn wait(&self) {
         let mut inbox = lock_ignoring_poison(&self.shared.inbox);
-        inbox.awaited = self.inflight;
-        while inbox.done.len() < self.inflight {
+        inbox.awaited = self.ledger.unanswered();
+        while inbox.done.len() < inbox.awaited {
             inbox = self
                 .shared
                 .arrived
@@ -563,48 +411,23 @@ impl SessionMachine {
         inbox.awaited = 0;
     }
 
-    /// Moves posted completions into their slots.
+    /// Answers the records whose completions were posted. A completion
+    /// for a record a FailFast abort dropped is stale, and the ledger
+    /// drops it.
     fn drain_inbox(&mut self) {
         let completions = std::mem::take(&mut lock_ignoring_poison(&self.shared.inbox).done);
         for Completion { seq, answer } in completions {
-            // completions for slots cleared by a FailFast abort are stale
-            if seq < self.base_seq {
-                continue;
-            }
-            let slot = &mut self.slots[seq - self.base_seq];
-            debug_assert!(matches!(slot.state, SlotState::InFlight));
-            slot.state = SlotState::Ready(Box::new(answer));
-            self.inflight -= 1;
+            self.ledger.answer(seq, answer);
         }
     }
 
-    /// Streams the contiguous ready prefix, settling each answer into the
-    /// session statistics.
+    /// Streams the ledger's answered prefix, settling each answer.
     fn drain_ready(&mut self, out: &mut Vec<u8>) -> bool {
         let mut any = false;
-        while matches!(
-            self.slots.front().map(|s| &s.state),
-            Some(SlotState::Ready(_))
-        ) {
-            let slot = self.slots.pop_front().expect("checked front");
-            self.base_seq += 1;
-            let SlotState::Ready(answer) = slot.state else {
-                unreachable!("front checked Ready");
-            };
-            let policy = self.shared.ctx.config.error_policy;
-            let id = slot.id.as_deref();
-            let settled = match *answer {
-                Answer::Bad(message) => {
-                    settle_bad(slot.line, id, &message, policy, &mut self.stats)
-                }
-                Answer::Hit(report) => Ok(settle_hit(slot.line, id, &report, &mut self.stats)),
-                Answer::Solved(outcome) => {
-                    settle_outcome(slot.line, id, &outcome, policy, &mut self.stats)
-                }
-            };
-            match settled {
-                Ok(line) => {
-                    out.extend_from_slice(line.as_bytes());
+        while let Some(((line, id), answer)) = self.ledger.take() {
+            match self.settle(line, id.as_deref(), answer) {
+                Ok(text) => {
+                    out.extend_from_slice(text.as_bytes());
                     out.push(b'\n');
                     any = true;
                 }
@@ -617,15 +440,61 @@ impl SessionMachine {
         any
     }
 
-    /// Aborts the batch: later slots never answer, queued solves are
+    /// Settles one answer in input order: counts it into the tally and
+    /// renders its response line, or turns a failed record into the
+    /// batch's abort under [`ErrorPolicy::FailFast`].
+    ///
+    /// A solve is a deadline hit when it ran past its budget (see
+    /// [`Outcome::over_budget`]); a cache hit or a bad line is no solve.
+    /// Only a solve that neither ran past its budget nor came back cut (a
+    /// shutdown drain cuts without a hit) joins the latency percentiles.
+    fn settle(
+        &mut self,
+        line: usize,
+        id: Option<&str>,
+        answer: Answer,
+    ) -> Result<String, ServeError> {
+        let report = match answer {
+            Answer::Bad(message) => Err(message),
+            Answer::Hit(report) => Ok(report),
+            Answer::Solved(outcome) => {
+                self.tally.deadline_hits += usize::from(outcome.over_budget);
+                if let Ok(report) = &outcome.result {
+                    if !outcome.over_budget && !report.deadline_hit {
+                        self.latencies.push(outcome.elapsed);
+                    }
+                }
+                outcome.result.map_err(|e| e.to_string())
+            }
+        };
+        match report {
+            Ok(report) => {
+                self.tally.solved += 1;
+                self.tally.total_cost += report.cost;
+                self.tally.total_lower_bound += report.lower_bound;
+                Ok(report_line(line, id, &report))
+            }
+            Err(message) if self.shared.ctx.config.error_policy == ErrorPolicy::FailFast => {
+                Err(ServeError::FailFast {
+                    line,
+                    id: id.map(str::to_string),
+                    message,
+                })
+            }
+            Err(message) => {
+                self.tally.errors += 1;
+                Ok(error_line(line, id, &message))
+            }
+        }
+    }
+
+    /// Aborts the batch: later records never answer, queued solves are
     /// dropped, and completions still in flight are dropped as stale when
     /// they arrive.
     fn fail(&mut self, error: ServeError) {
         self.failed = Some(error);
-        self.slots.clear();
+        self.ledger.clear();
         lock_ignoring_poison(&self.shared.run).items.clear();
-        self.base_seq = self.next_seq;
-        self.inflight = 0;
     }
 
     /// A new wave may parse once the current one has fully completed.
@@ -634,11 +503,11 @@ impl SessionMachine {
     /// A fired shutdown token does not stop parsing: the drain answers
     /// every complete line the framer holds.
     fn can_parse(&self) -> bool {
-        self.failed.is_none() && self.summary.is_none() && self.inflight == 0
+        self.failed.is_none() && !self.done && self.ledger.unanswered() == 0
     }
 
-    /// Parses up to one wave of records off `input` into new slots: bad
-    /// lines and solution-cache hits are ready at once, solves go to the
+    /// Parses up to one wave of records off `input` into the ledger: bad
+    /// lines and solution-cache hits are answered at once, solves go to the
     /// run queue.
     fn parse_wave(&mut self, input: &mut Lines) -> bool {
         let ctx = Arc::clone(&self.shared.ctx);
@@ -652,28 +521,24 @@ impl SessionMachine {
             // under FailFast no point parsing past the abort point; records
             // before it still stream
             let abort = parsed.is_err() && ctx.config.error_policy == ErrorPolicy::FailFast;
-            let (id, state) = match parsed {
+            records += 1;
+            self.tally.records += 1;
+            match parsed {
                 Ok(record) => {
-                    let mut item = prepare_record(record, &ctx, &mut self.stats);
-                    let id = item.record.id.clone();
+                    let mut item = prepare_record(record, &ctx, &mut self.tally);
+                    let seq = self.ledger.open((line.number, item.record.id.clone()));
                     match item.hit.take() {
-                        Some(report) => (id, SlotState::Ready(Box::new(Answer::Hit(report)))),
-                        None => {
-                            solves.push((self.next_seq, Box::new(item)));
-                            (id, SlotState::InFlight)
+                        Some(report) => {
+                            self.ledger.answer(seq, Answer::Hit(report));
                         }
+                        None => solves.push((seq, Box::new(item))),
                     }
                 }
-                Err(message) => (None, SlotState::Ready(Box::new(Answer::Bad(message)))),
-            };
-            records += 1;
-            self.stats.records += 1;
-            self.slots.push_back(Slot {
-                line: line.number,
-                id,
-                state,
-            });
-            self.next_seq += 1;
+                Err(message) => {
+                    let seq = self.ledger.open((line.number, None));
+                    self.ledger.answer(seq, Answer::Bad(message));
+                }
+            }
             if abort {
                 break;
             }
@@ -685,7 +550,6 @@ impl SessionMachine {
     /// Queues a wave's solves and tops the session's runners up to its
     /// width.
     fn submit(&mut self, solves: Vec<(usize, Box<SolveItem>)>) {
-        self.inflight += solves.len();
         let start = {
             let mut run = lock_ignoring_poison(&self.shared.run);
             run.items.extend(solves);
@@ -700,21 +564,22 @@ impl SessionMachine {
         }
     }
 
-    /// Records the summary once the input is over and every slot has
+    /// Closes the tally once the input is over and every record has
     /// drained.
-    fn maybe_summarize(&mut self, input: &mut Lines) {
-        if self.is_done() || !self.slots.is_empty() || self.inflight > 0 || !input.is_done() {
+    fn maybe_close(&mut self, input: &mut Lines) {
+        if self.is_done() || !self.ledger.is_empty() || !input.is_done() {
             return;
         }
-        let stats = std::mem::take(&mut self.stats);
-        self.summary = Some(stats.summarize(self.started.elapsed(), self.width));
+        self.tally
+            .close(self.started.elapsed(), &mut self.latencies);
+        self.done = true;
     }
 }
 
 impl Session for SessionMachine {
     /// Drains completions, emits ready answers (in input order) into
     /// `out`, takes and dispatches the next wave off `input` when the
-    /// current one is complete, and records the summary once everything is
+    /// current one is complete, and closes the summary once everything is
     /// answered. `allow_parse = false` takes no line while completions
     /// still drain.
     fn pump(&mut self, input: &mut Lines, out: &mut Vec<u8>, allow_parse: bool) {
@@ -728,26 +593,23 @@ impl Session for SessionMachine {
                 break;
             }
         }
-        self.maybe_summarize(input);
+        self.maybe_close(input);
     }
 
     fn is_done(&self) -> bool {
-        self.summary.is_some() || self.failed.is_some()
+        self.done || self.failed.is_some()
     }
 
     /// Records whose answers have not come back yet.
     fn has_inflight(&self) -> bool {
-        self.inflight > 0
+        self.ledger.unanswered() > 0
     }
 
     /// The summary, or why the batch aborted ([`ErrorPolicy::FailFast`]).
     fn take_result(&mut self) -> Result<BatchSummary, ServeError> {
         match self.failed.take() {
             Some(failure) => Err(failure),
-            None => Ok(self
-                .summary
-                .take()
-                .expect("a finished machine has a summary")),
+            None => Ok(self.tally.clone()),
         }
     }
 }

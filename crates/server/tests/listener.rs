@@ -224,14 +224,7 @@ fn concurrent_connections_get_interleaved_in_order_service() {
 
 #[test]
 fn responses_stay_in_input_order_within_a_connection() {
-    let config = ListenConfig {
-        serve: busytime_server::ServeConfig {
-            workers: 4,
-            ..busytime_server::ServeConfig::default()
-        },
-        ..quiet_config()
-    };
-    let server = start(ListenMode::Tcp, config);
+    let server = start(ListenMode::Tcp, quiet_config());
     let mut client = Client::connect(server.addr);
     for i in 0..40 {
         client.send(&record(&format!("r-{i}")));

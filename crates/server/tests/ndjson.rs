@@ -123,7 +123,6 @@ fn input_order_is_preserved_under_eight_workers() {
         }
     }
     let config = ServeConfig {
-        workers: 8,
         chunk_size: 16,
         ..ServeConfig::default()
     };
@@ -157,16 +156,9 @@ fn worker_counts_agree_on_results() {
             "{{\"generator\": {{\"family\": \"proper\", \"n\": 24, \"seed\": {i}}}}}\n"
         ));
     }
-    let one = ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    };
-    let eight = ServeConfig {
-        workers: 8,
-        ..ServeConfig::default()
-    };
-    let (lines1, summary1) = run(&input, &one);
-    let (lines8, summary8) = run(&input, &eight);
+    let config = ServeConfig::default();
+    let (lines1, summary1) = run_on(Executor::new(1), &input, &config);
+    let (lines8, summary8) = run_on(Executor::new(8), &input, &config);
     assert_eq!(summary1.total_cost, summary8.total_cost);
     assert_eq!(summary1.total_lower_bound, summary8.total_lower_bound);
     for (a, b) in lines1.iter().zip(&lines8) {

@@ -3,7 +3,9 @@
 
 A counted line is a line of a `.rs` file that is not blank, does not start
 with `//` (so `///` and `//!` doc lines are out too), and does not lie in
-an item marked `#[cfg(test)]` (the attribute, the item and its body).
+an item marked `#[cfg(test)]` (the attribute, the item and its body: a
+test module, a test-only field or struct-literal field, a test-only
+statement). `scripts/test_count_lines.py` pins these rules.
 Prints one line per directory, then the total:
 
     python3 scripts/count_lines.py crates/core/src crates/server/src crates/router/src
@@ -81,6 +83,25 @@ def brace_depths(text):
     return depths
 
 
+def code_of(line):
+    """`line` stripped, without a trailing `//` comment outside a string
+    literal."""
+    in_str, i = False, 0
+    while i < len(line):
+        c = line[i]
+        if in_str:
+            if c == "\\":
+                i += 1
+            elif c == '"':
+                in_str = False
+        elif c == '"':
+            in_str = True
+        elif line.startswith("//", i):
+            return line[:i].strip()
+        i += 1
+    return line.strip()
+
+
 def count_file(path):
     with open(path, encoding="utf-8") as f:
         text = f.read()
@@ -94,18 +115,25 @@ def count_file(path):
         stripped = lines[k].strip()
         if stripped.startswith("#[cfg(test)]"):
             # skip the attribute and the item it marks: through the line
-            # where the item's braces close again, its `;`, or (for a
-            # field) the line that closes the enclosing block
+            # where the item's braces close again, its `;`, or, for an item
+            # that opens no braces on its first line (a field), that line's
+            # trailing `,` (comments and attributes aside); the close of an
+            # enclosing block ends it too
             base = depths[k - 1] if k > 0 else 0
-            k += 1
-            opened = False
+            if not stripped[len("#[cfg(test)]"):].strip():
+                k += 1
+            opened, first = False, True
             while k < len(lines):
-                depth, body = depths[k], lines[k].strip()
+                depth, body = depths[k], code_of(lines[k]).removeprefix("#[cfg(test)]").strip()
                 k += 1
                 if depth > base:
                     opened = True
-                elif opened or depth < base or (body.endswith(";") and not body.startswith("#")):
+                elif opened or depth < base:
                     break
+                elif body and not body.startswith("#"):
+                    if body.endswith((";", "}")) or (first and body.endswith(",")):
+                        break
+                    first = False
             continue
         if stripped and not stripped.startswith("//"):
             counted += 1

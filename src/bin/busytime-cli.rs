@@ -349,7 +349,6 @@ fn serve_config(opts: &HashMap<String, String>) -> Result<ServeConfig, String> {
         busytime::core::pool::Executor::configure_global(workers);
     }
     let mut config = ServeConfig {
-        workers,
         default_solver: opts
             .get("solver")
             .cloned()
