@@ -39,7 +39,6 @@ impl Server {
     fn start() -> Server {
         let config = ListenConfig {
             log: ConnLog::Quiet,
-            io_threads: 2,
             ..ListenConfig::default()
         };
         let mode = ListenMode::Tcp("127.0.0.1:0".to_string());

@@ -11,8 +11,8 @@
 //! [`BatchSummary`](busytime_server::BatchSummary) trailer per
 //! connection, `GET /healthz` on the same port — while fanning the
 //! records out across the fleet on the back side and merging the
-//! shards' trailers into one (counts and rates add, percentiles
-//! recombine solved-weighted, wall clock takes the max).
+//! shards' trailers into one (counts add, wall clock takes the max, rates
+//! are the merged counts over it, percentiles recombine solved-weighted).
 //!
 //! * [`shard`] — [`ShardState`]: one backend's address, health
 //!   (probe-quorum demotion, instant demotion on broken pipes, revival

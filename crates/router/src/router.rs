@@ -9,6 +9,14 @@
 //! router from a single `listen` process — except that the trailer's
 //! `workers` field now sums the fleet.
 //!
+//! The client's trailer merges one trailer per shard stream: the first
+//! trailer-shaped line a stream carries after its answers (a later one is
+//! dropped like free text), folded in with [`BatchSummary::merge`] as the
+//! stream ends. A stream that ends without one adds the answers it carried
+//! instead. Counts add, the wall is the longest — the router's own or a
+//! shard's — and both rates are the merged counts over that wall, so no
+//! rate a shard reports reaches the client.
+//!
 //! Request lines are forwarded verbatim: the router takes each client line
 //! off the connection's [`Lines`] framer and writes its bytes to a shard
 //! as they arrived, so a shard answers a routed line exactly as it answers
@@ -42,15 +50,15 @@
 //! HTTP framing, capacity rejections, the bounded outbox and the drain
 //! cost no thread, exactly as on `listen`. The router is the reactor's
 //! routing [`Service`]: a connection's batch is a `RouteMachine`, one
-//! single-threaded session that owns its shard streams as nonblocking
-//! sockets watched by the connection's reactor. Fan-out, in-order fan-in,
-//! orphan retry and the trailer merge all run there, so a routed batch
-//! costs no thread either; the router's own threads are the prober and,
-//! in `--spawn` mode, the shard monitors.
+//! single-threaded session that owns its shard streams, each a reactor
+//! [`Wire`] watched by the connection's reactor — the same nonblocking
+//! reads, writes and stall clock as a client connection's. Fan-out,
+//! in-order fan-in, orphan retry and the trailer merge all run there, so a
+//! routed batch costs no thread either; the router's own threads are the
+//! prober and, in `--spawn` mode, the shard monitors.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -59,7 +67,7 @@ use busytime_core::solve::REPORT_SCHEMA_VERSION;
 use busytime_instances::json::{self, Value};
 use busytime_server::protocol::error_line;
 use busytime_server::reactor::{
-    self, Endpoint, Gauges, Interest, Notify, Service, Session, Sources, INPUT_LIMIT, WRITE_TIMEOUT,
+    self, Endpoint, Gauges, Notify, Service, Session, Sources, Wire, INPUT_LIMIT,
 };
 use busytime_server::{
     reline_output, BatchSummary, Ledger, Lines, ListenConfig, ListenMode, ServeError,
@@ -295,7 +303,6 @@ impl Service for RouteService {
             links: Vec::new(),
             pinned: None,
             orphans: Vec::new(),
-            trailers: Vec::new(),
             tally: BatchSummary::new(0),
             counts: RouteReport::default(),
             started: Instant::now(),
@@ -373,127 +380,46 @@ struct Pending {
     retries: usize,
 }
 
-/// One shard stream of a routed batch: a nonblocking socket watched by
-/// the connection's reactor.
+/// One shard stream of a routed batch: a [`Wire`] watched by the
+/// connection's reactor.
 struct Link {
     shard: Arc<ShardState>,
-    stream: TcpStream,
+    /// Requests go out here; the stream's stall clock runs while the
+    /// session reads its answers.
+    wire: Wire,
     /// Dispatched and unanswered ledger seqs in send order: a shard answers
     /// in order, so the front is the record its next response line answers.
     pending: VecDeque<usize>,
-    /// Request bytes queued for the shard; `sent` of them are written.
-    out: Vec<u8>,
-    sent: usize,
-    /// Since when writes have blocked while the session reads answers.
-    stalled: Option<Instant>,
     /// The shard's answers, framed; they end with the stream.
     answers: Lines,
     /// Answers taken, for the merged trailer if the shard dies before
     /// sending its own.
     answered: usize,
     answered_ok: usize,
-    got_trailer: bool,
-    /// The stream is half-closed: the shard ends this batch, answers its
-    /// tail, sends its trailer and closes.
-    half_closed: bool,
-    /// The interest the reactor watches the stream with.
-    watched: Option<Interest>,
+    /// The shard's trailer: the first trailer-shaped line after its
+    /// answers. A later one is dropped like free text.
+    trailer: Option<BatchSummary>,
 }
 
 impl Link {
     fn open(shard: Arc<ShardState>) -> std::io::Result<Link> {
         let stream = connect(&shard.addr(), CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
         Ok(Link {
             shard,
-            stream,
+            wire: Wire::new(Box::new(stream))?,
             pending: VecDeque::new(),
-            out: Vec::new(),
-            sent: 0,
-            stalled: None,
             answers: Lines::new(CancelToken::never()),
             answered: 0,
             answered_ok: 0,
-            got_trailer: false,
-            half_closed: false,
-            watched: None,
+            trailer: None,
         })
-    }
-
-    /// Reads up to [`LINK_READ_BUDGET`] bytes; `false` once the stream
-    /// has ended, which ends its answers.
-    fn fill(&mut self) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
-        let mut budget = LINK_READ_BUDGET;
-        while budget > 0 {
-            match self.stream.read(&mut chunk) {
-                Ok(n) if n > 0 => {
-                    self.answers.push(&chunk[..n]);
-                    budget = budget.saturating_sub(n);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                _ => {
-                    self.answers.end();
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Request bytes queued and not yet written.
-    fn unwritten(&self) -> usize {
-        self.out.len() - self.sent
-    }
-
-    /// Writes queued requests until the socket would block; `false` once
-    /// the stream is broken, or has blocked for [`WRITE_TIMEOUT`] while
-    /// the session read its answers. A session that reads nothing stalls
-    /// its shards itself, so that clock restarts.
-    fn flush(&mut self, now: Instant, reading: bool) -> bool {
-        if !reading {
-            self.stalled = None;
-        }
-        while self.sent < self.out.len() {
-            match self.stream.write(&self.out[self.sent..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.sent += n;
-                    self.stalled = None;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    let since = *self.stalled.get_or_insert(now);
-                    return now.duration_since(since) < WRITE_TIMEOUT;
-                }
-                Err(_) => return false,
-            }
-        }
-        self.out.clear();
-        self.sent = 0;
-        true
-    }
-
-    /// Watches for answers while the session reads them and for
-    /// writability while requests wait. A stream it does not read is not
-    /// watched at all: the poller reports a hangup even with no interest,
-    /// and nobody would serve it. `false` if the reactor refused.
-    fn watch(&mut self, sources: &Sources, reading: bool) -> bool {
-        let want = match (reading, self.unwritten() > 0) {
-            (false, false) => None,
-            (readable, writable) => Some(Interest { readable, writable }),
-        };
-        let was = std::mem::replace(&mut self.watched, want);
-        was == want || sources.watch(&self.stream, was, want).is_ok()
     }
 }
 
 /// One connection's routed batch, pumped by its reactor: client lines go
 /// out to shard streams as they are taken, answers come back in input
-/// order, orphans are re-dispatched on the same path, and the shards'
-/// trailers merge into one once every stream has ended.
+/// order, orphans are re-dispatched on the same path, and each shard's
+/// trailer merges into the batch's one as its stream ends.
 struct RouteMachine {
     shards: Vec<Arc<ShardState>>,
     sticky: bool,
@@ -510,18 +436,16 @@ struct RouteMachine {
     pinned: Option<usize>,
     /// Seqs reclaimed from ended links, awaiting re-dispatch.
     orphans: Vec<usize>,
-    /// Summary trailers collected from shards, merged at the end.
-    trailers: Vec<BatchSummary>,
-    /// What no shard trailer covers, merged under them at the end: the
-    /// records the router answered itself, and the answers of streams that
-    /// ended without a trailer.
+    /// The batch's summary: each shard's trailer merged as its stream
+    /// ends, the answers of streams that ended without one, and the
+    /// records the router answered itself.
     tally: BatchSummary,
     /// This batch's share of the [`RouteReport`].
     counts: RouteReport,
     started: Instant,
     /// Set once shutdown is seen: when the drain stops waiting for shards.
     drain_until: Option<Instant>,
-    /// The trailers are merged into `tally`: the batch is over.
+    /// Every stream has ended and `tally` is closed: the batch is over.
     done: bool,
 }
 
@@ -529,7 +453,7 @@ impl RouteMachine {
     /// Bytes the batch holds for its client: requests its links have not
     /// written yet, and answers waiting in the ledger on an earlier one.
     fn held(&self) -> usize {
-        self.links.iter().map(Link::unwritten).sum::<usize>() + self.parked
+        self.links.iter().map(|l| l.wire.owed()).sum::<usize>() + self.parked
     }
 
     /// Takes the client's lines while [`RouteMachine::held`] stays within
@@ -571,7 +495,7 @@ impl RouteMachine {
             let open = self
                 .links
                 .iter()
-                .position(|l| l.shard.index == shard.index && !l.half_closed);
+                .position(|l| l.shard.index == shard.index && !l.wire.half_closed());
             let i = match open {
                 Some(i) => i,
                 None => match Link::open(Arc::clone(&shard)) {
@@ -587,7 +511,7 @@ impl RouteMachine {
             };
             let raw = &self.ledger.get(seq).expect("dispatched unanswered").raw;
             let link = &mut self.links[i];
-            link.out.extend_from_slice(raw);
+            link.wire.out().extend_from_slice(raw);
             link.pending.push_back(seq);
             shard.note_dispatched();
             return;
@@ -645,13 +569,22 @@ impl RouteMachine {
         }
     }
 
-    /// Reads link `i` and takes the answer lines it has: an answer to the
-    /// front of its queue is restamped and answers its record, a trailer is
-    /// kept for the merge, and anything else (free-text noise) is dropped —
-    /// the wire contract promises responses and a trailer, nothing more.
-    /// `false` once the stream has ended.
+    /// Reads up to [`LINK_READ_BUDGET`] bytes off link `i` and takes the
+    /// answer lines it has: an answer to the front of its queue is
+    /// restamped and answers its record, the first trailer is kept for the
+    /// merge, and anything else (free-text noise, a second trailer) is
+    /// dropped — the wire contract promises responses and a trailer,
+    /// nothing more. `false` once the stream has ended.
     fn read_link(&mut self, i: usize) -> bool {
-        let open = self.links[i].fill();
+        let link = &mut self.links[i];
+        let open = matches!(
+            link.wire
+                .read(LINK_READ_BUDGET, |bytes| link.answers.push(bytes)),
+            Ok(false)
+        );
+        if !open {
+            link.answers.end();
+        }
         loop {
             let link = &mut self.links[i];
             let Some(line) = link.answers.next_line() else {
@@ -668,27 +601,29 @@ impl RouteMachine {
                 link.answered += 1;
                 link.answered_ok += usize::from(relined.ok);
                 self.answer(seq, relined.text);
-            } else if let Ok(summary) = BatchSummary::from_json_line(text) {
-                self.trailers.push(summary);
-                link.got_trailer = true;
+            } else if link.trailer.is_none() {
+                link.trailer = BatchSummary::from_json_line(text).ok();
             }
         }
     }
 
-    /// Ends link `i`: its unanswered records become orphans. A shard that
-    /// left records unanswered, or ended without its trailer, is demoted
-    /// at once.
+    /// Ends link `i`: its trailer merges into the tally, and its
+    /// unanswered records become orphans. A shard that left records
+    /// unanswered, or ended without its trailer, is demoted at once.
     fn close_link(&mut self, i: usize) {
-        let link = self.links.swap_remove(i);
-        let _ = self.sources.watch(&link.stream, link.watched, None);
-        if !link.got_trailer {
+        let mut link = self.links.swap_remove(i);
+        self.sources.unwatch(&mut link.wire);
+        match &link.trailer {
+            Some(trailer) => self.tally.merge(trailer),
             // without its trailer these answers would vanish from the
             // merged accounting
-            self.tally.records += link.answered;
-            self.tally.solved += link.answered_ok;
-            self.tally.errors += link.answered - link.answered_ok;
+            None => {
+                self.tally.records += link.answered;
+                self.tally.solved += link.answered_ok;
+                self.tally.errors += link.answered - link.answered_ok;
+            }
         }
-        if !link.pending.is_empty() || !link.got_trailer {
+        if !link.pending.is_empty() || link.trailer.is_none() {
             link.shard.mark_broken();
         }
         for seq in link.pending {
@@ -698,36 +633,45 @@ impl RouteMachine {
     }
 
     /// Writes every link's requests and refreshes what the reactor
-    /// watches. A link that broke, stalled, or outlived the shutdown drain
-    /// budget is closed. Once the client's input is all taken, a link whose
-    /// requests are all written is half-closed.
+    /// watches: a link's answers while the session reads them, its
+    /// requests while they wait. A link that broke, stalled for the write
+    /// timeout while the session read its answers, or outlived the shutdown
+    /// drain budget is closed. A session that reads nothing stalls its
+    /// shards itself, so their stall clocks restart. Once the client's
+    /// input is all taken, a link whose requests are all written is
+    /// half-closed.
     fn flush_links(&mut self, now: Instant, reading: bool, spent: bool, input_done: bool) {
         let mut i = 0;
         while i < self.links.len() {
-            let link = &mut self.links[i];
-            if spent || !link.flush(now, reading) || !link.watch(&self.sources, reading) {
+            let wire = &mut self.links[i].wire;
+            if !reading {
+                wire.restart_stall_clock();
+            }
+            let broken = spent
+                || wire.flush().is_err()
+                || wire.deadline().is_some_and(|stall| now >= stall)
+                || self.sources.watch(wire, reading).is_err();
+            if broken {
                 self.close_link(i);
                 continue;
             }
-            if input_done && link.out.is_empty() && !link.half_closed {
-                let _ = link.stream.shutdown(Shutdown::Write);
-                link.half_closed = true;
+            if input_done && wire.owed() == 0 {
+                wire.half_close();
             }
             i += 1;
         }
     }
 
-    /// The batch is over: answer any record still waiting as lost, then
-    /// merge the shards' trailers over the tally of what they do not cover.
+    /// The batch is over: answer any record still waiting as lost, and
+    /// close the tally over the longest wall, the router's own or a
+    /// shard's.
     fn finish(&mut self) {
         let holes: Vec<usize> = self.ledger.waiting().map(|(seq, _)| seq).collect();
         for seq in holes {
             self.fail(seq, LOST);
         }
-        self.tally.wall = self.started.elapsed();
-        for trailer in &self.trailers {
-            self.tally.merge(trailer);
-        }
+        let wall = self.tally.wall.max(self.started.elapsed());
+        self.tally.set_wall(wall);
         self.done = true;
     }
 }
@@ -787,8 +731,7 @@ impl Session for RouteMachine {
 
     /// A stalled shard write's timeout, or the end of the shutdown drain.
     fn deadline(&self) -> Option<Instant> {
-        let stalls = self.links.iter().filter_map(|l| l.stalled);
-        let stalls = stalls.map(|since| since + WRITE_TIMEOUT);
+        let stalls = self.links.iter().filter_map(|l| l.wire.deadline());
         let drain = self.drain_until.filter(|_| !self.links.is_empty());
         stalls.chain(drain).min()
     }
@@ -798,8 +741,8 @@ impl Drop for RouteMachine {
     /// The client is gone, or the batch is over: every record still on a
     /// shard stream is settled, and the streams close.
     fn drop(&mut self) {
-        for link in &self.links {
-            let _ = self.sources.watch(&link.stream, link.watched, None);
+        for link in &mut self.links {
+            self.sources.unwatch(&mut link.wire);
             for _ in &link.pending {
                 link.shard.note_answered();
             }

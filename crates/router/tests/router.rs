@@ -499,39 +499,38 @@ fn records_orphaned_after_the_client_finished_are_retried_on_the_survivor() {
     );
 }
 
-#[test]
-fn a_backend_trailer_with_an_impossible_time_cannot_crash_the_router() {
-    // shard 0 is a stub that answers its one record, then sends a trailer
-    // whose `wall_ms` no `Duration` holds, and closes. That line is no
-    // trailer: the stream ends untallied, like one that sent none, and
-    // the router keeps serving.
+/// A router in front of one stub shard that answers the first batch it is
+/// sent — its one record `t-0` with an error line, then `trailers` — and
+/// closes; it answers nothing else. It is probed once at start, which a
+/// single failure does not demote on.
+fn start_stub_router(trailers: &str) -> (Front, std::thread::JoinHandle<()>) {
     let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let stub_addr = stub.local_addr().unwrap();
+    let reply = format!(
+        "{}\n{trailers}",
+        r#"{"schema_version": 1, "line": 1, "id": "t-0", "ok": false, "error": "stub"}"#
+    );
     let stub_thread = std::thread::spawn(move || loop {
         let (conn, _) = stub.accept().unwrap();
         let mut reader = BufReader::new(conn);
         let mut line = String::new();
         let _ = reader.read_line(&mut line);
         if !line.starts_with("GET ") {
-            let answer =
-                r#"{"schema_version": 1, "line": 1, "id": "t-0", "ok": false, "error": "stub"}"#;
-            let trailer = r#"{"schema_version": 1, "records": 1, "solved": 0, "errors": 1, "wall_ms": 1e300}"#;
-            let mut conn = reader.into_inner();
-            conn.write_all(format!("{answer}\n{trailer}\n").as_bytes())
-                .unwrap();
+            reader.into_inner().write_all(reply.as_bytes()).unwrap();
             return;
         }
     });
-    // one probe at start, which a single failure does not demote on
     let config = RouteConfig {
         probe_interval: Duration::from_secs(60),
         ..quiet_route_config()
     };
-    let front = start_router(vec![ShardState::new(0, stub_addr.to_string())], config);
+    let shards = vec![ShardState::new(0, stub_addr.to_string())];
+    (start_router(shards, config), stub_thread)
+}
 
-    let lines = run_batch(front.addr, &["t-0".to_string()]);
-    assert_eq!(lines.len(), 2, "the answer and a trailer: {lines:#?}");
-    match parse_output_line(&lines[0]).unwrap() {
+/// Asserts `line` is the stub shard's answer to `t-0`.
+fn assert_stub_answer(line: &str) {
+    match parse_output_line(line).unwrap() {
         OutputLine::Error { line, id, error } => {
             assert_eq!(
                 (line, id.as_deref(), error.as_str()),
@@ -540,6 +539,20 @@ fn a_backend_trailer_with_an_impossible_time_cannot_crash_the_router() {
         }
         other => panic!("expected the stub's answer, got {other:?}"),
     }
+}
+
+#[test]
+fn a_backend_trailer_with_an_impossible_time_cannot_crash_the_router() {
+    // the stub's trailer states a `wall_ms` no `Duration` holds. That line
+    // is no trailer: the stream ends untallied, like one that sent none,
+    // and the router keeps serving.
+    let (front, stub_thread) = start_stub_router(
+        "{\"schema_version\": 1, \"records\": 1, \"solved\": 0, \"errors\": 1, \"wall_ms\": 1e300}\n",
+    );
+
+    let lines = run_batch(front.addr, &["t-0".to_string()]);
+    assert_eq!(lines.len(), 2, "the answer and a trailer: {lines:#?}");
+    assert_stub_answer(&lines[0]);
     assert!(lines[1].contains("\"records\": 1"), "{}", lines[1]);
     assert!(lines[1].contains("\"errors\": 1"), "{}", lines[1]);
     stub_thread.join().unwrap();
@@ -552,6 +565,26 @@ fn a_backend_trailer_with_an_impossible_time_cannot_crash_the_router() {
     assert!(lines[1].contains("\"records\": 1"), "{}", lines[1]);
     let report = front.stop();
     assert_eq!((report.connections, report.records), (2, 2));
+}
+
+#[test]
+fn a_backend_counts_once_however_many_trailers_it_sends() {
+    // the stub sends its trailer twice, with a rate no sum of two can
+    // hold: the second is dropped like free text, and the merged rates
+    // are the merged counts over the wall, so the trailer stays JSON
+    let trailer =
+        "{\"schema_version\": 1, \"records\": 1, \"errors\": 1, \"throughput_per_s\": 1e308}\n";
+    let (front, stub_thread) = start_stub_router(&trailer.repeat(2));
+
+    let lines = run_batch(front.addr, &["t-0".to_string()]);
+    assert_eq!(lines.len(), 2, "the answer and a trailer: {lines:#?}");
+    assert_stub_answer(&lines[0]);
+    let merged = busytime_instances::json::parse(&lines[1])
+        .unwrap_or_else(|e| panic!("{}: {e:?}", lines[1]));
+    assert_eq!(merged.get("records").and_then(|v| v.as_i64()), Some(1));
+    assert_eq!(merged.get("errors").and_then(|v| v.as_i64()), Some(1));
+    stub_thread.join().unwrap();
+    front.stop();
 }
 
 /// The `outbox_bytes` gauge off the router's `/healthz`.

@@ -233,9 +233,19 @@ impl BatchSummary {
     /// percentiles of `latencies` (the unaffected solves).
     pub(crate) fn close(&mut self, wall: Duration, latencies: &mut [Duration]) {
         latencies.sort_unstable();
+        self.set_wall(wall);
+        self.aggregate_gap = Self::aggregate_gap(self.total_cost, self.total_lower_bound);
+        self.p50_solve = percentile(latencies, 50.0);
+        self.p99_solve = percentile(latencies, 99.0);
+    }
+
+    /// Sets the wall-clock time, and both rates from it: records and
+    /// solved records per second of `wall` (`0` over no time).
+    pub fn set_wall(&mut self, wall: Duration) {
+        let seconds = wall.as_secs_f64();
         let per_second = |n: usize| {
-            if wall.as_secs_f64() > 0.0 {
-                n as f64 / wall.as_secs_f64()
+            if seconds > 0.0 {
+                n as f64 / seconds
             } else {
                 0.0
             }
@@ -243,9 +253,6 @@ impl BatchSummary {
         self.wall = wall;
         self.throughput = per_second(self.records);
         self.solved_per_s = per_second(self.solved);
-        self.aggregate_gap = Self::aggregate_gap(self.total_cost, self.total_lower_bound);
-        self.p50_solve = percentile(latencies, 50.0);
-        self.p99_solve = percentile(latencies, 99.0);
     }
 
     /// The aggregate gap for the given cost/bound sums: their ratio when
@@ -374,14 +381,14 @@ impl BatchSummary {
     /// its client sees.
     ///
     /// Counts and sums (`records`, `solved`, `errors`, costs, bounds,
-    /// cache statistics, `workers`, `deadline_hits`) add. The rates add
-    /// too: shards solve concurrently, so the fleet's records-per-second
-    /// is the sum of its parts — additive capacity is the point of
-    /// sharding. `wall` takes the max (concurrent, not sequential), and
-    /// `aggregate_gap` is recomputed from the summed cost and bound,
+    /// cache statistics, `workers`, `deadline_hits`) add. `wall` takes the
+    /// max (shards solve concurrently, not one after another), and both
+    /// rates and `aggregate_gap` are recomputed from the merged counts,
     /// exactly what one undivided batch over the same records would have
-    /// reported (a positive cost sum over a zero bound sum stays
-    /// [`f64::INFINITY`]).
+    /// reported: the rates are records and solved records over that wall
+    /// ([`BatchSummary::set_wall`]), so no rate a shard reports can make
+    /// them non-finite, and a positive cost sum over a zero bound sum
+    /// stays [`f64::INFINITY`].
     ///
     /// The latency percentiles cannot be recombined exactly without the
     /// per-record samples, so they are approximated: `p50_solve` is the
@@ -404,9 +411,7 @@ impl BatchSummary {
         self.total_cost += other.total_cost;
         self.total_lower_bound += other.total_lower_bound;
         self.aggregate_gap = Self::aggregate_gap(self.total_cost, self.total_lower_bound);
-        self.wall = self.wall.max(other.wall);
-        self.throughput += other.throughput;
-        self.solved_per_s += other.solved_per_s;
+        self.set_wall(self.wall.max(other.wall));
         self.solution_cache_hits += other.solution_cache_hits;
         self.solution_cache_misses += other.solution_cache_misses;
         self.workers += other.workers;
@@ -1225,7 +1230,6 @@ mod tests {
         a.records += 1; // the error record
         let mut b = shard_summary(&[20], 5, 5);
         b.deadline_hits = 2;
-        let (rate_a, rate_b) = (a.solved_per_s, b.solved_per_s);
 
         let mut merged = a.clone();
         merged.merge(&b);
@@ -1233,9 +1237,10 @@ mod tests {
         assert_eq!(merged.errors, 1);
         assert_eq!(merged.records, 4);
         assert_eq!(merged.workers, 2);
-        // concurrent shards: the fleet's solve rate is the sum of parts
-        assert!((merged.solved_per_s - (rate_a + rate_b)).abs() < 1e-9);
-        assert!((merged.throughput - (a.throughput + b.throughput)).abs() < 1e-9);
+        // the rates are the merged counts over the merged (longest) wall
+        let wall = merged.wall.as_secs_f64();
+        assert!((merged.solved_per_s - merged.solved as f64 / wall).abs() < 1e-9);
+        assert!((merged.throughput - merged.records as f64 / wall).abs() < 1e-9);
     }
 
     #[test]

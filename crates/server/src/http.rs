@@ -4,8 +4,8 @@
 //! `listen` and `route`) and the router's health probes speak the same
 //! deliberately small dialect: `Content-Length` bodies, keep-alive,
 //! nothing else. This module holds the request-head parser and the
-//! response writer the reactor frames requests with (it reads bodies
-//! itself, as they arrive), plus the client-side response reader and the
+//! response writer the reactor frames requests with (it collects each
+//! request's whole body itself), plus the client-side response reader and the
 //! [`parse_healthz`] decoder the router uses to score backends.
 
 use std::io::{BufRead, Read, Write};

@@ -29,10 +29,11 @@
 //!   answered in any order and leave as the contiguous answered prefix; the
 //!   one reorder structure of every session, routed batches included.
 //! * [`reactor`] — the readiness loop behind every socket connection of
-//!   `listen` and `route`: epoll I/O threads, sniffed health probes,
-//!   incremental HTTP/1.1 framing, the bounded outbox, timers, capacity
-//!   rejections and the drain, generic over a [`reactor::Service`] that
-//!   opens one [`reactor::Session`] per batch.
+//!   `listen` and `route`: epoll I/O threads, one [`reactor::Wire`] per
+//!   socket (client connections and routed shard streams alike), sniffed
+//!   health probes, whole-request HTTP/1.1 framing, the bounded outbox,
+//!   timers, capacity rejections and the drain, generic over a
+//!   [`reactor::Service`] that opens one [`reactor::Session`] per batch.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
 //!   `GET /healthz` mode, the same session engine driven per connection

@@ -85,6 +85,10 @@ pub enum ConnLog {
 }
 
 /// Listener configuration on top of the per-session [`ServeConfig`].
+///
+/// The socket fields bound what each connection may cost; how many threads
+/// serve the sockets is not configurable: every connection rides one of
+/// [`IO_THREADS`](crate::reactor::IO_THREADS) reactor threads.
 #[derive(Clone, Debug, Default)]
 pub struct ListenConfig {
     /// The batch-engine configuration every connection's session runs
@@ -96,11 +100,6 @@ pub struct ListenConfig {
     /// mode) and closed — a plain outbox write on the reactor, never a
     /// thread.
     pub max_conns: usize,
-    /// I/O reactor threads running the readiness loop (`0` = 2). Reactor
-    /// 0 owns the accept socket; connections are dealt round-robin. This
-    /// bounds socket-handling threads, not solver parallelism — solves
-    /// always run on the executor's workers.
-    pub io_threads: usize,
     /// Per-connection outbox cap in bytes (`0` = 256 KiB). Past the cap
     /// the reactor suspends the connection's read interest and its
     /// session stops parsing new records (completions already dispatched

@@ -10,34 +10,47 @@
 //!
 //! # The readiness loop
 //!
-//! Connections are *not* served thread-per-connection. A small fixed set
-//! of I/O reactor threads ([`ListenConfig::io_threads`], default 2) each
-//! run an epoll-backed poll loop (the vendored `polling` shim): reactor 0
-//! owns the accept socket and deals new connections round-robin across
-//! the set, and every reactor owns the full life of the connections dealt
-//! to it — reading request bytes into the connection's line framer,
-//! pumping its session, writing its answers back. A listener session
-//! advances on executor workers and calls its [`Notify`] when it has news,
-//! which posts a wake to the owning reactor's mailbox. A routed session advances on
-//! the reactor itself: it registers its shard streams as [`Sources`]
-//! under its connection's poller key, so a shard's answer services the
-//! connection just as client bytes do, and its timers ride
-//! [`Session::deadline`]. A reactor never solves. Its one blocking call is
-//! the router's connect to a shard: bounded by the connect timeout, made
-//! only for a shard the router believes healthy, and a failure demotes
-//! that shard at once, so an unreachable shard stalls a reactor at most
-//! once per demotion (a refused connect returns at once). 500 idle
-//! keep-alive connections therefore cost 500 registered file descriptors
-//! and `io_threads` threads — not 500 threads.
+//! Connections are *not* served thread-per-connection. A fixed set of
+//! [`IO_THREADS`] I/O reactor threads each run an epoll-backed poll loop
+//! (the vendored `polling` shim): reactor 0 owns the accept socket and
+//! deals new connections round-robin across the set, and every reactor owns
+//! the full life of the connections dealt to it — reading request bytes
+//! into the connection's line framer, pumping its session, writing its
+//! answers back. A listener session advances on executor workers and calls
+//! its [`Notify`] when it has news, which posts a wake to the owning
+//! reactor's mailbox. A routed session advances on the reactor itself: it
+//! registers its shard streams as [`Sources`] under its connection's poller
+//! key, so a shard's answer services the connection just as client bytes
+//! do, and its timers ride [`Session::deadline`]. A reactor never solves.
+//! Its one blocking call is the router's connect to a shard: bounded by the
+//! connect timeout, made only for a shard the router believes healthy, and
+//! a failure demotes that shard at once, so an unreachable shard stalls a
+//! reactor at most once per demotion (a refused connect returns at once).
+//! 500 idle keep-alive connections therefore cost 500 registered file
+//! descriptors and [`IO_THREADS`] threads — not 500 threads.
 //!
-//! # One line framer
+//! # One wire
+//!
+//! Every socket served here is a [`Wire`]: a client connection, and a
+//! routed session's shard stream alike. It holds the bytes owed to its
+//! peer, reads within a budget, writes until the socket would block, runs
+//! the one stall clock ([`WRITE_TIMEOUT`] from the first blocked write
+//! while bytes are owed), and keeps the interest the poller watches it
+//! with.
+//!
+//! # One line framer, one batch arm
 //!
 //! Whoever reads the bytes frames them: each NDJSON connection and each
 //! `POST /solve` body gets one [`Lines`], and a [`Session`] pulls whole
 //! lines from it only when it can take them, so no session keeps input
-//! bytes or line rules of its own. A `POST /solve` body arrives whole
-//! (at most [`MAX_BODY_BYTES`]) before its session pumps, so its waves do
-//! not depend on how the reads split it.
+//! bytes or line rules of its own. An HTTP request is framed whole: it is
+//! dispatched only once its head and its whole `Content-Length` body (at
+//! most [`MAX_BODY_BYTES`]) are buffered, so a batch's waves do not depend
+//! on how the reads split it. A `POST /solve` batch then runs in the same
+//! arm as an NDJSON connection's — a session over its framer — with its
+//! answers collected in the response instead of the outbox; only the
+//! completion differs: the trailer and a half-close, or a 200 (a 422 for a
+//! FailFast abort) and then the next request.
 //!
 //! # Two gates
 //!
@@ -50,11 +63,12 @@
 //! has not taken and more than [`INPUT_LIMIT`] bytes, the reactor reads
 //! nothing more, so a client that writes faster than its records are
 //! answered waits in its own socket. A partial line never stops reads, so
-//! a long record still streams in. On HTTP the same bound holds for
-//! pipelined requests waiting behind a `POST /solve` that is still
-//! answering. At-capacity rejections are plain
-//! outbox writes on the reactor — an overload floods structured error
-//! lines, never threads.
+//! a long record still streams in. On HTTP the same bound holds for the
+//! bytes buffered beyond the request being collected — pipelined requests
+//! waiting behind a `POST /solve` that is still answering; the body being
+//! collected is exempt, since it must arrive whole. At-capacity
+//! rejections are plain outbox writes on the reactor — an overload floods
+//! structured error lines, never threads.
 //!
 //! Each connection's next deadline — the write timeout, an idle cut
 //! ([`ListenConfig::conn_idle_timeout`]), the post-close linger or its
@@ -66,8 +80,8 @@
 //! opener is a health probe and gets the one-shot `/healthz` answer. The
 //! HTTP mode serves `POST /solve` (NDJSON batch body in, answers plus the
 //! summary out as `application/x-ndjson`) and `GET /healthz`, with
-//! `Content-Length` bodies and keep-alive, parsed incrementally from the
-//! same loop. Every HTTP error answer closes the connection.
+//! `Content-Length` bodies and keep-alive. Every HTTP error answer closes
+//! the connection.
 //!
 //! Shutdown is graceful by construction: once the shutdown token fires the
 //! accept socket closes, every session gets its end of input, answers what
@@ -75,8 +89,9 @@
 //! connection closes; [`run`] returns once every connection is gone.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -85,7 +100,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
-use polling::{Event, Poller, RawFd, Waker};
+use busytime_instances::json;
+use polling::{Event, Interest, Poller, RawFd, Waker};
 
 use crate::engine::{lock_ignoring_poison, BatchSummary, ServeError};
 use crate::http::{
@@ -100,33 +116,228 @@ use crate::protocol::error_line;
 /// block.
 pub type Notify = Arc<dyn Fn() + Send + Sync>;
 
-pub use polling::Interest;
-
-/// A session's own sockets on its connection's reactor: a stream watched
+/// A session's own sockets on its connection's reactor: a wire watched
 /// here reports under the connection's poller key, so its readiness
 /// services the connection just as client bytes or a [`Notify`] wake do.
 /// Polling is level-triggered, so a session must read what it watches for
-/// reads or stop watching it, and must unwatch a stream before closing it.
+/// reads or stop watching it, and must unwatch a wire before closing it.
 pub struct Sources {
     mailbox: Arc<Mailbox>,
     key: usize,
 }
 
 impl Sources {
-    /// Moves `stream`'s registration from `was` to `want`; `None` is
-    /// unregistered.
-    pub fn watch(
-        &self,
-        stream: &TcpStream,
-        was: Option<Interest>,
-        want: Option<Interest>,
-    ) -> std::io::Result<()> {
-        let (poller, fd) = (&self.mailbox.poller, fd_of(stream));
-        match (was, want) {
-            (None, None) => Ok(()),
-            (None, Some(interest)) => poller.add(fd, self.key, interest),
-            (Some(_), Some(interest)) => poller.modify(fd, self.key, interest),
-            (Some(_), None) => poller.delete(fd),
+    /// Watches `wire`: for reads while `reading`, for writes while it owes
+    /// bytes, and not at all when neither.
+    pub fn watch(&self, wire: &mut Wire, reading: bool) -> std::io::Result<()> {
+        wire.watch(&self.mailbox.poller, self.key, reading)
+    }
+
+    /// Stops watching `wire`.
+    pub fn unwatch(&self, wire: &mut Wire) {
+        wire.unwatch(&self.mailbox.poller);
+    }
+}
+
+/// A stream socket a [`Wire`] can own: TCP or Unix-domain.
+pub trait Socket: Read + Write + Send {
+    /// Makes the socket nonblocking, with Nagle off on TCP.
+    fn prepare(&self) -> std::io::Result<()>;
+    /// The descriptor the poller watches.
+    fn fd(&self) -> RawFd;
+    /// Half-closes the write side: the peer reads EOF once the bytes
+    /// already written drain.
+    fn shutdown_write(&self) -> std::io::Result<()>;
+    /// Who is at the other end, for log lines.
+    fn peer(&self) -> String;
+}
+
+impl Socket for TcpStream {
+    fn prepare(&self) -> std::io::Result<()> {
+        // accepted sockets do not inherit the acceptor's non-blocking
+        // flag on Linux. Nagle is off: a shard's next answer would
+        // otherwise wait for the router's delayed ACK of the one before,
+        // and stall the in-order fan-in
+        self.set_nonblocking(true)?;
+        self.set_nodelay(true)
+    }
+
+    fn fd(&self) -> RawFd {
+        fd_of(self)
+    }
+
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+
+    fn peer(&self) -> String {
+        self.peer_addr()
+            .map_or_else(|_| String::from("tcp-peer"), |a| a.to_string())
+    }
+}
+
+#[cfg(unix)]
+impl Socket for UnixStream {
+    fn prepare(&self) -> std::io::Result<()> {
+        self.set_nonblocking(true)
+    }
+
+    fn fd(&self) -> RawFd {
+        fd_of(self)
+    }
+
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+
+    fn peer(&self) -> String {
+        String::from("unix-peer")
+    }
+}
+
+/// One nonblocking socket, served: the bytes owed to its peer, one read
+/// within a budget, one write until the socket would block, the stall
+/// clock of those writes, and the interest the poller watches it with.
+pub struct Wire {
+    socket: Box<dyn Socket>,
+    /// Bytes owed to the peer; `sent` of them are written.
+    out: Vec<u8>,
+    sent: usize,
+    /// Since when the bytes owed have been unsendable.
+    stalled: Option<Instant>,
+    /// The interest registered with a poller; `None` is unregistered.
+    watched: Option<Interest>,
+    half_closed: bool,
+}
+
+impl Wire {
+    /// Serves `socket`, made nonblocking.
+    pub fn new(socket: Box<dyn Socket>) -> std::io::Result<Wire> {
+        socket.prepare()?;
+        Ok(Wire {
+            socket,
+            out: Vec::new(),
+            sent: 0,
+            stalled: None,
+            watched: None,
+            half_closed: false,
+        })
+    }
+
+    /// Where bytes owed to the peer are queued. Append only.
+    pub fn out(&mut self) -> &mut Vec<u8> {
+        &mut self.out
+    }
+
+    /// Bytes queued and not yet written.
+    pub fn owed(&self) -> usize {
+        self.out.len() - self.sent
+    }
+
+    /// Reads into `sink` until the socket would block or `budget` bytes
+    /// came (level-triggered polling re-reports the rest). `Ok(true)` once
+    /// the peer has ended its side.
+    pub fn read(&mut self, budget: usize, mut sink: impl FnMut(&[u8])) -> std::io::Result<bool> {
+        let mut chunk = [0u8; 16 * 1024];
+        let mut left = budget;
+        while left > 0 {
+            match self.socket.read(&mut chunk) {
+                Ok(0) => return Ok(true),
+                Ok(n) => {
+                    sink(&chunk[..n]);
+                    left = left.saturating_sub(n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Writes the bytes owed until the socket would block. The first
+    /// blocked write starts the stall clock, and any progress stops it.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        while self.sent < self.out.len() {
+            match self.socket.write(&self.out[self.sent..]) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::WriteZero,
+                        "socket accepted zero bytes",
+                    ))
+                }
+                Ok(n) => {
+                    self.sent += n;
+                    self.stalled = None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.stalled.get_or_insert_with(Instant::now);
+                    break;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
+        } else if self.sent > 64 * 1024 {
+            // keep a long-lived slow drain from pinning the written prefix
+            self.out.drain(..self.sent);
+            self.sent = 0;
+        }
+        Ok(())
+    }
+
+    /// When stalled writes reach [`WRITE_TIMEOUT`]: from then on the peer
+    /// counts as gone.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.stalled.map(|since| since + WRITE_TIMEOUT)
+    }
+
+    /// Restarts the stall clock, for an owner that stopped reading its
+    /// peer and so stalls it itself.
+    pub fn restart_stall_clock(&mut self) {
+        self.stalled = None;
+    }
+
+    /// Half-closes the write side, once.
+    pub fn half_close(&mut self) {
+        if !self.half_closed {
+            let _ = self.socket.shutdown_write();
+            self.half_closed = true;
+        }
+    }
+
+    /// Whether [`Wire::half_close`] was called.
+    pub fn half_closed(&self) -> bool {
+        self.half_closed
+    }
+
+    /// Registers the interest the wire needs under `key`: readable while
+    /// `reading`, writable while it owes bytes, and unregistered when
+    /// neither (the poller reports a hangup even with no interest, and
+    /// nobody would serve it). A refused change keeps the old interest.
+    fn watch(&mut self, poller: &Poller, key: usize, reading: bool) -> std::io::Result<()> {
+        let writable = self.owed() > 0;
+        let want = (reading || writable).then_some(Interest {
+            readable: reading,
+            writable,
+        });
+        let fd = self.socket.fd();
+        match (self.watched, want) {
+            (was, want) if was == want => {}
+            (None, Some(interest)) => poller.add(fd, key, interest)?,
+            (Some(_), Some(interest)) => poller.modify(fd, key, interest)?,
+            (_, None) => poller.delete(fd)?,
+        }
+        self.watched = want;
+        Ok(())
+    }
+
+    fn unwatch(&mut self, poller: &Poller) {
+        if self.watched.take().is_some() {
+            let _ = poller.delete(self.socket.fd());
         }
     }
 }
@@ -181,7 +392,6 @@ pub struct Gauges {
     active: usize,
     uptime_ms: u128,
     open: usize,
-    io_threads: usize,
     outbox_bytes: usize,
 }
 
@@ -190,8 +400,8 @@ impl std::fmt::Display for Gauges {
         write!(
             f,
             "\"active_connections\": {}, \"uptime_ms\": {}, \"open_connections\": {}, \
-             \"io_threads\": {}, \"outbox_bytes\": {}",
-            self.active, self.uptime_ms, self.open, self.io_threads, self.outbox_bytes
+             \"io_threads\": {IO_THREADS}, \"outbox_bytes\": {}",
+            self.active, self.uptime_ms, self.open, self.outbox_bytes
         )
     }
 }
@@ -220,83 +430,6 @@ fn fd_of<T>(_: &T) -> RawFd {
     -1
 }
 
-/// One accepted connection, abstracted over the socket family.
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn prepare(&self) -> std::io::Result<()> {
-        // accepted sockets do not inherit the acceptor's non-blocking
-        // flag on Linux — it must be set per connection. Nagle is off: a
-        // shard's next answer would otherwise wait for the router's
-        // delayed ACK of the one before, and stall the in-order fan-in
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(true).and_then(|()| s.set_nodelay(true)),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Conn::Tcp(s) => fd_of(s),
-            #[cfg(unix)]
-            Conn::Unix(s) => fd_of(s),
-        }
-    }
-
-    /// Half-close: the client sees EOF after the summary line, while its
-    /// own pending writes still drain.
-    fn shutdown_write(&self) {
-        let _ = match self {
-            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.shutdown(Shutdown::Write),
-        };
-    }
-
-    fn peer(&self) -> String {
-        match self {
-            Conn::Tcp(s) => s
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| String::from("tcp-peer")),
-            #[cfg(unix)]
-            Conn::Unix(_) => String::from("unix-peer"),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// The bound socket, abstracted over the socket family.
 enum Acceptor {
     Tcp(TcpListener),
@@ -305,11 +438,11 @@ enum Acceptor {
 }
 
 impl Acceptor {
-    fn accept(&self) -> std::io::Result<Conn> {
+    fn accept(&self) -> std::io::Result<Box<dyn Socket>> {
         match self {
-            Acceptor::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Acceptor::Tcp(l) => Ok(Box::new(l.accept()?.0)),
             #[cfg(unix)]
-            Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+            Acceptor::Unix(l, _) => Ok(Box::new(l.accept()?.0)),
         }
     }
 
@@ -399,7 +532,7 @@ fn bind_tcp(addr: &str) -> std::io::Result<TcpListener> {
 /// Serves `endpoint` for `service` until `shutdown` fires or
 /// [`ListenConfig::idle_timeout`] elapses, drains every connection, and
 /// returns what the reactor counted. Of `config` only the socket fields
-/// apply: `max_conns`, `io_threads`, `outbox_limit`, `idle_timeout` and
+/// apply: `max_conns`, `outbox_limit`, `idle_timeout` and
 /// `conn_idle_timeout`. A Unix socket file is removed on the way out.
 pub fn run<S: Service>(
     endpoint: Endpoint,
@@ -408,14 +541,12 @@ pub fn run<S: Service>(
     shutdown: CancelToken,
 ) -> std::io::Result<Counts> {
     let or_default = |value: usize, default: usize| if value == 0 { default } else { value };
-    let io_threads = or_default(config.io_threads, DEFAULT_IO_THREADS);
     let shared = Arc::new(Shared {
         service,
         config: config.clone(),
         shutdown,
         http: endpoint.http,
         max_conns: or_default(config.max_conns, DEFAULT_MAX_CONNS),
-        io_threads,
         outbox_limit: or_default(config.outbox_limit, DEFAULT_OUTBOX_LIMIT),
         active: AtomicUsize::new(0),
         open: AtomicUsize::new(0),
@@ -428,8 +559,8 @@ pub fn run<S: Service>(
     // every reactor gets its poller and wakeable mailbox up front, so the
     // acceptor can deal connections (and sessions can post wakes) before a
     // reactor has even scheduled
-    let mut mailboxes = Vec::with_capacity(io_threads);
-    for _ in 0..io_threads {
+    let mut mailboxes = Vec::with_capacity(IO_THREADS);
+    for _ in 0..IO_THREADS {
         let poller = Poller::new()?;
         let waker = Waker::new(&poller, KEY_WAKER)?;
         mailboxes.push(Arc::new(Mailbox {
@@ -448,7 +579,7 @@ pub fn run<S: Service>(
         .add(endpoint.acceptor.raw_fd(), KEY_ACCEPT, Interest::READ)?;
 
     let mut threads = Vec::new();
-    for index in 1..io_threads {
+    for index in 1..IO_THREADS {
         let reactor = Reactor::new(&shared, &mailboxes, index, None);
         threads.push(
             std::thread::Builder::new()
@@ -492,8 +623,11 @@ const KEY_ACCEPT: usize = 1;
 const FIRST_CONN_KEY: usize = 2;
 /// Default [`ListenConfig::max_conns`].
 const DEFAULT_MAX_CONNS: usize = 64;
-/// Default [`ListenConfig::io_threads`].
-const DEFAULT_IO_THREADS: usize = 2;
+/// The I/O reactor threads running the readiness loop. Reactor 0 owns the
+/// accept socket; connections are dealt round-robin. This bounds
+/// socket-handling threads, not solver parallelism — solves always run on
+/// the executor's workers.
+pub const IO_THREADS: usize = 2;
 /// How many bytes of client input a connection holds ahead of its session:
 /// past it, with a complete line the session has not taken, the reactor
 /// stops reading the connection. The router holds at most this many
@@ -502,10 +636,10 @@ const DEFAULT_IO_THREADS: usize = 2;
 pub const INPUT_LIMIT: usize = 256 * 1024;
 /// Default [`ListenConfig::outbox_limit`].
 const DEFAULT_OUTBOX_LIMIT: usize = INPUT_LIMIT;
-/// How long a connection's pending responses may sit unsendable: no write
-/// progress for this long aborts the connection. The bounded outbox keeps
-/// a stalled reader from costing more than its cap meanwhile; this
-/// reclaims the capacity slot itself.
+/// How long a wire's owed bytes may sit unsendable: a connection stalled
+/// this long is aborted. The bounded outbox keeps a stalled reader from
+/// costing more than its cap meanwhile; this reclaims the capacity slot
+/// itself.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Per-service read cap: a firehose connection yields the reactor after
 /// this many bytes (level-triggered polling re-reports it immediately).
@@ -534,7 +668,6 @@ struct Shared<S: Service> {
     shutdown: CancelToken,
     http: bool,
     max_conns: usize,
-    io_threads: usize,
     outbox_limit: usize,
     /// Connections holding a capacity slot (everything but rejections).
     active: AtomicUsize,
@@ -556,7 +689,6 @@ impl<S: Service> Shared<S> {
             active: self.active.load(Ordering::SeqCst),
             uptime_ms: self.started.elapsed().as_millis(),
             open: self.open.load(Ordering::SeqCst),
-            io_threads: self.io_threads,
             outbox_bytes: self.outbox_bytes.load(Ordering::SeqCst),
         })
     }
@@ -586,13 +718,13 @@ struct Mailbox {
 
 #[derive(Default)]
 struct Post {
-    conns: Vec<(Conn, usize)>,
+    conns: Vec<(Wire, usize)>,
     dirty: Vec<usize>,
 }
 
 impl Mailbox {
-    fn post_conn(&self, conn: Conn, conn_id: usize) {
-        lock_ignoring_poison(&self.post).conns.push((conn, conn_id));
+    fn post_conn(&self, wire: Wire, conn_id: usize) {
+        lock_ignoring_poison(&self.post).conns.push((wire, conn_id));
         let _ = self.waker.wake();
     }
 
@@ -601,7 +733,7 @@ impl Mailbox {
         let _ = self.waker.wake();
     }
 
-    fn take(&self) -> (Vec<(Conn, usize)>, Vec<usize>) {
+    fn take(&self) -> (Vec<(Wire, usize)>, Vec<usize>) {
         let mut post = lock_ignoring_poison(&self.post);
         (
             std::mem::take(&mut post.conns),
@@ -629,33 +761,43 @@ enum Kind<T> {
     /// and gets the one-shot `/healthz` answer; anything else (including
     /// the sniffed bytes themselves) is the batch's input.
     Sniff(Vec<u8>),
-    /// An NDJSON batch session in progress, and its input.
-    Ndjson(Box<T>, Lines),
-    /// An HTTP/1.1 connection (requests parsed incrementally).
-    Http(Box<HttpConn<T>>),
+    /// A batch in progress: its session, its input, and for a
+    /// `POST /solve` the HTTP connection it answers.
+    Batch(Box<T>, Lines, Option<HttpConn>),
+    /// An HTTP/1.1 connection waiting for a whole request.
+    Http(HttpConn),
     /// Terminal: flush the outbox, half-close, linger briefly to drain
     /// the client's trailing bytes, then close.
     Flush,
 }
 
+/// An HTTP/1.1 connection's framing, kept across its requests.
+#[derive(Default)]
+struct HttpConn {
+    /// Bytes read and not yet dispatched: the request being collected and
+    /// the ones pipelined behind it.
+    buf: Vec<u8>,
+    /// The request being collected, head and whole body, once its head has
+    /// arrived: the input gate counts only the bytes of `buf` past it.
+    need: usize,
+    /// Whether the connection stays open after the `POST /solve` being
+    /// answered.
+    keep_alive: bool,
+    /// That batch's answers so far.
+    response: Vec<u8>,
+}
+
 /// One registered connection owned by a reactor.
 struct ConnState<T> {
-    conn: Conn,
+    wire: Wire,
     conn_id: usize,
     peer: String,
     kind: Kind<T>,
     tally: Tally,
-    /// Bytes owed to the client; `sent` of them are already written.
-    outbox: Vec<u8>,
-    sent: usize,
     /// This connection's contribution to [`Shared::outbox_bytes`].
     gauge: usize,
-    /// The (read, write) interest currently registered with the poller.
-    interest: (bool, bool),
     /// Reads stopped because the outbox is over the cap (back-pressure).
     read_suspended: bool,
-    /// We half-closed our write side (the summary is fully flushed).
-    half_closed: bool,
     /// The client half-closed (or was idle-cut, which is treated the
     /// same: a polite end-of-batch).
     peer_eof: bool,
@@ -667,8 +809,6 @@ struct ConnState<T> {
     /// while the server owes the connection work, so a slow solve is
     /// never mistaken for a quiet client).
     last_byte: Instant,
-    /// When a write last made progress (the write-timeout clock).
-    last_write_progress: Instant,
     /// Set at half-close: when the post-close drain gives up on a client
     /// that neither reads nor closes.
     linger_until: Option<Instant>,
@@ -677,19 +817,17 @@ struct ConnState<T> {
 }
 
 impl<T: Session> ConnState<T> {
-    fn pending(&self) -> usize {
-        self.outbox.len() - self.sent
-    }
-
     /// Whether the reactor reads this connection now: not after the
     /// client's end, not while the outbox is over its cap, and not while
     /// the framer holds a complete line and more than [`INPUT_LIMIT`] (or
     /// more than that of pipelined HTTP requests waits).
     fn reads(&mut self) -> bool {
         let input_full = match &mut self.kind {
-            Kind::Ndjson(_, lines) => lines.held() > INPUT_LIMIT && lines.has_line(),
-            Kind::Http(http) => http.buf.len() > INPUT_LIMIT,
-            _ => false,
+            Kind::Batch(_, lines, None) => lines.held() > INPUT_LIMIT && lines.has_line(),
+            Kind::Batch(_, _, Some(http)) | Kind::Http(http) => {
+                http.buf.len() > http.need + INPUT_LIMIT
+            }
+            Kind::Sniff(_) | Kind::Flush => false,
         };
         !self.read_suspended && !self.peer_eof && !input_full
     }
@@ -697,52 +835,16 @@ impl<T: Session> ConnState<T> {
     /// The server still owes this connection answers — an idle wire does
     /// not mean an idle session.
     fn has_work(&self) -> bool {
-        match &self.kind {
-            Kind::Ndjson(session, _) => session.has_inflight(),
-            Kind::Http(http) => matches!(http.state, HttpState::Solving { .. }),
-            Kind::Sniff(_) | Kind::Flush => false,
-        }
+        matches!(&self.kind, Kind::Batch(session, ..) if session.has_inflight())
     }
 
     /// The live session's own deadline, if it has one.
     fn session_deadline(&self) -> Option<Instant> {
         match &self.kind {
-            Kind::Ndjson(session, _) => session.deadline(),
-            Kind::Http(http) => match &http.state {
-                HttpState::Solving { session, .. } => session.deadline(),
-                _ => None,
-            },
-            Kind::Sniff(_) | Kind::Flush => None,
+            Kind::Batch(session, ..) => session.deadline(),
+            _ => None,
         }
     }
-}
-
-/// An HTTP/1.1 connection's incremental parse state.
-struct HttpConn<T> {
-    /// Raw bytes not yet consumed by the current state.
-    buf: Vec<u8>,
-    state: HttpState<T>,
-}
-
-enum HttpState<T> {
-    /// Waiting for (the rest of) a request head.
-    Head,
-    /// Collecting a `Content-Length` body. `discard` bodies (on
-    /// `GET /healthz`) are drained so keep-alive framing survives.
-    Body {
-        request: HttpRequest,
-        body: Vec<u8>,
-        discard: bool,
-        keep_alive: bool,
-    },
-    /// A `POST /solve` batch in a session, over its whole body; its
-    /// answers accumulate in `response` until the summary lands.
-    Solving {
-        session: Box<T>,
-        body: Lines,
-        keep_alive: bool,
-        response: Vec<u8>,
-    },
 }
 
 /// What [`step_conn`] decided about a connection.
@@ -752,15 +854,18 @@ enum Step {
     Close(Option<String>),
 }
 
-/// What [`step_http`] decided about an HTTP connection.
+/// What [`step_http`] decided about an HTTP connection. An `Err` from it
+/// is the status and reason of the error answer it closes with.
 enum HttpStep {
-    /// Waiting on more bytes or on the session.
+    /// Waiting on more bytes.
     Wait,
     /// The connection is done (response written, or a clean end); flush
     /// and close.
     Finish,
     /// A transport-grade failure; close and report.
     Abort(String),
+    /// A whole `POST /solve` body, to answer as a batch.
+    Solve(Vec<u8>),
 }
 
 /// One I/O thread: an epoll loop owning a share of the connections.
@@ -827,10 +932,10 @@ impl<S: Service> Reactor<S> {
                 }
             }
             let (new_conns, dirty) = self.mailbox.take();
-            for (conn, conn_id) in new_conns {
+            for (wire, conn_id) in new_conns {
                 // a connection that raced the drain still gets served the
                 // polite way — service() under `draining` finishes it
-                self.admit(conn, conn_id);
+                self.admit(wire, conn_id);
             }
             for key in dirty {
                 self.service(key);
@@ -904,19 +1009,22 @@ impl<S: Service> Reactor<S> {
         };
         loop {
             match acceptor.accept() {
-                Ok(conn) => {
+                Ok(socket) => {
                     *lock_ignoring_poison(&self.shared.last_activity) = Instant::now();
-                    let _ = conn.prepare();
+                    // a socket that cannot be made nonblocking is dropped
+                    // before it takes a slot
+                    let Ok(mut wire) = Wire::new(socket) else {
+                        continue;
+                    };
                     if self.shared.active.load(Ordering::SeqCst) >= self.shared.max_conns {
                         lock_ignoring_poison(&self.shared.counts).rejected += 1;
                         if self.rejects_open >= REJECT_BACKLOG_CAP {
                             continue; // shed outright
                         }
-                        let outbox =
+                        let rejection =
                             rejection_bytes(self.shared.http, S::NOUN, self.shared.max_conns);
-                        if let Some(key) =
-                            self.register(conn, 0, Kind::Flush, Tally::Reject, outbox)
-                        {
+                        wire.out().extend_from_slice(&rejection);
+                        if let Some(key) = self.register(wire, 0, Kind::Flush, Tally::Reject) {
                             self.service(key);
                         }
                         continue;
@@ -924,12 +1032,12 @@ impl<S: Service> Reactor<S> {
                     self.conn_seq += 1;
                     let conn_id = self.conn_seq;
                     self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    let target = self.rr % self.shared.io_threads;
+                    let target = self.rr % IO_THREADS;
                     self.rr += 1;
                     if target == self.index {
-                        self.admit(conn, conn_id);
+                        self.admit(wire, conn_id);
                     } else {
-                        self.peers[target].post_conn(conn, conn_id);
+                        self.peers[target].post_conn(wire, conn_id);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -948,16 +1056,13 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Registers a connection that holds a capacity slot and serves it.
-    fn admit(&mut self, conn: Conn, conn_id: usize) {
+    fn admit(&mut self, wire: Wire, conn_id: usize) {
         let kind = if self.shared.http {
-            Kind::Http(Box::new(HttpConn {
-                buf: Vec::new(),
-                state: HttpState::Head,
-            }))
+            Kind::Http(HttpConn::default())
         } else {
             Kind::Sniff(Vec::new())
         };
-        if let Some(key) = self.register(conn, conn_id, kind, Tally::Conn, Vec::new()) {
+        if let Some(key) = self.register(wire, conn_id, kind, Tally::Conn) {
             self.service(key);
         }
     }
@@ -967,42 +1072,34 @@ impl<S: Service> Reactor<S> {
     /// if the poller refuses the fd.
     fn register(
         &mut self,
-        conn: Conn,
+        mut wire: Wire,
         conn_id: usize,
         kind: Kind<S::Session>,
         tally: Tally,
-        outbox: Vec<u8>,
     ) -> Option<usize> {
         let key = self.next_key;
         self.next_key += 1;
-        let added = self.mailbox.poller.add(conn.raw_fd(), key, Interest::READ);
-        if added.is_err() {
+        if wire.watch(&self.mailbox.poller, key, true).is_err() {
             if tally != Tally::Reject {
                 *lock_ignoring_poison(&self.shared.last_activity) = Instant::now();
                 self.shared.active.fetch_sub(1, Ordering::SeqCst);
             }
             return None;
         }
-        let now = Instant::now();
-        let peer = conn.peer();
+        let peer = wire.socket.peer();
         self.conns.insert(
             key,
             ConnState {
-                conn,
+                wire,
                 conn_id,
                 peer,
                 kind,
                 tally,
-                outbox,
-                sent: 0,
                 gauge: 0,
-                interest: (true, false),
                 read_suspended: false,
-                half_closed: false,
                 peer_eof: false,
                 finished: None,
-                last_byte: now,
-                last_write_progress: now,
+                last_byte: Instant::now(),
                 linger_until: None,
                 timer: None,
             },
@@ -1023,7 +1120,7 @@ impl<S: Service> Reactor<S> {
         match step_conn(&self.shared, &self.mailbox, key, state, self.draining) {
             Step::Close(abort) => self.close_conn(key, abort),
             Step::Keep => {
-                let pending = state.pending();
+                let pending = state.wire.owed();
                 match pending.cmp(&state.gauge) {
                     std::cmp::Ordering::Greater => {
                         self.shared
@@ -1047,16 +1144,8 @@ impl<S: Service> Reactor<S> {
                 } else if pending <= self.shared.outbox_limit / 2 {
                     state.read_suspended = false;
                 }
-                let want = (state.reads(), pending > 0 && !state.half_closed);
-                if want != state.interest
-                    && self
-                        .mailbox
-                        .poller
-                        .modify(state.conn.raw_fd(), key, interest_of(want))
-                        .is_ok()
-                {
-                    state.interest = want;
-                }
+                let reads = state.reads();
+                let _ = state.wire.watch(&self.mailbox.poller, key, reads);
                 let when = conn_deadline(&self.shared.config, state);
                 if when != state.timer {
                     if let Some(old) = std::mem::replace(&mut state.timer, when) {
@@ -1081,10 +1170,8 @@ impl<S: Service> Reactor<S> {
             self.timers.remove(&(when, key));
         }
         // best-effort: an aborting batch may still hold answered lines
-        if !state.half_closed {
-            let _ = flush_outbox(&mut state);
-        }
-        let _ = self.mailbox.poller.delete(state.conn.raw_fd());
+        let _ = state.wire.flush();
+        state.wire.unwatch(&self.mailbox.poller);
         if state.gauge > 0 {
             self.shared
                 .outbox_bytes
@@ -1124,39 +1211,23 @@ fn settle<S: Service>(shared: &Shared<S>, state: &mut ConnState<S::Session>) {
     }
 }
 
-fn interest_of((read, write): (bool, bool)) -> Interest {
-    match (read, write) {
-        (true, true) => Interest::BOTH,
-        (true, false) => Interest::READ,
-        (false, true) => Interest::WRITE,
-        (false, false) => Interest::NONE,
-    }
-}
-
 /// The next instant at which this connection needs attention with no help
 /// from the wire: a stalled writer's abort, a quiet client's idle cut, the
 /// end of the post-close linger, or the session's own deadline.
 fn conn_deadline<T: Session>(config: &ListenConfig, state: &ConnState<T>) -> Option<Instant> {
-    let mut deadline = state.session_deadline();
-    if state.pending() > 0 && !state.half_closed {
-        deadline = min_deadline(deadline, state.last_write_progress + WRITE_TIMEOUT);
-    }
-    if let Some(idle) = config.conn_idle_timeout {
-        if idle_eligible(state) {
-            deadline = min_deadline(deadline, state.last_byte + idle);
-        }
-    }
-    if let Some(linger) = state.linger_until {
-        deadline = min_deadline(deadline, linger);
-    }
-    deadline
-}
-
-fn min_deadline(current: Option<Instant>, candidate: Instant) -> Option<Instant> {
-    Some(match current {
-        Some(existing) if existing <= candidate => existing,
-        _ => candidate,
-    })
+    let idle = config
+        .conn_idle_timeout
+        .filter(|_| idle_eligible(state))
+        .map(|idle| state.last_byte + idle);
+    [
+        state.session_deadline(),
+        state.wire.deadline(),
+        idle,
+        state.linger_until,
+    ]
+    .into_iter()
+    .flatten()
+    .min()
 }
 
 /// The conn-idle clock only runs while the connection is wholly quiet:
@@ -1166,7 +1237,7 @@ fn min_deadline(current: Option<Instant>, candidate: Instant) -> Option<Instant>
 fn idle_eligible<T: Session>(state: &ConnState<T>) -> bool {
     !state.peer_eof
         && !matches!(state.kind, Kind::Flush)
-        && state.pending() == 0
+        && state.wire.owed() == 0
         && !state.has_work()
 }
 
@@ -1184,44 +1255,30 @@ fn step_conn<S: Service>(
 
     // -- read --------------------------------------------------------------
     if state.reads() {
-        let mut scratch = [0u8; 8192];
-        let mut budget = READ_BUDGET;
-        loop {
-            if budget == 0 {
-                break; // level-triggered polling re-reports the rest
+        let (kind, last_byte) = (&mut state.kind, &mut state.last_byte);
+        let read = state.wire.read(READ_BUDGET, |bytes| {
+            *last_byte = now;
+            match kind {
+                Kind::Sniff(buf)
+                | Kind::Http(HttpConn { buf, .. })
+                | Kind::Batch(_, _, Some(HttpConn { buf, .. })) => buf.extend_from_slice(bytes),
+                Kind::Batch(_, lines, None) => lines.push(bytes),
+                Kind::Flush => {} // trailing bytes drain into the void
             }
-            match state.conn.read(&mut scratch) {
-                Ok(0) => {
-                    state.peer_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    budget = budget.saturating_sub(n);
-                    state.last_byte = now;
-                    match &mut state.kind {
-                        Kind::Sniff(buf) => buf.extend_from_slice(&scratch[..n]),
-                        Kind::Ndjson(_, lines) => lines.push(&scratch[..n]),
-                        Kind::Http(http) => http.buf.extend_from_slice(&scratch[..n]),
-                        Kind::Flush => {} // trailing bytes drain into the void
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    return Step::Close(match state.kind {
-                        Kind::Flush => None, // response already settled
-                        _ => Some(format!("io: {e}")),
-                    });
-                }
+        });
+        match read {
+            Ok(ended) => state.peer_eof |= ended,
+            Err(e) => {
+                return Step::Close(match state.kind {
+                    Kind::Flush => None, // response already settled
+                    _ => Some(format!("io: {e}")),
+                });
             }
         }
     }
 
     // -- deadlines ---------------------------------------------------------
-    if state.pending() > 0
-        && !state.half_closed
-        && now.duration_since(state.last_write_progress) >= WRITE_TIMEOUT
-    {
+    if state.wire.deadline().is_some_and(|stall| now >= stall) {
         return Step::Close(match state.tally {
             Tally::Conn => Some(String::from(
                 "io: write timed out; the client stopped reading its responses",
@@ -1250,54 +1307,85 @@ fn step_conn<S: Service>(
                     }
                     if buf.starts_with(b"GET ") {
                         state.tally = Tally::Probe;
-                        respond_healthz(shared, &mut state.outbox, false);
+                        respond_healthz(shared, state.wire.out(), false);
                         // kind stays Flush
                     } else {
                         let mut lines = Lines::new(shared.shutdown.clone());
                         lines.push(&buf);
-                        state.kind = Kind::Ndjson(shared.open(mailbox, key), lines);
+                        state.kind = Kind::Batch(shared.open(mailbox, key), lines, None);
                     }
                 }
-                Kind::Ndjson(mut session, mut lines) => {
+                Kind::Http(mut http) => {
+                    let outbox = state.wire.out();
+                    match step_http(shared, &mut http, outbox, state.peer_eof, draining) {
+                        Ok(HttpStep::Wait) => {
+                            state.kind = Kind::Http(http);
+                            break;
+                        }
+                        Ok(HttpStep::Finish) => {} // kind stays Flush
+                        Ok(HttpStep::Abort(reason)) => return Step::Close(Some(reason)),
+                        Ok(HttpStep::Solve(body)) => {
+                            let lines = Lines::whole(body, shared.shutdown.clone());
+                            state.kind = Kind::Batch(shared.open(mailbox, key), lines, Some(http));
+                        }
+                        Err((status, reason)) => http_error(outbox, status, &reason),
+                    }
+                }
+                Kind::Batch(mut session, mut lines, mut http) => {
                     if state.peer_eof || draining {
                         lines.end();
                     }
-                    let allow_parse = state.outbox.len() - state.sent <= shared.outbox_limit;
+                    // an HTTP batch answers into its response, which no
+                    // gate bounds
+                    let allow_parse = http.is_some() || state.wire.owed() <= shared.outbox_limit;
                     pump_gated = !allow_parse;
-                    session.pump(&mut lines, &mut state.outbox, allow_parse);
+                    let out = match &mut http {
+                        Some(http) => &mut http.response,
+                        None => state.wire.out(),
+                    };
+                    session.pump(&mut lines, out, allow_parse);
                     if !session.is_done() {
-                        state.kind = Kind::Ndjson(session, lines);
+                        state.kind = Kind::Batch(session, lines, http);
                         break;
                     }
                     let summary = match session.take_result() {
                         Ok(summary) => summary,
+                        Err(failure @ ServeError::FailFast { .. }) if http.is_some() => {
+                            let cause = failure.to_string();
+                            http_error(state.wire.out(), "422 Unprocessable Entity", &cause);
+                            continue; // kind stays Flush
+                        }
                         Err(failure) => return Step::Close(Some(failure.to_string())),
                     };
-                    state
-                        .outbox
-                        .extend_from_slice(format!("{}\n", summary.to_json_line()).as_bytes());
-                    state.finished = Some((session, summary));
-                    // kind stays Flush
-                }
-                Kind::Http(mut http) => {
-                    let outcome = step_http(
-                        shared,
-                        mailbox,
-                        key,
-                        &mut http,
-                        &mut state.outbox,
-                        state.peer_eof,
-                        draining,
-                        state.conn_id,
-                        &state.peer,
-                    );
-                    match outcome {
-                        HttpStep::Wait => {
-                            state.kind = Kind::Http(http);
-                            break;
+                    let trailer = format!("{}\n", summary.to_json_line());
+                    match http {
+                        // the trailer, then a half-close; the batch counts
+                        // once it is written
+                        None => {
+                            state.wire.out().extend_from_slice(trailer.as_bytes());
+                            state.finished = Some((session, summary));
                         }
-                        HttpStep::Finish => {} // kind stays Flush
-                        HttpStep::Abort(reason) => return Step::Close(Some(reason)),
+                        // one response, then the next request
+                        Some(mut http) => {
+                            http.response.extend_from_slice(trailer.as_bytes());
+                            let (body, keep_alive) = (&http.response, http.keep_alive);
+                            let ndjson = "application/x-ndjson";
+                            write_http_response(
+                                state.wire.out(),
+                                "200 OK",
+                                ndjson,
+                                body,
+                                keep_alive,
+                            )
+                            .expect(VEC_WRITE);
+                            http.response.clear();
+                            shared
+                                .service
+                                .settle(state.conn_id, &state.peer, &session, &summary);
+                            if keep_alive {
+                                state.kind = Kind::Http(http);
+                            }
+                        }
                     }
                 }
                 Kind::Flush => break,
@@ -1305,25 +1393,23 @@ fn step_conn<S: Service>(
         }
 
         // a session with answers in flight is not an idle client
-        if state.has_work() || state.pending() > 0 {
+        if state.has_work() || state.wire.owed() > 0 {
             state.last_byte = now;
         }
 
-        if !state.half_closed {
-            if let Err(e) = flush_outbox(state) {
-                return Step::Close(match state.tally {
-                    Tally::Conn => Some(format!("io: {e}")),
-                    _ => None,
-                });
-            }
+        if let Err(e) = state.wire.flush() {
+            return Step::Close(match state.tally {
+                Tally::Conn => Some(format!("io: {e}")),
+                _ => None,
+            });
         }
 
         // a flush that reopened the parse gate must re-pump the session:
         // a gated pump with nothing in flight gets no wake, so stopping
         // here would strand its buffered input for good
         if pump_gated
-            && state.pending() <= shared.outbox_limit
-            && matches!(state.kind, Kind::Ndjson(..))
+            && state.wire.owed() <= shared.outbox_limit
+            && matches!(state.kind, Kind::Batch(..))
         {
             continue;
         }
@@ -1331,10 +1417,9 @@ fn step_conn<S: Service>(
     }
 
     // -- endgame -----------------------------------------------------------
-    if matches!(state.kind, Kind::Flush) && state.pending() == 0 {
-        if !state.half_closed {
-            state.conn.shutdown_write();
-            state.half_closed = true;
+    if matches!(state.kind, Kind::Flush) && state.wire.owed() == 0 {
+        if !state.wire.half_closed() {
+            state.wire.half_close();
             state.linger_until = Some(now + LINGER);
             // the whole batch reached the socket: now (and only now) it
             // counts
@@ -1347,202 +1432,101 @@ fn step_conn<S: Service>(
     Step::Keep
 }
 
-/// Advances an HTTP connection's request state machine as far as the
-/// buffered bytes allow: parse heads, collect bodies, run `POST /solve`
-/// batches through a session, emit responses into the outbox, and loop
-/// for pipelined keep-alive requests.
-#[allow(clippy::too_many_arguments)]
+/// Dispatches an HTTP connection's buffered requests, each once its head
+/// and whole body are in: `GET /healthz` answers at once, and a
+/// `POST /solve` body is handed back to run as a batch. Loops for
+/// pipelined keep-alive requests.
 fn step_http<S: Service>(
     shared: &Shared<S>,
-    mailbox: &Arc<Mailbox>,
-    key: usize,
-    http: &mut HttpConn<S::Session>,
+    http: &mut HttpConn,
     outbox: &mut Vec<u8>,
     peer_eof: bool,
     draining: bool,
-    conn_id: usize,
-    peer: &str,
-) -> HttpStep {
+) -> Result<HttpStep, (&'static str, String)> {
     loop {
-        match &mut http.state {
-            HttpState::Head => {
-                let Some(head) = take_head(&mut http.buf) else {
-                    if http.buf.len() > MAX_HEAD_BYTES {
-                        respond_http_error(outbox, "400 Bad Request", "request head too large");
-                        return HttpStep::Finish;
-                    }
-                    if draining {
-                        // the shutdown drain between (or inside) requests
-                        // is a clean goodbye
-                        return HttpStep::Finish;
-                    }
-                    if peer_eof {
-                        if http.buf.iter().all(|b| matches!(b, b'\r' | b'\n')) {
-                            return HttpStep::Finish; // clean close between requests
-                        }
-                        respond_http_error(outbox, "400 Bad Request", "truncated request head");
-                        return HttpStep::Finish;
-                    }
-                    return HttpStep::Wait;
-                };
-                let request = match parse_http_head(&head) {
-                    Ok(request) => request,
-                    Err(reason) => {
-                        respond_http_error(outbox, "400 Bad Request", &reason);
-                        return HttpStep::Finish;
-                    }
-                };
-                let keep_alive = request.keep_alive && !shared.shutdown.is_cancelled();
-                match (request.method.as_str(), request.path.as_str()) {
-                    ("GET", "/healthz") => match request.content_length {
-                        // a body on a probe is unusual but legal; leaving
-                        // it unread would corrupt the next request on a
-                        // keep-alive connection, so drain it (or give up
-                        // on keep-alive when it is unreasonably large)
-                        None | Some(0) => {
-                            respond_healthz(shared, outbox, keep_alive);
-                            if !keep_alive {
-                                return HttpStep::Finish;
-                            }
-                        }
-                        Some(length) if length <= MAX_HEAD_BYTES => {
-                            http.state = HttpState::Body {
-                                request,
-                                body: Vec::new(),
-                                discard: true,
-                                keep_alive,
-                            };
-                        }
-                        Some(_) => {
-                            respond_healthz(shared, outbox, false);
-                            return HttpStep::Finish;
-                        }
-                    },
-                    ("POST", "/solve") => {
-                        let Some(length) = request.content_length else {
-                            respond_http_error(
-                                outbox,
-                                "411 Length Required",
-                                "POST /solve needs a Content-Length body",
-                            );
-                            return HttpStep::Finish;
-                        };
-                        if length > MAX_BODY_BYTES {
-                            respond_http_error(
-                                outbox,
-                                "413 Content Too Large",
-                                "batch body too large",
-                            );
-                            return HttpStep::Finish;
-                        }
-                        http.state = HttpState::Body {
-                            request,
-                            body: Vec::new(),
-                            discard: false,
-                            keep_alive,
-                        };
-                    }
-                    (_, "/healthz") | (_, "/solve") => {
-                        respond_http_error(
-                            outbox,
-                            "405 Method Not Allowed",
-                            "use GET /healthz or POST /solve",
-                        );
-                        return HttpStep::Finish;
-                    }
-                    _ => {
-                        respond_http_error(
-                            outbox,
-                            "404 Not Found",
-                            "unknown path; this server has /healthz and /solve",
-                        );
-                        return HttpStep::Finish;
-                    }
-                }
-            }
-            HttpState::Body {
-                request,
-                body,
-                discard,
-                keep_alive,
-            } => {
-                let length = request.content_length.unwrap_or(0);
-                let take = (length - body.len()).min(http.buf.len());
-                body.extend_from_slice(&http.buf[..take]);
-                http.buf.drain(..take);
-                if body.len() < length {
-                    if draining {
-                        return HttpStep::Finish; // clean drain mid-body
-                    }
-                    if peer_eof {
-                        return HttpStep::Abort(String::from(
-                            "io: connection closed before the full request body arrived",
-                        ));
-                    }
-                    return HttpStep::Wait;
-                }
-                if *discard {
-                    let ka = *keep_alive;
-                    respond_healthz(shared, outbox, ka);
-                    http.state = HttpState::Head;
-                    if !ka {
-                        return HttpStep::Finish;
-                    }
-                } else {
-                    let body = Lines::whole(std::mem::take(body), shared.shutdown.clone());
-                    http.state = HttpState::Solving {
-                        session: shared.open(mailbox, key),
-                        body,
-                        keep_alive: *keep_alive,
-                        response: Vec::new(),
-                    };
-                }
-            }
-            HttpState::Solving {
-                session,
-                body,
-                keep_alive,
-                response,
-            } => {
-                session.pump(body, response, true);
-                if !session.is_done() {
-                    return HttpStep::Wait;
-                }
-                let summary = match session.take_result() {
-                    Ok(summary) => summary,
-                    Err(failure @ ServeError::FailFast { .. }) => {
-                        let cause = failure.to_string();
-                        let body = format!("{{\"error\": {cause:?}}}\n");
-                        write_http_response(
-                            outbox,
-                            "422 Unprocessable Entity",
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        )
-                        .expect(VEC_WRITE);
-                        return HttpStep::Finish;
-                    }
-                    Err(failure) => return HttpStep::Abort(failure.to_string()),
-                };
-                response.extend_from_slice(format!("{}\n", summary.to_json_line()).as_bytes());
-                let ka = *keep_alive;
-                write_http_response(outbox, "200 OK", "application/x-ndjson", response, ka)
-                    .expect(VEC_WRITE);
-                shared.service.settle(conn_id, peer, session, &summary);
-                http.state = HttpState::Head;
-                if !ka {
-                    return HttpStep::Finish;
-                }
-            }
+        http.need = 0;
+        let Some((head, body_at)) = find_head(&http.buf) else {
+            let blank = http.buf.iter().all(|b| matches!(b, b'\r' | b'\n'));
+            return if http.buf.len() > MAX_HEAD_BYTES {
+                Err(("400 Bad Request", "request head too large".into()))
+            } else if draining || (peer_eof && blank) {
+                // the shutdown drain, or a clean close between requests
+                Ok(HttpStep::Finish)
+            } else if peer_eof {
+                Err(("400 Bad Request", "truncated request head".into()))
+            } else {
+                Ok(HttpStep::Wait)
+            };
+        };
+        let request =
+            parse_http_head(&http.buf[head]).map_err(|reason| ("400 Bad Request", reason))?;
+        let solve = route(&request).map_err(|(status, reason)| (status, reason.into()))?;
+        let length = request.content_length.unwrap_or(0);
+        let keep_alive = request.keep_alive && !shared.shutdown.is_cancelled();
+        if !solve && length > MAX_HEAD_BYTES {
+            // a probe's body too large to read through for keep-alive
+            respond_healthz(shared, outbox, false);
+            return Ok(HttpStep::Finish);
+        }
+        http.need = body_at + length;
+        if http.buf.len() < http.need {
+            return Ok(if draining {
+                HttpStep::Finish // clean drain mid-body
+            } else if peer_eof {
+                HttpStep::Abort(String::from(
+                    "io: connection closed before the full request body arrived",
+                ))
+            } else {
+                HttpStep::Wait
+            });
+        }
+        // the body keeps the buffer it arrived in; only the pipelined bytes
+        // behind it move
+        let rest = http.buf.split_off(http.need);
+        let mut body = std::mem::replace(&mut http.buf, rest);
+        body.drain(..body_at);
+        http.need = 0;
+        if solve {
+            http.keep_alive = keep_alive;
+            return Ok(HttpStep::Solve(body));
+        }
+        // a probe's body is read through, so keep-alive framing survives
+        respond_healthz(shared, outbox, keep_alive);
+        if !keep_alive {
+            return Ok(HttpStep::Finish);
         }
     }
 }
 
-/// Takes one complete request head (leading blank lines tolerated, the
-/// terminator consumed) off the front of `buf`, or `None` if the
-/// terminator has not arrived yet.
-fn take_head(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
+/// The route table: `Ok(true)` for a `POST /solve` batch, `Ok(false)` for
+/// a `GET /healthz` probe, or the status and reason of the error answer.
+fn route(request: &HttpRequest) -> Result<bool, (&'static str, &'static str)> {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => Ok(false),
+        ("POST", "/solve") => match request.content_length {
+            None => Err((
+                "411 Length Required",
+                "POST /solve needs a Content-Length body",
+            )),
+            Some(length) if length > MAX_BODY_BYTES => {
+                Err(("413 Content Too Large", "batch body too large"))
+            }
+            Some(_) => Ok(true),
+        },
+        (_, "/healthz" | "/solve") => {
+            Err(("405 Method Not Allowed", "use GET /healthz or POST /solve"))
+        }
+        _ => Err((
+            "404 Not Found",
+            "unknown path; this server has /healthz and /solve",
+        )),
+    }
+}
+
+/// Finds the complete request head at the front of `buf` (leading blank
+/// lines tolerated): the head's bytes, and where its body starts. `None`
+/// until the terminator has arrived.
+fn find_head(buf: &[u8]) -> Option<(Range<usize>, usize)> {
     let start = buf
         .iter()
         .position(|b| !matches!(b, b'\r' | b'\n'))
@@ -1552,14 +1536,10 @@ fn take_head(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
         if buf[i] == b'\n' {
             let rest = &buf[i + 1..];
             if rest.starts_with(b"\r\n") {
-                let head = buf[start..=i].to_vec();
-                buf.drain(..i + 3);
-                return Some(head);
+                return Some((start..i + 1, i + 3));
             }
             if rest.starts_with(b"\n") {
-                let head = buf[start..=i].to_vec();
-                buf.drain(..i + 2);
-                return Some(head);
+                return Some((start..i + 1, i + 2));
             }
             if rest.is_empty() {
                 break; // possibly mid-terminator; wait for more bytes
@@ -1570,50 +1550,12 @@ fn take_head(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
     None
 }
 
-/// Writes the outbox's unsent tail until the socket would block.
-fn flush_outbox<T>(state: &mut ConnState<T>) -> std::io::Result<()> {
-    while state.sent < state.outbox.len() {
-        match state.conn.write(&state.outbox[state.sent..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => {
-                state.sent += n;
-                state.last_write_progress = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) => return Err(e),
-        }
-    }
-    if state.sent == state.outbox.len() {
-        state.outbox.clear();
-        state.sent = 0;
-    } else if state.sent > 64 * 1024 {
-        // keep a long-lived slow drain from pinning the written prefix
-        state.outbox.drain(..state.sent);
-        state.sent = 0;
-    }
-    Ok(())
-}
-
 /// The prefilled outbox of an at-capacity rejection.
 fn rejection_bytes(http: bool, noun: &str, max_conns: usize) -> Vec<u8> {
     let message = format!("{noun} at capacity ({max_conns} connections); retry later");
     if http {
         let mut outbox = Vec::new();
-        let body = format!("{{\"error\": {message:?}}}\n");
-        write_http_response(
-            &mut outbox,
-            "503 Service Unavailable",
-            "application/json",
-            body.as_bytes(),
-            false,
-        )
-        .expect(VEC_WRITE);
+        http_error(&mut outbox, "503 Service Unavailable", &message);
         outbox
     } else {
         format!("{}\n", error_line(0, None, &message)).into_bytes()
@@ -1632,8 +1574,12 @@ fn respond_healthz<S: Service>(shared: &Shared<S>, outbox: &mut Vec<u8>, keep_al
     .expect(VEC_WRITE);
 }
 
-fn respond_http_error(outbox: &mut Vec<u8>, status: &str, reason: &str) {
-    let body = format!("{{\"error\": {reason:?}}}\n");
+/// Writes an error answer, a JSON `{"error": reason}` body, that closes
+/// the connection.
+fn http_error(outbox: &mut Vec<u8>, status: &str, reason: &str) {
+    let mut body = String::from("{\"error\": ");
+    json::write_string(&mut body, reason);
+    body.push_str("}\n");
     write_http_response(outbox, status, "application/json", body.as_bytes(), false)
         .expect(VEC_WRITE);
 }

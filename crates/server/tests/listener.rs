@@ -1,8 +1,9 @@
 //! Integration coverage of the socket front-end: concurrent NDJSON
-//! connections with per-connection in-order responses, the HTTP mode, a
-//! connection killed mid-batch, deadlines over the wire, capacity
-//! rejection, executor saturation (the process-wide worker budget), and
-//! graceful shutdown drain.
+//! connections with per-connection in-order responses, the HTTP mode (its
+//! JSON error bodies, and whole-request framing of a body past the input
+//! bound), a connection killed mid-batch, deadlines over the wire,
+//! capacity rejection, executor saturation (the process-wide worker
+//! budget), and graceful shutdown drain.
 
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -16,8 +17,10 @@ use busytime_core::cancel::CancelToken;
 use busytime_core::pool::Executor;
 use busytime_core::solve::SolverRegistry;
 use busytime_core::{Instance, Schedule};
+use busytime_instances::json::{self, Value};
 use busytime_server::{
-    parse_output_line, ConnLog, ListenConfig, ListenMode, ListenReport, Listener, OutputLine,
+    parse_output_line, ConnLog, ErrorPolicy, ListenConfig, ListenMode, ListenReport, Listener,
+    OutputLine, ServeConfig,
 };
 
 /// A listener running on a background thread, on an ephemeral port.
@@ -514,6 +517,96 @@ fn http_keep_alive_survives_a_probe_with_a_body() {
         ok_count, 2,
         "both keep-alive requests must answer 200: {both}"
     );
+    server.stop();
+}
+
+/// A FailFast `POST /solve` answers 422 with a JSON error body whatever
+/// characters the failed record's id holds.
+#[test]
+fn fail_fast_http_error_body_is_json() {
+    let config = ListenConfig {
+        serve: ServeConfig {
+            error_policy: ErrorPolicy::FailFast,
+            ..ServeConfig::default()
+        },
+        ..quiet_config()
+    };
+    let server = start(ListenMode::Http, config);
+    let body = r#"{"id": "a\u0001b", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "martian"}"#;
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, payload) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 422"), "{head}");
+    let value = json::parse(payload.trim()).unwrap_or_else(|e| panic!("{payload}: {e:?}"));
+    let error = value.get("error").and_then(Value::as_str);
+    assert!(error.is_some_and(|e| e.contains("id a\u{1}b")), "{payload}");
+    server.stop();
+}
+
+/// A `POST /solve` body past the input bound is read whole: the gate
+/// counts only the bytes beyond the request being collected. A request
+/// pipelined behind it is answered after it.
+#[test]
+fn a_large_http_body_is_exempt_from_the_input_gate() {
+    let server = start(ListenMode::Http, quiet_config());
+    let ids: Vec<String> = (0..256).map(|i| format!("big-{i}")).collect();
+    let body: String = ids.iter().map(|id| padded_record(id) + "\n").collect();
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // a gate that counted the body would stop reading it for good
+    stream
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    for piece in body.as_bytes().chunks(4096) {
+        stream.write_all(piece).unwrap();
+    }
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+
+    let (head, rest) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    let length: usize = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .expect("a Content-Length header")
+        .parse()
+        .unwrap();
+    let (payload, health) = rest.split_at(length);
+    let lines: Vec<&str> = payload.lines().collect();
+    assert_eq!(
+        lines.len(),
+        ids.len() + 1,
+        "one answer per record + summary"
+    );
+    for (i, line) in lines[..ids.len()].iter().enumerate() {
+        assert_eq!(parse_output_line(line).unwrap().line(), i + 1, "{line}");
+        assert_report_id(line, &ids[i]);
+    }
+    let trailer = lines[ids.len()];
+    assert!(trailer.contains("\"records\": 256,"), "{trailer}");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+    assert!(health.contains("\"status\": \"ok\""), "{health}");
     server.stop();
 }
 

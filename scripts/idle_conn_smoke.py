@@ -8,7 +8,7 @@ Opens N keep-alive connections (default 500) against a running
      open (`open_connections`) on a handful of reactor threads
      (`io_threads`) — polling for up to 10 s, since the reactors
      register accepted sockets asynchronously,
-  2. asserts the *process* thread count stays O(--io-threads), not
+  2. asserts the *process* thread count stays O(reactor threads), not
      O(connections), by reading `Threads:` from /proc/<pid>/status —
      the whole point of the event-driven front-end,
   3. sends one record on every 50th connection (10 of 500) and checks

@@ -109,9 +109,8 @@ commands:
            serves POST /solve + GET /healthz; tcp `:0` picks a free port,
            printed as `listening on ...` on stderr)
            [--max-conns N] [--idle-timeout-ms MS] [--conn-idle-timeout-ms MS]
-           [--io-threads N]     readiness-loop reactor threads multiplexing
-           every connection (default 2; connections cost a poller slot,
-           not a thread)
+           (two readiness-loop reactor threads multiplex every connection;
+           a connection costs a poller slot, not a thread)
            [--outbox-limit B]   per-connection pending-write cap in bytes
            (default 256 KiB); past it the listener stops reading that
            connection until the client drains its responses
@@ -401,9 +400,9 @@ fn cmd_serve(opts: &HashMap<String, String>, input: Option<&str>) -> Result<(), 
     Ok(())
 }
 
-/// `listen`: a long-lived socket/HTTP front-end over the same batch
-/// engine, drained gracefully on SIGINT/SIGTERM or idle timeout.
-fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
+/// The one endpoint `command` (`listen` or `route`) serves: exactly one of
+/// `--tcp ADDR`, `--unix PATH` and `--http ADDR`.
+fn listen_mode(opts: &HashMap<String, String>, command: &str) -> Result<ListenMode, String> {
     let mut modes: Vec<ListenMode> = Vec::new();
     if let Some(addr) = opts.get("tcp") {
         modes.push(ListenMode::Tcp(addr.clone()));
@@ -414,15 +413,22 @@ fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(addr) = opts.get("http") {
         modes.push(ListenMode::Http(addr.clone()));
     }
-    let mode = match modes.len() {
-        1 => modes.remove(0),
-        0 => return Err("listen needs exactly one of --tcp ADDR, --unix PATH, --http ADDR".into()),
-        _ => return Err("--tcp, --unix and --http are mutually exclusive".into()),
-    };
+    match modes.len() {
+        1 => Ok(modes.remove(0)),
+        0 => Err(format!(
+            "{command} needs exactly one of --tcp ADDR, --unix PATH, --http ADDR"
+        )),
+        _ => Err("--tcp, --unix and --http are mutually exclusive".into()),
+    }
+}
+
+/// `listen`: a long-lived socket/HTTP front-end over the same batch
+/// engine, drained gracefully on SIGINT/SIGTERM or idle timeout.
+fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
+    let mode = listen_mode(opts, "listen")?;
     let mut config = ListenConfig {
         serve: serve_config(opts)?,
         max_conns: get_num(opts, "max-conns", 0usize)?,
-        io_threads: get_num(opts, "io-threads", 0usize)?,
         outbox_limit: get_num(opts, "outbox-limit", 0usize)?,
         log: if opts.contains_key("quiet") {
             ConnLog::Quiet
@@ -469,21 +475,7 @@ fn cmd_route(opts: &HashMap<String, String>) -> Result<(), String> {
     // before any child process spawns
     solution_cache_capacity(opts)?;
     parallel_policy(opts)?;
-    let mut modes: Vec<ListenMode> = Vec::new();
-    if let Some(addr) = opts.get("tcp") {
-        modes.push(ListenMode::Tcp(addr.clone()));
-    }
-    if let Some(path) = opts.get("unix") {
-        modes.push(ListenMode::Unix(PathBuf::from(path)));
-    }
-    if let Some(addr) = opts.get("http") {
-        modes.push(ListenMode::Http(addr.clone()));
-    }
-    let mode = match modes.len() {
-        1 => modes.remove(0),
-        0 => return Err("route needs exactly one of --tcp ADDR, --unix PATH, --http ADDR".into()),
-        _ => return Err("--tcp, --unix and --http are mutually exclusive".into()),
-    };
+    let mode = listen_mode(opts, "route")?;
     let spawn: usize = get_num(opts, "spawn", 0usize)?;
     let spawn_workers = opt_num::<usize>(opts, "spawn-workers")?;
     if spawn_workers == Some(0) {
