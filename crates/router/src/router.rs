@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
 use busytime_core::solve::REPORT_SCHEMA_VERSION;
-use busytime_instances::json::{self, Value};
+use busytime_instances::json;
 use busytime_server::protocol::error_line;
 use busytime_server::reactor::{
     self, Endpoint, Gauges, Notify, Service, Session, Sources, Wire, INPUT_LIMIT,
@@ -74,6 +74,7 @@ use busytime_server::{
 };
 
 use crate::shard::{connect, lock, pick, ShardState};
+use crate::spawn::sleep_cancellably;
 
 /// Router configuration. [`Default`] is ready for production use.
 #[derive(Clone, Debug)]
@@ -137,7 +138,8 @@ impl std::fmt::Display for RouteReport {
     }
 }
 
-/// Budget of one `/healthz` probe: connect, request and response.
+/// Budget of each step of a `/healthz` probe: the connect, the request
+/// write, and each read of the answer.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Budget of opening a shard stream, the one blocking call a routed
@@ -249,21 +251,17 @@ impl Router {
 /// skipped without charging its failure streak — not-born-yet is not
 /// unhealthy.
 fn run_prober(service: &RouteService) {
-    while !service.shutdown.is_cancelled() {
+    loop {
         for shard in &service.shards {
             if service.shutdown.is_cancelled() {
                 return;
             }
-            if shard.addr().is_empty() {
-                continue;
+            if !shard.addr().is_empty() {
+                let _ = shard.check(PROBE_TIMEOUT);
             }
-            let _ = shard.check(PROBE_TIMEOUT);
         }
-        let mut slept = Duration::ZERO;
-        while slept < service.config.probe_interval && !service.shutdown.is_cancelled() {
-            let slice = Duration::from_millis(25).min(service.config.probe_interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
+        if !sleep_cancellably(&service.shutdown, service.config.probe_interval) {
+            return;
         }
     }
 }
@@ -754,16 +752,8 @@ impl Drop for RouteMachine {
 /// best-effort, for router-side error lines only; shards do their own
 /// parsing.
 fn extract_id(raw: &[u8]) -> Option<String> {
-    match json::parse(std::str::from_utf8(raw).ok()?) {
-        Ok(Value::Object(fields)) => fields.iter().find_map(|(k, v)| {
-            if k == "id" {
-                v.as_str().map(str::to_string)
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
+    let record = json::parse(std::str::from_utf8(raw).ok()?).ok()?;
+    Some(record.get("id")?.as_str()?.to_string())
 }
 
 #[cfg(test)]

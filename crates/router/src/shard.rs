@@ -1,19 +1,22 @@
 //! One backend shard as the router sees it: its address, its health, and
 //! the load score the dispatcher balances on.
 
-use std::io::{BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use busytime_server::http::{parse_healthz, read_http_response, HealthSnapshot};
+use busytime_server::http::{find_head, parse_healthz, HealthSnapshot};
 
 /// Consecutive failed `/healthz` probes before a shard is demoted to
 /// unhealthy. A single missed probe (a GC-ish pause, a dropped packet)
 /// must not evict a backend that is mid-batch; a broken pipe observed on
 /// the dispatch path demotes immediately via [`ShardState::mark_broken`].
 pub const UNHEALTHY_AFTER: usize = 2;
+
+/// Bytes a probe reads at most: a health answer is under 1 KiB.
+const PROBE_CAP: u64 = 64 * 1024;
 
 /// One backend `listen` process: address, health, in-flight load, and the
 /// last health snapshot the prober got out of it.
@@ -131,27 +134,27 @@ impl ShardState {
         }
     }
 
+    /// One `GET /healthz … Connection: close` over a fresh connection.
+    /// Every `listen` half-closes right after that answer, so the probe
+    /// reads to the end of the stream (at most [`PROBE_CAP`] bytes, each
+    /// read within `timeout`), frames it with [`find_head`], and decodes
+    /// the body of an `HTTP/1.1 200` answer. A peer that keeps the socket
+    /// open fails at the timeout.
     fn probe(&self, timeout: Duration) -> std::io::Result<HealthSnapshot> {
-        let stream = connect(&self.addr(), timeout)?;
+        let mut stream = connect(&self.addr(), timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        let mut write_half = stream.try_clone()?;
-        write_half
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: shard\r\nConnection: close\r\n\r\n")?;
-        write_half.flush()?;
-        let mut reader = BufReader::new(stream);
-        let response = read_http_response(&mut reader)?;
-        if response.status != 200 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("healthz answered {}", response.status),
-            ));
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: shard\r\nConnection: close\r\n\r\n")?;
+        let mut answer = Vec::new();
+        stream.take(PROBE_CAP).read_to_end(&mut answer)?;
+        let invalid = |reason: &str| std::io::Error::new(ErrorKind::InvalidData, reason);
+        let (head, body_at) = find_head(&answer).ok_or_else(|| invalid("truncated healthz"))?;
+        if !answer[head].starts_with(b"HTTP/1.1 200 ") {
+            return Err(invalid("healthz did not answer 200"));
         }
-        let body = std::str::from_utf8(&response.body).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "healthz body is not UTF-8")
-        })?;
-        parse_healthz(body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let body = std::str::from_utf8(&answer[body_at..])
+            .map_err(|_| invalid("healthz body is not UTF-8"))?;
+        parse_healthz(body).map_err(|e| invalid(&e.to_string()))
     }
 }
 

@@ -185,7 +185,7 @@ fn monitor_shard(
 }
 
 /// Sleeps `total` in short slices; `false` means shutdown fired first.
-fn sleep_cancellably(shutdown: &CancelToken, total: Duration) -> bool {
+pub(crate) fn sleep_cancellably(shutdown: &CancelToken, total: Duration) -> bool {
     let mut slept = Duration::ZERO;
     while slept < total {
         if shutdown.is_cancelled() {

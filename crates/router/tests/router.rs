@@ -77,13 +77,23 @@ fn start_shard(nap: Duration, workers: usize, shard_id: &str) -> Shard {
 
 /// [`start_shard`] over any registry.
 fn start_shard_with(registry: SolverRegistry, workers: usize, shard_id: &str) -> Shard {
+    let mode = ListenMode::Tcp("127.0.0.1:0".to_string());
+    start_shard_on(&mode, registry, workers, shard_id)
+}
+
+/// [`start_shard_with`] on any endpoint.
+fn start_shard_on(
+    mode: &ListenMode,
+    registry: SolverRegistry,
+    workers: usize,
+    shard_id: &str,
+) -> Shard {
     let config = ListenConfig {
         log: ConnLog::Quiet,
         shard_id: Some(shard_id.to_string()),
         ..ListenConfig::default()
     };
-    let mode = ListenMode::Tcp("127.0.0.1:0".to_string());
-    let listener = Listener::bind(&mode, Arc::new(registry), config)
+    let listener = Listener::bind(mode, Arc::new(registry), config)
         .unwrap()
         .executor(Executor::new(workers));
     let addr = listener.local_addr().unwrap();
@@ -737,6 +747,72 @@ fn health_probe_on_the_ndjson_endpoint_reports_the_fleet() {
     assert_eq!(report.connections, 0);
     a.stop();
     b.stop();
+}
+
+#[test]
+fn a_probe_revives_a_live_shard_with_its_snapshot() {
+    for mode in [
+        ListenMode::Tcp("127.0.0.1:0".to_string()),
+        ListenMode::Http("127.0.0.1:0".to_string()),
+    ] {
+        let shard = start_shard_on(&mode, SolverRegistry::with_defaults(), 2, "a");
+        let state = ShardState::new(0, shard.addr.to_string());
+        state.mark_broken();
+        assert!(!state.is_healthy(), "{mode:?}: demoted");
+
+        let timeout = Duration::from_secs(10);
+        let started = Instant::now();
+        let snapshot = state
+            .check(timeout)
+            .unwrap_or_else(|e| panic!("{mode:?}: the probe failed: {e}"));
+        let took = started.elapsed();
+        assert!(took < timeout / 4, "{mode:?}: the probe took {took:?}");
+        assert!(state.is_healthy(), "{mode:?}: one success revives");
+        assert_eq!(snapshot.workers, 2, "{mode:?}");
+        assert_eq!(snapshot.shard_id.as_deref(), Some("a"), "{mode:?}");
+        assert_eq!(state.snapshot(), Some(snapshot), "{mode:?}");
+        shard.stop();
+    }
+}
+
+#[test]
+fn a_probe_fails_on_an_error_status_a_foreign_body_or_no_answer() {
+    let answers: [&[u8]; 3] = [
+        b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+          Content-Length: 17\r\nConnection: close\r\n\r\n{\"error\": \"busy\"}",
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+          Content-Length: 14\r\nConnection: close\r\n\r\n{\"records\": 0}",
+        b"",
+    ];
+    for answer in answers {
+        let label = String::from_utf8_lossy(answer);
+        // a stub that reads each probe's request, answers `answer` (or
+        // nothing) and closes, for the two probes below
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stub.local_addr().unwrap();
+        let stub_thread = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut conn, _) = stub.accept().unwrap();
+                let mut request = Vec::new();
+                let mut chunk = [0u8; 1024];
+                while !request.ends_with(b"\r\n\r\n") {
+                    match conn.read(&mut chunk) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => request.extend_from_slice(&chunk[..n]),
+                    }
+                }
+                conn.write_all(answer).unwrap();
+            }
+        });
+        let state = ShardState::new(0, addr.to_string());
+        let timeout = Duration::from_secs(10);
+        assert!(state.check(timeout).is_err(), "{label:?} passed a probe");
+        assert!(state.is_healthy(), "{label:?}: one failure is not a quorum");
+        assert!(state.check(timeout).is_err(), "{label:?} passed a probe");
+        assert!(!state.is_healthy(), "{label:?}: two failures demote");
+        assert_eq!(state.snapshot(), None, "{label:?}");
+        stub_thread.join().unwrap();
+    }
 }
 
 /// Reads until the router closes the connection or `wait` passes without

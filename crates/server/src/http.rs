@@ -3,12 +3,13 @@
 //! The reactor's HTTP mode ([`crate::listener::ListenMode::Http`], on both
 //! `listen` and `route`) and the router's health probes speak the same
 //! deliberately small dialect: `Content-Length` bodies, keep-alive,
-//! nothing else. This module holds the request-head parser and the
-//! response writer the reactor frames requests with (it collects each
-//! request's whole body itself), plus the client-side response reader and the
-//! [`parse_healthz`] decoder the router uses to score backends.
+//! nothing else. [`find_head`] is the one head finder, and it frames both
+//! directions: the reactor's requests (it collects each request's whole
+//! body itself) and the answer a router's probe reads to the end of its
+//! stream. The rest is the request-head parser, the response writer and
+//! the [`parse_healthz`] decoder the router scores backends with.
 
-use std::io::{BufRead, Read, Write};
+use std::ops::Range;
 
 use busytime_instances::json::{self, JsonError, Value};
 
@@ -16,9 +17,6 @@ use busytime_instances::json::{self, JsonError, Value};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a `POST /solve` body.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
-/// Upper bound on a client-read response body ([`read_http_response`]);
-/// health bodies are tiny, so anything past this is a protocol error.
-const MAX_CLIENT_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed request head.
 #[derive(Clone, Debug)]
@@ -76,96 +74,50 @@ pub fn parse_http_head(head: &[u8]) -> Result<HttpRequest, String> {
     })
 }
 
-/// Writes one complete response (status line, the three headers this
-/// dialect uses, body) and flushes.
-pub fn write_http_response<W: Write>(
-    writer: &mut W,
+/// Appends one complete response (status line, the three headers this
+/// dialect uses, body) to `out`.
+pub fn write_http_response(
+    out: &mut Vec<u8>,
     status: &str,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
-) -> std::io::Result<()> {
-    write!(
-        writer,
+) {
+    let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: {}\r\n\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    writer.write_all(body)?;
-    writer.flush()
+    );
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
 }
 
-/// One response as a client sees it: the status code plus the body bytes.
-#[derive(Clone, Debug)]
-pub struct HttpResponse {
-    /// The numeric status code off the status line.
-    pub status: u16,
-    /// The body, complete per `Content-Length` (or read to EOF without one).
-    pub body: Vec<u8>,
-}
-
-/// Reads one response off a connection this process opened (the router
-/// probing a shard's `/healthz`): status line, headers, then the body per
-/// `Content-Length` — or to EOF when the server sent none and closed.
-/// Socket timeouts surface as errors; the caller's probe timeout is the
-/// retry policy.
-pub fn read_http_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
-    let malformed = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
-    let mut head = Vec::new();
-    let mut limited = reader.by_ref().take(MAX_HEAD_BYTES as u64 + 1);
-    loop {
-        match limited.read_until(b'\n', &mut head) {
-            Ok(0) => return Err(malformed("truncated response head".into())),
-            Ok(_) => {
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-                if head.len() > MAX_HEAD_BYTES {
-                    return Err(malformed("response head too large".into()));
-                }
+/// Finds the complete message head at the front of `buf` (leading blank
+/// lines tolerated): the head's bytes, and where its body starts. `None`
+/// until the terminator has arrived.
+pub fn find_head(buf: &[u8]) -> Option<(Range<usize>, usize)> {
+    let start = buf
+        .iter()
+        .position(|b| !matches!(b, b'\r' | b'\n'))
+        .unwrap_or(buf.len());
+    let mut i = start;
+    while i < buf.len() {
+        if buf[i] == b'\n' {
+            let rest = &buf[i + 1..];
+            if rest.starts_with(b"\r\n") {
+                return Some((start..i + 1, i + 3));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            if rest.starts_with(b"\n") {
+                return Some((start..i + 1, i + 2));
+            }
+            if rest.is_empty() {
+                break; // possibly mid-terminator; wait for more bytes
+            }
         }
+        i += 1;
     }
-    let text = std::str::from_utf8(&head)
-        .map_err(|_| malformed("response head is not valid UTF-8".into()))?;
-    let mut lines = text.lines().filter(|l| !l.is_empty());
-    let status_line = lines
-        .next()
-        .ok_or_else(|| malformed("empty response".into()))?;
-    let status = status_line
-        .strip_prefix("HTTP/1.")
-        .and_then(|rest| rest.split_whitespace().nth(1))
-        .and_then(|code| code.parse::<u16>().ok())
-        .ok_or_else(|| malformed(format!("malformed status line: {status_line:?}")))?;
-    let mut content_length = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse::<usize>().ok();
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        Some(length) if length > MAX_CLIENT_BODY_BYTES => {
-            return Err(malformed(format!("response body too large ({length} B)")));
-        }
-        Some(length) => {
-            body.resize(length, 0);
-            reader.read_exact(&mut body)?;
-        }
-        None => {
-            reader
-                .by_ref()
-                .take(MAX_CLIENT_BODY_BYTES as u64)
-                .read_to_end(&mut body)?;
-        }
-    }
-    Ok(HttpResponse { status, body })
+    None
 }
 
 /// One shard's health, as reported by its `GET /healthz` body.
@@ -274,25 +226,6 @@ mod tests {
                 "accepted: {bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn reads_responses_with_and_without_length() {
-        let wire = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-                     Content-Length: 5\r\nConnection: close\r\n\r\nhellotrailing";
-        let mut reader = &wire[..];
-        let response = read_http_response(&mut reader).unwrap();
-        assert_eq!(response.status, 200);
-        assert_eq!(response.body, b"hello");
-
-        let wire = b"HTTP/1.1 503 Service Unavailable\r\n\r\nbusy";
-        let mut reader = &wire[..];
-        let response = read_http_response(&mut reader).unwrap();
-        assert_eq!(response.status, 503);
-        assert_eq!(response.body, b"busy");
-
-        let mut reader = &b"not http at all\r\n\r\n"[..];
-        assert!(read_http_response(&mut reader).is_err());
     }
 
     #[test]

@@ -43,9 +43,10 @@
 //!   connections, per-connection summary trailer lines, and graceful drain
 //!   on shutdown/idle-timeout.
 //! * [`http`] — the minimal HTTP/1.1 plumbing behind the reactor's HTTP
-//!   mode and health endpoint, including the client-side response reader
-//!   and [`http::parse_healthz`] decoder that `busytime-router` uses to
-//!   probe and score backend shards.
+//!   mode and health endpoint. It has no client-side reader:
+//!   [`http::find_head`], the one head finder, frames the reactor's
+//!   requests and the `/healthz` answers `busytime-router` reads off its
+//!   shards, and [`http::parse_healthz`] decodes those to score them.
 //!
 //! The CLI front-ends are `busytime-cli serve` (stdin → stdout),
 //! `busytime-cli batch FILE`, and `busytime-cli listen`

@@ -80,15 +80,18 @@ pub enum ConnLog {
     /// One human-readable line per connection on stderr (the default).
     #[default]
     Text,
-    /// One [`BatchSummary::to_json_line`] per connection on stderr.
-    Json,
 }
 
 /// Listener configuration on top of the per-session [`ServeConfig`].
 ///
-/// The socket fields bound what each connection may cost; how many threads
+/// The socket fields bound what each connection may cost. How many threads
 /// serve the sockets is not configurable: every connection rides one of
-/// [`IO_THREADS`](crate::reactor::IO_THREADS) reactor threads.
+/// [`IO_THREADS`](crate::reactor::IO_THREADS) reactor threads. Nor is what
+/// a connection may buffer: its outbox holds at most
+/// [`OUTBOX_LIMIT`](crate::reactor::OUTBOX_LIMIT) bytes of answers before
+/// the reactor stops reading it (the executor is never blocked by a slow
+/// reader), and its input at most
+/// [`INPUT_LIMIT`](crate::reactor::INPUT_LIMIT) bytes ahead of its session.
 #[derive(Clone, Debug, Default)]
 pub struct ListenConfig {
     /// The batch-engine configuration every connection's session runs
@@ -100,16 +103,6 @@ pub struct ListenConfig {
     /// mode) and closed — a plain outbox write on the reactor, never a
     /// thread.
     pub max_conns: usize,
-    /// Per-connection outbox cap in bytes (`0` = 256 KiB). Past the cap
-    /// the reactor suspends the connection's read interest and its
-    /// session stops parsing new records (completions already dispatched
-    /// still land, so the backlog overshoots by at most one wave of
-    /// responses); reads resume once the client drains the backlog below
-    /// half. The executor is never blocked by a slow reader. Input has its
-    /// own fixed bound beside this one,
-    /// [`INPUT_LIMIT`](crate::reactor::INPUT_LIMIT): a client that writes
-    /// faster than its records are answered stops being read.
-    pub outbox_limit: usize,
     /// Shut the listener down once no connection has been active for this
     /// long (`None` = serve until the shutdown token fires).
     pub idle_timeout: Option<Duration>,
@@ -322,24 +315,20 @@ impl Service for ListenService {
 
     fn settle(&self, conn_id: usize, peer: &str, _: &SessionMachine, summary: &BatchSummary) {
         lock_ignoring_poison(&self.report).absorb(summary);
-        match self.config.log {
-            ConnLog::Quiet => {}
-            ConnLog::Text => {
-                let pool = self.ctx.executor.stats();
-                eprintln!(
-                    "conn {conn_id}{} ({peer}): {} records ({} solved, {} errors), {} deadline \
-                     hits | pool {}/{} busy, {} queued",
-                    shard_tag(&self.config),
-                    summary.records,
-                    summary.solved,
-                    summary.errors,
-                    summary.deadline_hits,
-                    pool.busy,
-                    pool.workers,
-                    pool.queued,
-                );
-            }
-            ConnLog::Json => eprintln!("{}", summary.to_json_line()),
+        if self.config.log != ConnLog::Quiet {
+            let pool = self.ctx.executor.stats();
+            eprintln!(
+                "conn {conn_id}{} ({peer}): {} records ({} solved, {} errors), {} deadline \
+                 hits | pool {}/{} busy, {} queued",
+                shard_tag(&self.config),
+                summary.records,
+                summary.solved,
+                summary.errors,
+                summary.deadline_hits,
+                pool.busy,
+                pool.workers,
+                pool.queued,
+            );
         }
     }
 

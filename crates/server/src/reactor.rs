@@ -54,9 +54,9 @@
 //!
 //! # Two gates
 //!
-//! Back-pressure is two bounds per connection. The outbox
-//! ([`ListenConfig::outbox_limit`]): when a client stops reading its
-//! responses the outbox fills, the reactor suspends read interest (and
+//! Back-pressure is two fixed bounds per connection, one in each
+//! direction. The outbox ([`OUTBOX_LIMIT`]): when a client stops reading
+//! its responses the outbox fills, the reactor suspends read interest (and
 //! asks the session to take no new records) until the backlog drains
 //! below half, and a client that stays wedged past [`WRITE_TIMEOUT`] is
 //! aborted. The input: while the framer holds a complete line the session
@@ -91,7 +91,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -105,7 +104,7 @@ use polling::{Event, Interest, Poller, RawFd, Waker};
 
 use crate::engine::{lock_ignoring_poison, BatchSummary, ServeError};
 use crate::http::{
-    parse_http_head, write_http_response, HttpRequest, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    find_head, parse_http_head, write_http_response, HttpRequest, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use crate::lines::Lines;
 use crate::listener::{ListenConfig, ListenMode};
@@ -532,22 +531,23 @@ fn bind_tcp(addr: &str) -> std::io::Result<TcpListener> {
 /// Serves `endpoint` for `service` until `shutdown` fires or
 /// [`ListenConfig::idle_timeout`] elapses, drains every connection, and
 /// returns what the reactor counted. Of `config` only the socket fields
-/// apply: `max_conns`, `outbox_limit`, `idle_timeout` and
-/// `conn_idle_timeout`. A Unix socket file is removed on the way out.
+/// apply: `max_conns`, `idle_timeout` and `conn_idle_timeout`. A Unix
+/// socket file is removed on the way out.
 pub fn run<S: Service>(
     endpoint: Endpoint,
     service: Arc<S>,
     config: &ListenConfig,
     shutdown: CancelToken,
 ) -> std::io::Result<Counts> {
-    let or_default = |value: usize, default: usize| if value == 0 { default } else { value };
     let shared = Arc::new(Shared {
         service,
         config: config.clone(),
         shutdown,
         http: endpoint.http,
-        max_conns: or_default(config.max_conns, DEFAULT_MAX_CONNS),
-        outbox_limit: or_default(config.outbox_limit, DEFAULT_OUTBOX_LIMIT),
+        max_conns: match config.max_conns {
+            0 => DEFAULT_MAX_CONNS,
+            n => n,
+        },
         active: AtomicUsize::new(0),
         open: AtomicUsize::new(0),
         outbox_bytes: AtomicUsize::new(0),
@@ -631,11 +631,13 @@ pub const IO_THREADS: usize = 2;
 /// How many bytes of client input a connection holds ahead of its session:
 /// past it, with a complete line the session has not taken, the reactor
 /// stops reading the connection. The router holds at most this many
-/// unwritten request bytes per routed batch. Equal to the default outbox
-/// cap.
+/// unwritten request bytes per routed batch.
 pub const INPUT_LIMIT: usize = 256 * 1024;
-/// Default [`ListenConfig::outbox_limit`].
-const DEFAULT_OUTBOX_LIMIT: usize = INPUT_LIMIT;
+/// How many bytes of answers a connection's outbox holds before the
+/// reactor stops reading the connection and its session stops taking new
+/// records; reads resume once the client drains it below half. One cap in
+/// each direction: equal to [`INPUT_LIMIT`].
+pub const OUTBOX_LIMIT: usize = INPUT_LIMIT;
 /// How long a wire's owed bytes may sit unsendable: a connection stalled
 /// this long is aborted. The bounded outbox keeps a stalled reader from
 /// costing more than its cap meanwhile; this reclaims the capacity slot
@@ -656,8 +658,6 @@ const POLL_GRANULARITY: Duration = Duration::from_millis(20);
 /// overload must not mint unbounded connection state (it already cannot
 /// mint threads).
 const REJECT_BACKLOG_CAP: usize = 1024;
-/// `expect` message for writes into a `Vec<u8>` outbox.
-const VEC_WRITE: &str = "writing to a Vec cannot fail";
 
 /// Everything the reactors share: the service, the socket configuration
 /// and the cross-reactor gauges behind `/healthz` and the final
@@ -668,7 +668,6 @@ struct Shared<S: Service> {
     shutdown: CancelToken,
     http: bool,
     max_conns: usize,
-    outbox_limit: usize,
     /// Connections holding a capacity slot (everything but rejections).
     active: AtomicUsize,
     /// Every socket registered with a reactor, rejections included — the
@@ -1139,9 +1138,9 @@ impl<S: Service> Reactor<S> {
                 // once the client drains it below half
                 if matches!(state.kind, Kind::Flush) {
                     state.read_suspended = false;
-                } else if pending > self.shared.outbox_limit {
+                } else if pending > OUTBOX_LIMIT {
                     state.read_suspended = true;
-                } else if pending <= self.shared.outbox_limit / 2 {
+                } else if pending <= OUTBOX_LIMIT / 2 {
                     state.read_suspended = false;
                 }
                 let reads = state.reads();
@@ -1337,7 +1336,7 @@ fn step_conn<S: Service>(
                     }
                     // an HTTP batch answers into its response, which no
                     // gate bounds
-                    let allow_parse = http.is_some() || state.wire.owed() <= shared.outbox_limit;
+                    let allow_parse = http.is_some() || state.wire.owed() <= OUTBOX_LIMIT;
                     pump_gated = !allow_parse;
                     let out = match &mut http {
                         Some(http) => &mut http.response,
@@ -1376,8 +1375,7 @@ fn step_conn<S: Service>(
                                 ndjson,
                                 body,
                                 keep_alive,
-                            )
-                            .expect(VEC_WRITE);
+                            );
                             http.response.clear();
                             shared
                                 .service
@@ -1407,9 +1405,7 @@ fn step_conn<S: Service>(
         // a flush that reopened the parse gate must re-pump the session:
         // a gated pump with nothing in flight gets no wake, so stopping
         // here would strand its buffered input for good
-        if pump_gated
-            && state.wire.owed() <= shared.outbox_limit
-            && matches!(state.kind, Kind::Batch(..))
+        if pump_gated && state.wire.owed() <= OUTBOX_LIMIT && matches!(state.kind, Kind::Batch(..))
         {
             continue;
         }
@@ -1523,33 +1519,6 @@ fn route(request: &HttpRequest) -> Result<bool, (&'static str, &'static str)> {
     }
 }
 
-/// Finds the complete request head at the front of `buf` (leading blank
-/// lines tolerated): the head's bytes, and where its body starts. `None`
-/// until the terminator has arrived.
-fn find_head(buf: &[u8]) -> Option<(Range<usize>, usize)> {
-    let start = buf
-        .iter()
-        .position(|b| !matches!(b, b'\r' | b'\n'))
-        .unwrap_or(buf.len());
-    let mut i = start;
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            let rest = &buf[i + 1..];
-            if rest.starts_with(b"\r\n") {
-                return Some((start..i + 1, i + 3));
-            }
-            if rest.starts_with(b"\n") {
-                return Some((start..i + 1, i + 2));
-            }
-            if rest.is_empty() {
-                break; // possibly mid-terminator; wait for more bytes
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
 /// The prefilled outbox of an at-capacity rejection.
 fn rejection_bytes(http: bool, noun: &str, max_conns: usize) -> Vec<u8> {
     let message = format!("{noun} at capacity ({max_conns} connections); retry later");
@@ -1570,8 +1539,7 @@ fn respond_healthz<S: Service>(shared: &Shared<S>, outbox: &mut Vec<u8>, keep_al
         "application/json",
         body.as_bytes(),
         keep_alive,
-    )
-    .expect(VEC_WRITE);
+    );
 }
 
 /// Writes an error answer, a JSON `{"error": reason}` body, that closes
@@ -1580,6 +1548,5 @@ fn http_error(outbox: &mut Vec<u8>, status: &str, reason: &str) {
     let mut body = String::from("{\"error\": ");
     json::write_string(&mut body, reason);
     body.push_str("}\n");
-    write_http_response(outbox, status, "application/json", body.as_bytes(), false)
-        .expect(VEC_WRITE);
+    write_http_response(outbox, status, "application/json", body.as_bytes(), false);
 }

@@ -873,10 +873,7 @@ fn clamp_recv_buffer(stream: &std::net::TcpStream, bytes: i32) {
 #[cfg(target_os = "linux")]
 #[test]
 fn slow_reader_backpressure_suspends_reads_not_the_executor() {
-    let config = ListenConfig {
-        outbox_limit: 8 * 1024,
-        ..quiet_config()
-    };
+    let config = ListenConfig { ..quiet_config() };
     let server = start(ListenMode::Tcp, config);
 
     // pre-warm the shared solution cache with the one instance the flood

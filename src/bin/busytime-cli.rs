@@ -37,12 +37,16 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    let Some(takes) = options_of(command) else {
+        eprintln!("error: unknown command '{command}'");
+        return ExitCode::FAILURE;
+    };
     // `batch` takes its input file as a positional argument
     let (positional, rest) = match rest.split_first() {
         Some((p, more)) if command == "batch" && !p.starts_with("--") => (Some(p.clone()), more),
         _ => (None, rest),
     };
-    let opts = match parse_opts(rest) {
+    let opts = match parse_opts(command, &takes, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -62,11 +66,11 @@ fn main() -> ExitCode {
         "solvers" => cmd_solvers(),
         "bounds" => cmd_bounds(&opts),
         "compare" => cmd_compare(&opts),
-        "--help" | "-h" | "help" => {
+        // help, -h, --help
+        _ => {
             emit_line(USAGE);
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command '{other}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -110,17 +114,16 @@ commands:
            printed as `listening on ...` on stderr)
            [--max-conns N] [--idle-timeout-ms MS] [--conn-idle-timeout-ms MS]
            (two readiness-loop reactor threads multiplex every connection;
-           a connection costs a poller slot, not a thread)
-           [--outbox-limit B]   per-connection pending-write cap in bytes
-           (default 256 KiB); past it the listener stops reading that
-           connection until the client drains its responses
+           a connection costs a poller slot, not a thread; past 256 KiB of
+           unread answers the listener stops reading that connection until
+           the client drains them)
            [--workers N]        process-wide worker budget shared by every
            connection (also via BUSYTIME_WORKERS; default: all cores;
            0 is rejected — it would leave no worker at all)
            [--shard-id ID]      tag /healthz and connection logs (the
            router's --spawn mode sets this on its children)
            [--solver NAME] [--chunk N] [--fail-fast | --keep-going]
-           [--quiet | --summary-json] [--parallel auto|on|off]
+           [--quiet] [--parallel auto|on|off]
            [--deadline-ms MS]   per-record request timeout default
            [--solution-cache N | --no-cache]   one solution cache shared by
            every connection (/healthz reports its hit rate)
@@ -135,8 +138,13 @@ commands:
            (crashed shards restart with backoff; in-flight records retry
            on a healthy shard; SIGINT drains the whole tree)
            [--spawn-workers N]  worker budget per spawned shard
+           [--workers N]        checked like everywhere (0 is refused); the
+           router itself solves nothing
            [--sticky]           pin each connection to one shard
-           [--max-conns N] [--probe-interval-ms MS] [--quiet]
+           [--probe-interval-ms MS]   how often a prober sends each shard
+           `GET /healthz` (default 500) and reads the answer to the end of
+           the stream; two failed probes in a row demote a shard
+           [--max-conns N] [--quiet]
            [--solver NAME] [--deadline-ms MS] [--parallel auto|on|off]
            forwarded to spawned shards
            [--solution-cache N | --no-cache]   forwarded to spawned shards
@@ -145,18 +153,67 @@ commands:
   bounds   --input FILE
   compare  --input FILE        (all registered solvers side by side)";
 
-/// Options taking no value.
-const FLAGS: &[&str] = &[
-    "gantt",
-    "json",
-    "no-decompose",
+/// Options every serving command takes (`serve`, `batch`, `listen` and
+/// `route`, which forwards all but `--workers` to the shards it spawns).
+/// A trailing `=` marks an option that takes a value.
+const SERVING_OPTIONS: &[&str] = &[
+    "workers=",
+    "solver=",
+    "deadline-ms=",
+    "parallel=",
+    "solution-cache=",
     "no-cache",
-    "fail-fast",
-    "keep-going",
     "quiet",
-    "summary-json",
-    "sticky",
 ];
+/// The batch engine's own options: `serve`, `batch` and `listen`.
+const ENGINE_OPTIONS: &[&str] = &["chunk=", "fail-fast", "keep-going"];
+/// The endpoint options of `listen` and `route`.
+const ENDPOINT_OPTIONS: &[&str] = &["tcp=", "unix=", "http=", "max-conns="];
+
+/// The options `command` takes, as its usage text names them, or `None`
+/// for an unknown command.
+fn options_of(command: &str) -> Option<Vec<&'static str>> {
+    let lists: &[&[&str]] = match command {
+        "generate" => &[&["family=", "n=", "g=", "seed=", "d=", "out="]],
+        "solve" => &[&[
+            "input=",
+            "solver=",
+            "json",
+            "gantt",
+            "out=",
+            "seed=",
+            "no-decompose",
+            "validation=",
+            "deadline-ms=",
+            "parallel=",
+        ]],
+        "serve" => &[SERVING_OPTIONS, ENGINE_OPTIONS, &["summary-json"]],
+        "batch" => &[SERVING_OPTIONS, ENGINE_OPTIONS, &["summary-json", "input="]],
+        "listen" => &[
+            SERVING_OPTIONS,
+            ENGINE_OPTIONS,
+            ENDPOINT_OPTIONS,
+            &["idle-timeout-ms=", "conn-idle-timeout-ms=", "shard-id="],
+        ],
+        // `--workers` is checked for 0 here too, though the router solves
+        // nothing itself
+        "route" => &[
+            SERVING_OPTIONS,
+            ENDPOINT_OPTIONS,
+            &[
+                "shards=",
+                "spawn=",
+                "spawn-workers=",
+                "sticky",
+                "probe-interval-ms=",
+            ],
+        ],
+        "bounds" | "compare" => &[&["input="]],
+        "solvers" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    Some(lists.concat())
+}
 
 /// Writes to stdout, tolerating a closed pipe (`busytime-cli ... | head`
 /// must exit cleanly, not panic on EPIPE the way `println!` does).
@@ -170,19 +227,29 @@ fn emit_line(s: impl AsRef<str>) {
     emit("\n");
 }
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Reads `args` against the options `command` takes (`takes`, from
+/// [`options_of`]); any other option is a usage error.
+fn parse_opts(
+    command: &str,
+    takes: &[&str],
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, got '{key}'"));
         };
-        if FLAGS.contains(&name) {
-            opts.insert(name.to_string(), String::from("true"));
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        opts.insert(name.to_string(), value.clone());
+        let value = if takes.contains(&name) {
+            String::from("true")
+        } else if takes.iter().any(|o| o.strip_suffix('=') == Some(name)) {
+            it.next()
+                .ok_or_else(|| format!("--{name} needs a value"))?
+                .clone()
+        } else {
+            return Err(format!("{command} does not take --{name}"));
+        };
+        opts.insert(name.to_string(), value);
     }
     Ok(opts)
 }
@@ -246,12 +313,7 @@ fn load(opts: &HashMap<String, String>) -> Result<Instance, String> {
 
 fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
     let inst = load(opts)?;
-    // `--solver` is the registry key; `--algo` kept as a legacy spelling
-    let solver = opts
-        .get("solver")
-        .or_else(|| opts.get("algo"))
-        .map(String::as_str)
-        .unwrap_or("auto");
+    let solver = opts.get("solver").map(String::as_str).unwrap_or("auto");
     let validation = match opts.get("validation").map(String::as_str) {
         None | Some("basic") => ValidationLevel::Basic,
         Some("skip") => ValidationLevel::Skip,
@@ -429,11 +491,8 @@ fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut config = ListenConfig {
         serve: serve_config(opts)?,
         max_conns: get_num(opts, "max-conns", 0usize)?,
-        outbox_limit: get_num(opts, "outbox-limit", 0usize)?,
         log: if opts.contains_key("quiet") {
             ConnLog::Quiet
-        } else if opts.contains_key("summary-json") {
-            ConnLog::Json
         } else {
             ConnLog::Text
         },

@@ -134,3 +134,49 @@ fn batch_reads_records_from_file() {
         .unwrap();
     assert!(!bad.status.success());
 }
+
+#[test]
+fn an_option_the_command_does_not_take_is_a_usage_error() {
+    // `--verbose` is no option of `serve`: it must not swallow `--quiet`
+    // as its value and serve the batch anyway. The child may exit before
+    // it reads stdin, so a failed write is no failure here.
+    let mut child = cli()
+        .args(["serve", "--verbose", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let record = "{\"instance\": {\"g\": 2, \"jobs\": [[0, 4]]}}\n";
+    let _ = child.stdin.take().unwrap().write_all(record.as_bytes());
+    let out = child.wait_with_output().unwrap();
+    assert_usage_error(&out, "serve", "--verbose");
+
+    // `solve` spells its deadline `--deadline-ms`: `--deadline 5` must not
+    // solve with no deadline at all
+    let dir = std::env::temp_dir().join(format!("busytime_usage_e2e_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("inst.json");
+    let generate = cli()
+        .args(["generate", "--family", "uniform", "--n", "8", "--seed", "1"])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(generate.status.success());
+    let out = cli()
+        .args(["solve", "--input", path.to_str().unwrap()])
+        .args(["--deadline", "5", "--json"])
+        .output()
+        .unwrap();
+    assert_usage_error(&out, "solve", "--deadline");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `out` is a usage error (exit 2) whose first line names `option`.
+fn assert_usage_error(out: &std::process::Output, command: &str, option: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{command} {option}: {stderr}");
+    assert!(out.stdout.is_empty(), "{command} {option} printed answers");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.ends_with(&format!(" {option}")), "{first}");
+}
